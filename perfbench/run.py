@@ -9,7 +9,8 @@ set-up (repeated, median reported), a batch-1 pass (``encode_example``,
 ``decode_matrix`` and ``rewrite_from_matrix`` per example) and training
 (``editseg.train`` from a fresh seeded model). With ``--trace 0`` it
 reports the end-to-end metrics; with ``--trace 1`` it wraps the package's
-functions in timing spans and reports per-layer metrics. A line
+functions in timing spans and reports per-layer metrics. End-to-end times
+are calibrated to the host's uncontended speed (``calibrate.py``). A line
 ``{"record": ...}`` with the machine, build and fixture facts precedes the
 result, which is the last line of standard output. The exit code is 1 when a
 correctness gate fails, 2 when the package sources are missing.
@@ -32,12 +33,18 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
+# One BLAS thread: on a small shared host a second thread adds no speed at
+# batch 1 and makes the run-to-run spread wider. Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from workloads import BATCH_SIZE, BUILD, FIXTURES, SRC, WORKLOADS, derived_seed, pad4, quotas, stratified_corpus
+import numpy as np  # noqa: E402
 
-SETUP_REPEATS = 7
+from workloads import BATCH_SIZE, BUILD, FIXTURES, SRC, WORKLOADS, derived_seed, pad4, quotas, stratified_corpus  # noqa: E402
+
+SETUP_REPEATS = 7  # before the rounds; each round sets up once more
 MIN_ROUNDS = 2
+TRAIN_CALLS = 2  # per round
 TRACE_PAIRS = 3
 WARMUP_EXAMPLES = 4
 TRAIN_LR = 1e-3
@@ -71,15 +78,17 @@ class State:
 
 @dataclass
 class Round:
-    """One interleaved round of the untraced run."""
+    """One interleaved round of the untraced run; times are calibrated."""
 
+    setup_s: float
     times: list
     outs: list
     nonnone: float
-    batched_s: float
+    batch_times: list
     batched_outs: list
-    train_s: float
+    train_s: list
     loss_end: float
+    slowdown: float
 
 
 @dataclass
@@ -134,8 +143,11 @@ def check_round_trips(E, st: State, gates: Gates):
         gates.check("gold_round_trip", E.texts(out) == E.texts(ex.gold_rewrite))
 
 
-def batch1_pass(E, st: State, gates: Gates, span=no_span):
-    """One closed-loop pass at batch 1: DialogueExample in, tokens out."""
+def batch1_pass(E, st: State, gates: Gates, span=no_span, clock=None):
+    """One closed-loop pass at batch 1: DialogueExample in, tokens out.
+
+    Times are wall times, or calibrated ones when a ``Clock`` is given.
+    """
     model, vocab, conn, k = st.model, st.vocab, st.conn, st.k
     times, outs, nonnone, cells = [], [], 0, 0
     for it in st.items:
@@ -149,7 +161,8 @@ def batch1_pass(E, st: State, gates: Gates, span=no_span):
                 c = E.join_context(ex, conn, k)
             matrix = model.predict_encoded(enc)
             out, _ = E.generation.rewrite_from_matrix(matrix, x, c)
-        times.append(time.perf_counter() - t0)
+        wall = time.perf_counter() - t0
+        times.append(clock(wall) if clock else wall)
         gates.check("one_invocation", model.invocations - before == 1)
         gates.check("copy_restriction", copied_only(out, ex, c))
         outs.append(E.texts(out))
@@ -164,10 +177,11 @@ def buckets(items) -> list[list[int]]:
     return [order[i : i + BATCH_SIZE] for i in range(0, len(order), BATCH_SIZE)]
 
 
-def batched_pass(E, st: State, batches, gates: Gates):
-    outs = [None] * len(st.items)
-    t0 = time.perf_counter()
+def batched_pass(E, st: State, batches, gates: Gates, clock=None):
+    """Batches in, tokens out; returns each batch's time and every rewrite."""
+    outs, times = [None] * len(st.items), []
     for idx in batches:
+        t0 = time.perf_counter()
         batch = [st.items[i] for i in idx]
         with E.no_grad():
             features, _ = st.model.feature_batch([it.enc for it in batch])
@@ -175,35 +189,41 @@ def batched_pass(E, st: State, batches, gates: Gates):
         for pos, (i, it) in enumerate(zip(idx, batch)):
             matrix = E.model.decode_matrix(logits.data[pos], it.enc.m, it.enc.nx)
             outs[i], _ = E.generation.rewrite_from_matrix(matrix, it.x, it.c)
-    seconds = time.perf_counter() - t0
+        wall = time.perf_counter() - t0
+        times.append(clock(wall) if clock else wall)
     for it, out in zip(st.items, outs):
         gates.check("copy_restriction", copied_only(out, it.example, it.c))
-    return seconds, [E.texts(out) for out in outs]
+    return times, [E.texts(out) for out in outs]
 
 
-def train_once(E, w, seed, st: State, gates: Gates):
-    """One ``editseg.train`` call: fixed epochs, no early stop, fresh seeded model."""
+def train_once(E, w, seed, st: State, gates: Gates, clock=None, epochs=None):
+    """One ``editseg.train`` call: fixed epochs, no early stop, fresh seeded model.
+
+    With a ``Clock``, the host is also probed at every log line ``train``
+    writes, once per epoch, and the probes' time is taken out of the call's.
+    """
     config = E.RunConfig(
         train_path=str(st.workdir / "train.jsonl"),
         dev_path=str(st.workdir / "dev.jsonl"),
         checkpoint_path=str(st.workdir / "train.run"),
-        epochs=w.epochs,
+        epochs=epochs or w.epochs,
         batch_size=BATCH_SIZE,
         lr=TRAIN_LR,
         seed=derived_seed(seed, "model"),
         patience=w.epochs,
         **w.dims,
     )
+    inner = []
+    log = (lambda msg: inner.append(clock.probe())) if clock else None
     t0 = time.perf_counter()
     try:
-        result = E.train(config)
+        result = E.train(config, log=log)
+        losses = [h.train_loss for h in result.history]
     except E.TrainingDiverged:
-        gates.check("finite_loss", False)
-        return time.perf_counter() - t0, float("nan")
-    seconds = time.perf_counter() - t0
-    losses = [h.train_loss for h in result.history]
-    gates.check("finite_loss", len(losses) == w.epochs and bool(np.all(np.isfinite(losses))))
-    return seconds, losses[-1]
+        losses = [float("nan")]
+    wall = time.perf_counter() - t0
+    gates.check("finite_loss", len(losses) == config.epochs and bool(np.all(np.isfinite(losses))))
+    return (clock(wall, inner) if clock else wall), losses[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +324,9 @@ def pad_shares(items, batches) -> tuple[float, float]:
 
 
 def run_untraced(E, w, seed, seconds, make_state, gates, record):
-    setup_times = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        st = make_state()
-        setup_times.append(time.perf_counter() - t0)
+    from calibrate import Clock
+
+    st = make_state()
     check_round_trips(E, st, gates)
     batches = buckets(st.items)
     warm = replace(st, items=st.items[:WARMUP_EXAMPLES])
@@ -316,40 +334,67 @@ def run_untraced(E, w, seed, seconds, make_state, gates, record):
     batched_pass(E, warm, [list(range(len(warm.items)))], Gates())
     gc.collect()
 
-    # Rounds interleave the phases, so that each phase's fastest repeat can
-    # come from any part of the run.
+    # Each unit of work (a set-up, an example, a batch, a training call) is
+    # timed between two probes of the host's speed (calibrate.py), and each
+    # metric is the median of its calibrated repeats over the rounds.
+    clock = Clock()
+
+    def timed_setup():
+        gc.collect()  # so that no set-up pays for collecting the one before
+        t0 = time.perf_counter()
+        make_state()
+        return clock(time.perf_counter() - t0)
+
+    setup_times = [timed_setup() for _ in range(SETUP_REPEATS)]
     rounds, peak, t0 = [], None, time.perf_counter()
     while len(rounds) < MIN_ROUNDS or (time.perf_counter() - t0) * (len(rounds) + 1) / len(rounds) <= seconds:
-        times, outs, nonnone = batch1_pass(E, st, gates)
-        batched_s, batched_outs = batched_pass(E, st, batches, gates)
-        peak = peak or resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        first_unit = len(clock.units)
+        setup_s = timed_setup()
         gc.collect()
-        train_s, loss_end = train_once(E, w, seed, st, gates)
+        times, outs, nonnone = batch1_pass(E, st, gates, clock=clock)
+        batch_times, batched_outs = batched_pass(E, st, batches, gates, clock=clock)
+        if peak is None:
+            # Serving's high-water mark, read before anything trains; then
+            # one short untimed training call warms the training path.
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            train_once(E, w, seed, st, Gates(), epochs=1)
         gc.collect()
-        rounds.append(Round(times, outs, nonnone, batched_s, batched_outs, train_s, loss_end))
+        train_s, losses = [], set()
+        for _ in range(TRAIN_CALLS):
+            call_s, loss_end = train_once(E, w, seed, st, gates, clock=clock)
+            train_s.append(call_s)
+            losses.add(loss_end)
+            gc.collect()
+        gates.check("deterministic", len(losses) == 1)
+        slowdown = statistics.median(wall / cal for wall, cal in clock.units[first_unit:])
+        rounds.append(Round(setup_s, times, outs, nonnone, batch_times, batched_outs, train_s, loss_end, slowdown))
     if w.peak_after_training:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     first = rounds[0]
     for r in rounds[1:]:
         gates.check("deterministic", r.outs == first.outs and r.loss_end == first.loss_end)
-    per_example = np.min([r.times for r in rounds], axis=0) * 1e3
+    setup_times += [r.setup_s for r in rounds]
+    per_example = np.median([r.times for r in rounds], axis=0) * 1e3
+    per_batch = np.median([r.batch_times for r in rounds], axis=0)
+    train_s = statistics.median(call_s for r in rounds for call_s in r.train_s)
     agree = np.mean([a == b for a, b in zip(first.batched_outs, first.outs)])
     em = np.mean([o == E.texts(it.example.gold_rewrite) for o, it in zip(first.outs, st.items)])
 
     record.update(
         batch1_examples=len(st.items), batches=len(batches), setup_s=setup_times,
-        rounds=[{"batch1_p50_ms": 1e3 * float(np.median(r.times)), "batched_s": r.batched_s, "train_s": r.train_s}
-                for r in rounds],
+        rounds=[{"slowdown": r.slowdown, "batch1_p50_ms": 1e3 * float(np.median(r.times)),
+                 "batched_s": sum(r.batch_times), "train_s": r.train_s} for r in rounds],
+        probe_s=statistics.quantiles(clock.probes, n=4),
         fixture_predicted_nonnone_share=first.nonnone, fixture_exact_match=float(em), loss_end=first.loss_end,
     )
     return {
         "setup_s": (statistics.median(setup_times), "s"),
         "latency_ms_p50": (float(np.percentile(per_example, 50)), "ms"),
         "latency_ms_p90": (float(np.percentile(per_example, 90)), "ms"),
-        "batched_rewrites_per_s": (len(st.items) / min(r.batched_s for r in rounds), "1/s"),
+        "batched_rewrites_per_s": (len(st.items) / float(per_batch.sum()), "1/s"),
         "exact_match": (float(em), "share"),
         "batch_agreement": (float(agree), "share"),
-        "train_examples_per_s": (w.train_examples * w.epochs / min(r.train_s for r in rounds), "1/s"),
+        "train_examples_per_s": (w.train_examples * w.epochs / train_s, "1/s"),
         "peak_rss_mb": (peak, "MB"),
     }
 

@@ -64,8 +64,8 @@ FIXTURES = {
 
 @dataclass(frozen=True)
 class Workload:
-    """One closed-loop run: set-up, then rounds of a batch-1 pass, a batched
-    pass and one training call.
+    """One closed-loop run: rounds of a set-up, a batch-1 pass, a batched
+    pass and training calls.
 
     Dims and corpus spec are the fixture's. ``peak_after_training`` says
     whether ``peak_rss_mb`` is read at the end of the run or before the
@@ -92,9 +92,9 @@ class Workload:
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("serve-paper", "paper", 160, 64, 16, 1, False),
-        Workload("serve-toy-long", "toy-long", 160, 64, 16, 1, False),
-        Workload("train-paper", "paper", 160, 96, 16, 2, True),
+        Workload("serve-paper", "paper", 192, 32, 8, 1, False),
+        Workload("serve-toy-long", "toy-long", 256, 32, 8, 1, False),
+        Workload("train-paper", "paper", 160, 32, 8, 3, True),
     )
 }
 
