@@ -264,57 +264,6 @@ def sqrt(a):
     return pow_scalar(a, 0.5)
 
 
-def exp(a):
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad * out.data)
-
-        return backward
-
-    return _node(data, (a,), factory)
-
-
-def log(a):
-    a = as_tensor(a)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad / a.data)
-
-        return backward
-
-    return _node(np.log(a.data), (a,), factory)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad * (1.0 - out.data * out.data))
-
-        return backward
-
-    return _node(data, (a,), factory)
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad * out.data * (1.0 - out.data))
-
-        return backward
-
-    return _node(data, (a,), factory)
-
-
 def relu(a):
     a = as_tensor(a)
 

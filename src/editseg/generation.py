@@ -73,10 +73,14 @@ def two_pass_label(matrix: np.ndarray) -> list[LabeledRegion]:
     provisional label among its left/top neighbors of the same edit type and
     records the neighbors' labels as equivalent; otherwise it opens a new
     label. The second pass resolves provisional labels through the recorded
-    equivalences and groups cells into regions.
+    equivalences and groups cells into regions. Both passes visit only the
+    non-None cells, in row-major order, so the cost follows their count
+    rather than the grid area.
     """
-    rows, cols = matrix.shape
-    labels = np.zeros((rows, cols), dtype=np.int32)
+    cols = matrix.shape[1]
+    flat = np.flatnonzero(matrix)  # row-major, None == 0
+    value = dict(zip(flat.tolist(), matrix.ravel()[flat].tolist()))
+    labels: dict[int, int] = {}  # flat index -> provisional label
     parent: list[int] = [0]  # union-find over provisional labels; 0 unused
 
     def find(a: int) -> int:
@@ -94,33 +98,27 @@ def two_pass_label(matrix: np.ndarray) -> list[LabeledRegion]:
                 ra, rb = rb, ra
             parent[rb] = ra
 
-    for r in range(rows):
-        for col in range(cols):
-            val = matrix[r, col]
-            if val == EditType.NONE:
-                continue
-            neighbors = []
-            if col > 0 and matrix[r, col - 1] == val:
-                neighbors.append(labels[r, col - 1])
-            if r > 0 and matrix[r - 1, col] == val:
-                neighbors.append(labels[r - 1, col])
-            if neighbors:
-                smallest = min(neighbors)
-                labels[r, col] = smallest
-                for other in neighbors:
-                    union(smallest, other)
-            else:
-                parent.append(len(parent))
-                labels[r, col] = len(parent) - 1
+    for idx, val in value.items():
+        neighbors = []
+        if idx % cols and value.get(idx - 1) == val:
+            neighbors.append(labels[idx - 1])
+        if value.get(idx - cols) == val:
+            neighbors.append(labels[idx - cols])
+        if neighbors:
+            smallest = min(neighbors)
+            labels[idx] = smallest
+            for other in neighbors:
+                union(smallest, other)
+        else:
+            parent.append(len(parent))
+            labels[idx] = len(parent) - 1
 
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for r in range(rows):
-        for col in range(cols):
-            if labels[r, col]:
-                groups.setdefault(find(labels[r, col]), []).append((r, col))
+    groups: dict[int, list[int]] = {}
+    for idx, label in labels.items():
+        groups.setdefault(find(label), []).append(idx)
     return [
-        LabeledRegion(EditType(int(matrix[cells[0]])), frozenset(cells))
-        for _, cells in sorted(groups.items())
+        LabeledRegion(EditType(value[members[0]]), frozenset(divmod(i, cols) for i in members))
+        for _, members in sorted(groups.items())
     ]
 
 

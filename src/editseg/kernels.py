@@ -1,10 +1,17 @@
 """Differentiable neural-network kernels built on the autodiff core.
 
-Covers everything the segmentation model needs: embedding lookup, a masked
-(bi)LSTM with hand-rolled backprop-through-time, 3x3 same-padded convolution,
-2x2 max pooling, 2x2 stride-2 transposed convolution, batch normalization,
-affine layers, weighted cross-entropy, Adam, and a finite-difference
-gradient checker. No ML framework underneath, just numpy.
+Covers everything the segmentation model needs: embedding lookup, a (bi)LSTM
+over right-padded batches with hand-rolled backprop-through-time, 3x3
+same-padded convolution, 2x2 max pooling, 2x2 stride-2 transposed
+convolution, batch normalization, affine layers, weighted cross-entropy,
+Adam, and a finite-difference gradient checker. No ML framework underneath,
+just numpy, in float64 throughout.
+
+The two hot kernels are shaped for BLAS. The LSTM projects every step's
+input in one GEMM before its time-major scan and runs each sequence in scan
+order within its own length, so padding trails and no step needs a mask.
+The convolution runs as 9 shifted GEMMs over a zero-padded, channels-last
+image flattened to rows, with no im2col copy.
 
 Spatial ops accept either a single example ``(C, H, W)`` or a batch
 ``(B, C, H, W)``; single examples are treated as batches of one.
@@ -91,17 +98,31 @@ def bilstm_params_init(rng: np.random.Generator, input_dim: int, hidden_dim: int
     )
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid_(z):
+    """In-place logistic function, same arithmetic as ``1 / (1 + exp(-z))``."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
 
 
 def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> Tensor:
-    """Masked unidirectional LSTM over ``x`` of shape (B, L, E) -> (B, L, H).
+    """Unidirectional LSTM over right-padded ``x`` (B, L, E) -> (B, L, H).
 
-    Positions at or beyond an example's length produce zero output and carry
-    the hidden state through unchanged, so right-padded batches give exactly
-    the unpadded per-example results. The whole scan is one graph node with a
-    hand-written BPTT backward.
+    The scan runs time-major. Each sequence is first gathered into scan
+    order: position t for the forward direction, ``length - 1 - t`` for the
+    reverse one, so the reverse direction reads each sequence backwards
+    within its own length and padding always trails the real steps. The input
+    projection of every step is one (B·L × E) @ (E × 4H) GEMM before the
+    scan, leaving one (B × H) @ (H × 4H) GEMM plus the gate arithmetic per
+    step, with no mask blend.
+
+    Padding cannot leak: padded steps come after every real step of their
+    sequence, so they never feed a real output; their outputs are zeroed
+    once after the scan, and in BPTT their gradients are exact zeros. A
+    right-padded batch therefore gives exactly the per-example results. The
+    scan is one graph node: BPTT stores each step's ``dz`` and forms ``dx``,
+    ``dW_ih``, ``dW_hh`` and ``db`` as single GEMMs after the loop.
     """
     xd = x.data
     B, L, E = xd.shape
@@ -110,73 +131,73 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
         lengths = np.full(B, L, dtype=np.int64)
     else:
         lengths = np.asarray(lengths, dtype=np.int64)
-    mask = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)  # (B, L)
+        if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > L):
+            raise ValueError(f"lstm lengths must be {B} values in [0, {L}], got {lengths.tolist()}")
+    steps = np.arange(L)
+    valid = steps[:, None] < lengths[None, :]  # (L, B); same in scan and input order
+    # order[t, b]: input position that scan step t of sequence b reads. It is
+    # its own inverse, so the same gather maps scan outputs back.
+    order = np.broadcast_to(steps[:, None], (L, B))
+    if reverse:
+        order = np.where(valid, lengths - 1 - steps[:, None], order)
+    rows = np.arange(B)
 
     w_ih, w_hh, b = params.w_ih, params.w_hh, params.b
-    order = range(L - 1, -1, -1) if reverse else range(L)
-
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    out = np.zeros((B, L, H))
-    cache = []
-    for t in order:
-        m = mask[:, t : t + 1]
-        z = xd[:, t] @ w_ih.data + h @ w_hh.data + b.data
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        out[:, t] = m * h_new
-        cache.append((t, m, h, c, i, f, g, o, tc))
-        c = m * c_new + (1.0 - m) * c
-        h = m * h_new + (1.0 - m) * h
+    xs = xd[rows, order]  # (L, B, E), scan order
+    gates = (xs.reshape(L * B, E) @ w_ih.data + b.data).reshape(L, B, 4 * H)
+    hs = np.zeros((L + 1, B, H))  # hs[t] is the state entering step t
+    cs = np.zeros((L + 1, B, H))
+    tcs = np.empty((L, B, H))
+    ig = np.empty((B, H))
+    for t in range(L):
+        z = gates[t]  # becomes the step's activations i, f, g, o in place
+        z += hs[t] @ w_hh.data
+        _sigmoid_(z[:, : 2 * H])
+        _sigmoid_(z[:, 3 * H :])
+        np.tanh(z[:, 2 * H : 3 * H], out=z[:, 2 * H : 3 * H])
+        np.multiply(z[:, H : 2 * H], cs[t], out=cs[t + 1])
+        np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=ig)
+        cs[t + 1] += ig
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(z[:, 3 * H :], tcs[t], out=hs[t + 1])
+    out = hs[1:][order.T, rows[:, None]]  # (B, L, H), input order
+    out[~valid.T] = 0.0
 
     def factory(node):
         def backward():
-            dout = node.grad
+            g4 = gates.reshape(L, B, 4, H)
+            i, f, g, o = g4[:, :, 0], g4[:, :, 1], g4[:, :, 2], g4[:, :, 3]
+            # Per-step factors turning (dc, dc, dc, dh) into the gate
+            # pre-activation gradients dz = (di, df, dg, do).
+            fac = np.empty((L, B, 4, H))
+            fac[:, :, 0] = g * i * (1.0 - i)
+            fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
+            fac[:, :, 2] = i * (1.0 - g * g)
+            fac[:, :, 3] = tcs * o * (1.0 - o)
+            dc_from_h = o * (1.0 - tcs * tcs)
+            dout = node.grad[rows, order]  # (L, B, H), scan order
+            dout[~valid] = 0.0
+            dz = np.empty((L, B, 4, H))
             dh = np.zeros((B, H))
             dc = np.zeros((B, H))
-            dw_ih = np.zeros_like(w_ih.data) if w_ih.requires_grad else None
-            dw_hh = np.zeros_like(w_hh.data) if w_hh.requires_grad else None
-            db = np.zeros_like(b.data) if b.requires_grad else None
-            dx = np.zeros_like(xd) if x.requires_grad else None
-            for t, m, h_prev, c_prev, i, f, g, o, tc in reversed(cache):
-                dh_new = m * (dh + dout[:, t])
-                dc_new = m * dc + dh_new * o * (1.0 - tc * tc)
-                do = dh_new * tc
-                df = dc_new * c_prev
-                di = dc_new * g
-                dg = dc_new * i
-                dz = np.concatenate(
-                    [
-                        di * i * (1.0 - i),
-                        df * f * (1.0 - f),
-                        dg * (1.0 - g * g),
-                        do * o * (1.0 - o),
-                    ],
-                    axis=1,
-                )
-                if dx is not None:
-                    dx[:, t] = dz @ w_ih.data.T
-                if dw_ih is not None:
-                    dw_ih += xd[:, t].T @ dz
-                if dw_hh is not None:
-                    dw_hh += h_prev.T @ dz
-                if db is not None:
-                    db += dz.sum(axis=0)
-                dh = (1.0 - m) * dh + dz @ w_hh.data.T
-                dc = (1.0 - m) * dc + dc_new * f
-            if dx is not None:
-                ad._accumulate(x, dx)
-            if dw_ih is not None:
-                ad._accumulate(w_ih, dw_ih)
-            if dw_hh is not None:
-                ad._accumulate(w_hh, dw_hh)
-            if db is not None:
-                ad._accumulate(b, db)
+            w_hh_t = w_hh.data.T
+            for t in range(L - 1, -1, -1):
+                dh += dout[t]
+                dc += dh * dc_from_h[t]
+                np.multiply(fac[t, :, :3], dc[:, None, :], out=dz[t, :, :3])
+                np.multiply(fac[t, :, 3], dh, out=dz[t, :, 3])
+                np.matmul(dz[t].reshape(B, 4 * H), w_hh_t, out=dh)
+                dc *= f[t]
+            dz = dz.reshape(L * B, 4 * H)
+            if x.requires_grad:
+                dx = (dz @ w_ih.data.T).reshape(L, B, E)
+                ad._accumulate(x, dx[order.T, rows[:, None]])
+            if w_ih.requires_grad:
+                ad._accumulate(w_ih, xs.reshape(L * B, E).T @ dz)
+            if w_hh.requires_grad:
+                ad._accumulate(w_hh, hs[:-1].reshape(L * B, H).T @ dz)
+            if b.requires_grad:
+                ad._accumulate(b, dz.sum(axis=0))
 
         return backward
 
@@ -211,7 +232,19 @@ def _as_batch(x: Tensor):
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
-    """3x3 convolution with same padding via im2col; (B, C, H, W) -> (B, C', H, W)."""
+    """3x3 same-padded convolution (cross-correlation); (B, C, H, W) -> (B, C', H, W).
+
+    The input is copied once into a zero-padded, channels-last image
+    flattened to rows: (B·(H+2)·(W+2), C). Output pixel (i, j) of image b sits
+    on row r = b·(H+2)·(W+2) + (i+1)·(W+2) + (j+1), and kernel tap (a, c)
+    reads row r + (a-1)·(W+2) + (c-1), so each tap is a contiguous row slice
+    and the convolution is 9 shifted (rows × C) @ (C × C') GEMMs with no
+    im2col copy. The GEMMs run over every row from the first interior pixel
+    to the last; rows on the padding ring get values that are thrown away
+    (and zero gradient), and an interior pixel's taps never leave its own
+    padded image, so images in a batch cannot mix. Backward reuses the same
+    9 slices for the kernel and input gradients.
+    """
     x, single = _as_batch(x)
     xd = x.data
     B, C, H, W = xd.shape
@@ -221,24 +254,34 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     if Ck != C:
         raise ValueError(f"conv2d channel mismatch: input has {C}, kernels expect {Ck}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B,C,H,W,3,3)
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(C * 9, B * H * W)
-    kmat = kernels.data.reshape(Co, C * 9)
-    out = (kmat @ cols).reshape(Co, B, H, W).transpose(1, 0, 2, 3)
+    Wp = W + 2
+    n_rows = B * (H + 2) * Wp
+    first = Wp + 1  # row of pixel (0, 0) of image 0
+    span = n_rows - 2 * first  # rows from the first interior pixel to the last
+    starts = [first + (a - 1) * Wp + (c - 1) for a in range(3) for c in range(3)]
+    xp = np.zeros((B, H + 2, Wp, C))
+    xp[:, 1:-1, 1:-1] = xd.transpose(0, 2, 3, 1)
+    xp = xp.reshape(n_rows, C)
+    taps = kernels.data.transpose(2, 3, 1, 0).reshape(9, C, Co)
+    acc = np.zeros((n_rows, Co))
+    body = acc[first : first + span]
+    for s, tap in zip(starts, taps):
+        body += xp[s : s + span] @ tap
+    out = acc.reshape(B, H + 2, Wp, Co)[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
 
     def factory(node):
         def backward():
-            dmat = node.grad.transpose(1, 0, 2, 3).reshape(Co, B * H * W)
+            gp = np.zeros((B, H + 2, Wp, Co))
+            gp[:, 1:-1, 1:-1] = node.grad.transpose(0, 2, 3, 1)
+            gbody = gp.reshape(n_rows, Co)[first : first + span]
             if kernels.requires_grad:
-                ad._accumulate(kernels, (dmat @ cols.T).reshape(Co, C, 3, 3))
+                dtaps = np.stack([xp[s : s + span].T @ gbody for s in starts])
+                ad._accumulate(kernels, dtaps.reshape(3, 3, C, Co).transpose(3, 2, 0, 1))
             if x.requires_grad:
-                dwin = (kmat.T @ dmat).reshape(C, 3, 3, B, H, W)
-                dxp = np.zeros((B, C, H + 2, W + 2))
-                for di in range(3):
-                    for dj in range(3):
-                        dxp[:, :, di : di + H, dj : dj + W] += dwin[:, di, dj].transpose(1, 0, 2, 3)
-                ad._accumulate(x, dxp[:, :, 1 : H + 1, 1 : W + 1])
+                dxp = np.zeros((n_rows, C))
+                for s, tap in zip(starts, taps):
+                    dxp[s : s + span] += gbody @ tap.T
+                ad._accumulate(x, dxp.reshape(B, H + 2, Wp, C)[:, 1:-1, 1:-1].transpose(0, 3, 1, 2))
 
         return backward
 

@@ -35,6 +35,7 @@ from .model import (
     ModelConfig,
     RewriteModel,
     Vocabulary,
+    _pad4,
     encode_example,
 )
 from .supervision import Coverage
@@ -155,11 +156,7 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 
 def _batches_by_size(encoded: list[EncodedExample], order: np.ndarray, batch_size: int):
     """Chunk a shuffled order into batches of similar padded grid sizes."""
-
-    def pad4(n):
-        return max(4, -(-n // 4) * 4)
-
-    ranked = sorted(order, key=lambda i: (pad4(encoded[i].m), pad4(encoded[i].nx)))
+    ranked = sorted(order, key=lambda i: (_pad4(encoded[i].m), _pad4(encoded[i].nx)))
     return [ranked[i : i + batch_size] for i in range(0, len(ranked), batch_size)]
 
 

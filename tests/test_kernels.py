@@ -119,6 +119,33 @@ def test_masked_batch_matches_per_example():
     assert np.allclose(out.data[1, 2:], 0.0)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_bilstm_padded_batch_grads_match_finite_differences(seed):
+    # Unequal lengths: the reverse direction reads each row backwards within
+    # its own length, and padded positions must get exactly zero gradient.
+    rng = rng_for(150 + seed)
+    p = K.bilstm_params_init(rng, 3, 4)
+    for t in p.tensors():
+        t.data += rng.normal(size=t.data.shape) * 0.3
+    lengths = [5, 2, 4]
+    x = Tensor(rng.normal(size=(3, 5, 3)), requires_grad=True)
+    probe = rng.normal(size=(3, 5, 8))
+
+    def f():
+        return ad.tsum(ad.mul(K.bilstm(x, p, lengths=lengths), probe))
+
+    assert K.grad_check(f, [x] + p.tensors(), h=H_STEP) < TOL
+    x.zero_grad()
+    f().backward()
+    assert np.all(x.grad[1, 2:] == 0.0) and np.all(x.grad[2, 4:] == 0.0)
+
+
+def test_lstm_rejects_lengths_beyond_sequence():
+    p = K.lstm_params_init(rng_for(9), 3, 2)
+    with pytest.raises(ValueError, match="lengths"):
+        K.lstm(Tensor(np.zeros((2, 4, 3))), p, lengths=[4, 5])
+
+
 # ---------------------------------------------------------------------------
 # conv / pool / deconv
 
@@ -142,6 +169,44 @@ def test_conv_bn_relu_all_negative_is_zero():
 def test_conv_channel_mismatch_fails():
     with pytest.raises(ValueError, match="channel"):
         K.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
+
+
+def conv_reference(x, k):
+    """Direct-loop 3x3 same-padded cross-correlation, the textbook definition."""
+    B, C, H, W = x.shape
+    Co = k.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.zeros((B, Co, H, W))
+    for b in range(B):
+        for o in range(Co):
+            for i in range(H):
+                for j in range(W):
+                    out[b, o, i, j] = np.sum(xp[b, :, i : i + 3, j : j + 3] * k[o])
+    return out
+
+
+@pytest.mark.parametrize("shape, co", [((2, 3, 4, 8), 5), ((3, 2, 1, 1), 1), ((1, 1, 5, 2), 3)])
+def test_conv_matches_direct_loop_reference(shape, co):
+    rng = rng_for(sum(shape) + co)
+    x = rng.normal(size=shape)
+    k = rng.normal(size=(co, shape[1], 3, 3))
+    out = K.conv2d(Tensor(x), Tensor(k))
+    assert np.allclose(out.data, conv_reference(x, k), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_conv_grads_match_finite_differences_batched_non_square(seed):
+    # B=2 on a 4x8 grid with C != Co: a batch-boundary or row/column mix-up
+    # in the flattened shifts would show here, not on one square image.
+    rng = rng_for(250 + seed)
+    x = Tensor(rng.normal(size=(2, 3, 4, 8)), requires_grad=True)
+    k = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
+    probe = rng.normal(size=(2, 5, 4, 8))
+
+    def f():
+        return ad.tsum(ad.mul(K.conv2d(x, k), probe))
+
+    assert K.grad_check(f, [x, k], h=H_STEP) < TOL
 
 
 @pytest.mark.parametrize("seed", range(3))

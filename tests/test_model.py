@@ -1,5 +1,6 @@
 """Model-layer contracts: pair features vs a naive oracle, padding, the
-segmentation channel trace, loss masking, and prediction decoding."""
+segmentation channel trace, loss masking, prediction decoding, and the
+kernel calls one batch-1 rewrite makes."""
 
 import math
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from editseg import autodiff as ad
+from editseg import generation
 from editseg import kernels as K
 from editseg.autodiff import Tensor
-from editseg.dialogue import DialogueExample, word_tokens
+from editseg.dialogue import DialogueExample, join_context, prepare_incomplete, word_tokens
 from editseg.model import (
     EncodedExample,
     ModelConfig,
@@ -343,3 +345,30 @@ def test_predict_counts_one_invocation_and_is_deterministic():
     assert model.invocations == before + 2
     assert np.array_equal(m1, m2)
     assert m1.shape == (enc.m, enc.nx)
+
+
+def test_batch1_rewrite_calls_traced_kernels_through_module_attributes(monkeypatch):
+    # The benchmark's per-layer spans wrap these module attributes; a call
+    # that bypasses them (a fused bilstm, a ``from .kernels import conv2d``)
+    # would silently drop out of the trace.
+    calls = {"lstm": 0, "conv2d": 0, "two_pass_label": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(K, "lstm")
+    counting(K, "conv2d")
+    counting(generation, "two_pass_label")
+    examples = toy_examples()
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(toy_config(vocab.size), seed=3)
+    ex = examples[0]
+    matrix = model.predict_encoded(encode_example(ex, vocab))
+    generation.rewrite_from_matrix(matrix, prepare_incomplete(list(ex.incomplete)), join_context(ex))
+    assert calls == {"lstm": 2, "conv2d": 8, "two_pass_label": 1}
