@@ -6,8 +6,10 @@ accumulation in topological order. Everything is 64-bit: gradient checks
 against central finite differences need the precision.
 
 Graphs are single-threaded, single-use objects: build, call ``backward()``
-once, discard. Leaf tensors (parameters) keep accumulating into ``grad``
-until ``zero_grad()``.
+once, discard. ``backward()`` unlinks each node from its closure and parents
+as it goes, so when it ends the graph is freed by reference counting, with
+no wait for the cycle collector. Leaf tensors (parameters) keep accumulating
+into ``grad`` until ``zero_grad()``.
 """
 
 from __future__ import annotations
@@ -89,9 +91,16 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # Each closure holds its own node, so the graph is a reference cycle.
+        # Dropping the closure once it has run breaks the cycle, and dropping
+        # the parents too frees each intermediate node (data and grad) as soon
+        # as the loop has passed it, unless the caller still holds it.
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+                node._parents = ()
 
     # Operator sugar; the free functions below do the work.
     def __add__(self, other):

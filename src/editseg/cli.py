@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .checkpoint import CheckpointError
 from .data import (
     DatasetError,
     SyntheticSpec,
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except OSError as exc:
+    except (OSError, CheckpointError) as exc:
         print(json.dumps({"error": str(exc)}, ensure_ascii=False), file=sys.stderr)
         return 2
 

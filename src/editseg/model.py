@@ -41,10 +41,9 @@ class ModelConfig:
     hidden_dim: int = 200
     base_channels: int = 32
     class_weights: tuple[float, float, float] = (1.0, 5.0, 5.0)
-    batch_size: int = 16
 
     def __post_init__(self):
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "base_channels", "batch_size"):
+        for name in ("vocab_size", "embed_dim", "hidden_dim", "base_channels"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         self.class_weights = tuple(float(w) for w in self.class_weights)
@@ -63,7 +62,6 @@ class ModelConfig:
             "hidden_dim": self.hidden_dim,
             "base_channels": self.base_channels,
             "class_weights": list(self.class_weights),
-            "batch_size": self.batch_size,
         }
 
     @staticmethod
@@ -74,7 +72,6 @@ class ModelConfig:
             hidden_dim=d.get("hidden_dim", 200),
             base_channels=d.get("base_channels", 32),
             class_weights=tuple(d.get("class_weights", (1.0, 5.0, 5.0))),
-            batch_size=d.get("batch_size", 16),
         )
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels as K
-from .checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
+from .checkpoint import FORMAT_TAG, CheckpointError, load_checkpoint, save_checkpoint
 from .data import load_dataset
 from .dialogue import (
     ConnectionWordList,
@@ -94,7 +94,6 @@ class RunConfig:
             hidden_dim=self.hidden_dim,
             base_channels=self.base_channels,
             class_weights=self.class_weights,
-            batch_size=self.batch_size,
         )
 
     def to_dict(self) -> dict:
@@ -201,16 +200,44 @@ def save_model(
 
 
 def load_model(path):
-    """Rebuild a model (plus vocab/conn/tokenization) from a checkpoint pair."""
+    """Rebuild a model (plus vocab/conn/tokenization) from a checkpoint pair.
+
+    The arrays must have exactly the names and shapes of the model that the
+    sidecar's config builds; anything else raises ``CheckpointError``.
+    """
     arrays, meta = load_checkpoint(path)
-    with open(str(path) + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    config = ModelConfig.from_dict(sidecar["model_config"])
+    sidecar_path = str(path) + ".json"
+    with open(sidecar_path, encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+            config = ModelConfig.from_dict(sidecar["model_config"])
+            vocab = Vocabulary(sidecar["vocab"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{sidecar_path}: bad sidecar: {exc!r}") from None
+    if vocab.size != config.vocab_size:
+        raise CheckpointError(
+            f"{sidecar_path}: {vocab.size} vocabulary ids but vocab_size {config.vocab_size}"
+        )
     model = RewriteModel(config, seed=0)
+    expected = {name: p.data.shape for name, p in model.parameters().items()}
+    if "adam_step" in meta:
+        for name in model.parameters():
+            expected[f"adam.m.{name}"] = expected[f"adam.v.{name}"] = expected[name]
+    expected.update((name, b.shape) for name, b in model.buffers().items())
+    if set(arrays) != set(expected):
+        raise CheckpointError(
+            f"{path}: arrays missing {sorted(set(expected) - set(arrays))}, "
+            f"unexpected {sorted(set(arrays) - set(expected))}"
+        )
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: array {name!r} has shape {list(arrays[name].shape)}, "
+                f"but the sidecar's model config needs {list(shape)}"
+            )
     for name, p in model.parameters().items():
         p.data = arrays[name].copy()
     model.load_buffers(arrays)
-    vocab = Vocabulary(sidecar["vocab"])
     conn_words = sidecar.get("connection_words", [])
     conn = ConnectionWordList(tuple(conn_words), tuple(range(len(conn_words), 0, -1)))
     adam = None

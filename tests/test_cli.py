@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,41 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
                     "--data", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "o.jsonl")])
     assert code != 0
     assert "error" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def _copy_checkpoint(workspace, tmp_path):
+    dst = tmp_path / "model.run"
+    for suffix in ("", ".json"):
+        Path(str(dst) + suffix).write_bytes(Path(str(workspace / "model.run") + suffix).read_bytes())
+    return dst
+
+
+def _rewrite_error(workspace, tmp_path, checkpoint, capsys):
+    out = tmp_path / "o.jsonl"
+    code = run_cli(["rewrite", "--checkpoint", str(checkpoint),
+                    "--data", str(workspace / "dev.jsonl"), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert not out.exists()
+    return json.loads(err[-1])["error"]
+
+
+@pytest.mark.parametrize("cut", ["header", "payload"])
+def test_truncated_checkpoint_is_json_error(workspace, tmp_path, capsys, cut):
+    ckpt = _copy_checkpoint(workspace, tmp_path)
+    raw = ckpt.read_bytes()
+    # Cut inside the JSON header, or drop only the last float of the payload.
+    ckpt.write_bytes(raw[:20] if cut == "header" else raw[:-8])
+    assert "bytes" in _rewrite_error(workspace, tmp_path, ckpt, capsys)
+
+
+def test_sidecar_that_disagrees_with_arrays_is_json_error(workspace, tmp_path, capsys):
+    ckpt = _copy_checkpoint(workspace, tmp_path)
+    sidecar_path = Path(str(ckpt) + ".json")
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    sidecar["model_config"]["hidden_dim"] //= 2
+    sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+    assert "shape" in _rewrite_error(workspace, tmp_path, ckpt, capsys)
 
 
 def test_console_entry_point_runs():

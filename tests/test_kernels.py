@@ -4,7 +4,9 @@ Every differentiable op is validated against central finite differences
 (the independent oracle): h = 1e-4, 64-bit floats, rel-err < 1e-3.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -194,14 +196,25 @@ def test_conv_matches_direct_loop_reference(shape, co):
     assert np.allclose(out.data, conv_reference(x, k), rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_conv_grads_match_finite_differences_batched_non_square(seed):
-    # B=2 on a 4x8 grid with C != Co: a batch-boundary or row/column mix-up
-    # in the flattened shifts would show here, not on one square image.
+@pytest.mark.parametrize(
+    "seed, shape, co",
+    [
+        pytest.param(0, (2, 3, 4, 8), 5, id="0"),
+        pytest.param(1, (2, 3, 4, 8), 5, id="1"),
+        # Wide input, narrow output: the shape class of the first U-Net conv.
+        pytest.param(2, (2, 5, 3, 6), 2, id="wide_in_narrow_out"),
+        # One row: the upper and lower taps of every pixel read the ring, and
+        # an edge pixel has only two taps inside the image.
+        pytest.param(3, (2, 3, 1, 5), 4, id="one_row"),
+    ],
+)
+def test_conv_grads_match_finite_differences_batched_non_square(seed, shape, co):
+    # B=2 on non-square grids with C != Co: a batch-boundary or row/column
+    # mix-up in the flattened shifts would show here, not on one square image.
     rng = rng_for(250 + seed)
-    x = Tensor(rng.normal(size=(2, 3, 4, 8)), requires_grad=True)
-    k = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
-    probe = rng.normal(size=(2, 5, 4, 8))
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    k = Tensor(rng.normal(size=(co, shape[1], 3, 3)), requires_grad=True)
+    probe = rng.normal(size=(shape[0], co) + shape[2:])
 
     def f():
         return ad.tsum(ad.mul(K.conv2d(x, k), probe))
@@ -396,6 +409,29 @@ def test_adam_two_steps_match_scalar_reference():
         theta -= 1e-3 * mhat / (math.sqrt(vhat) + 1e-8)
         K.adam_step([p], [np.array([g])], state, lr=1e-3)
     assert math.isclose(p.data[0], theta, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime
+
+
+def test_graph_is_freed_after_backward_without_the_collector():
+    # Tensor has no __weakref__ slot, so the weakref watches the array of the
+    # intermediate node; it dies only if nothing, cycles included, holds it.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        w = Tensor(rng_for(5).normal(size=(3, 3)), requires_grad=True)
+        h = ad.matmul(w, w)
+        watch = weakref.ref(h.data)
+        loss = ad.tsum(ad.relu(h))
+        loss.backward()
+        assert w.grad is not None
+        del h, loss
+        assert watch() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from editseg.supervision import EditType
 
 
 def toy_config(vocab_size=20, **kw):
-    defaults = dict(embed_dim=6, hidden_dim=3, base_channels=2, batch_size=4)
+    defaults = dict(embed_dim=6, hidden_dim=3, base_channels=2)
     defaults.update(kw)
     return ModelConfig(vocab_size=vocab_size, **defaults)
 
@@ -58,6 +58,14 @@ def test_config_validates_and_reports_channels():
         ModelConfig(vocab_size=0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=5, class_weights=(0.0, 1.0, 1.0))
+
+
+def test_config_from_dict_accepts_old_sidecar_with_batch_size():
+    # Older sidecars serialized a batch_size the model never read.
+    cfg = ModelConfig(vocab_size=10, hidden_dim=7)
+    old = dict(cfg.to_dict(), batch_size=16)
+    assert ModelConfig.from_dict(old) == cfg
+    assert "batch_size" not in cfg.to_dict()
 
 
 def test_vocab_roundtrip_and_unk():
