@@ -12,9 +12,7 @@ from editseg import (
     SyntheticSpec,
     RunConfig,
     generate_synthetic,
-    join_context,
     load_model,
-    prepare_incomplete,
     rewrite_from_matrix,
     save_dataset,
     texts,
@@ -48,10 +46,7 @@ model, vocab, conn, k, _, _, _ = load_model(result.best_checkpoint)
 print("\nsample rewrites from the dev set:")
 for ex in examples[500:506]:
     enc = encode_example(ex, vocab, conn, k)
-    matrix = model.predict_encoded(enc)
-    out, program = rewrite_from_matrix(
-        matrix, prepare_incomplete(list(ex.incomplete)), join_context(ex, conn, k)
-    )
+    out, program = rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
     flag = "ok " if texts(out) == texts(ex.gold_rewrite) else "MISS"
     print(f"  [{flag}] {' '.join(texts(ex.incomplete))}")
     print(f"         -> {' '.join(texts(out))}")

@@ -40,7 +40,6 @@ from .generation import (
     matrix_to_program,
     min_cover_rect,
     resolve_conflicts,
-    rewrite,
     rewrite_from_matrix,
     two_pass_label,
 )
@@ -60,7 +59,6 @@ from .model import (
     Vocabulary,
     encode_example,
     encoding_layer,
-    pad_to_grid,
 )
 from .supervision import (
     Coverage,
@@ -113,7 +111,6 @@ __all__ = [
     "matrix_to_program",
     "min_cover_rect",
     "resolve_conflicts",
-    "rewrite",
     "rewrite_from_matrix",
     "two_pass_label",
     "EvalReport",
@@ -129,7 +126,6 @@ __all__ = [
     "Vocabulary",
     "encode_example",
     "encoding_layer",
-    "pad_to_grid",
     "Coverage",
     "EditType",
     "build_gold_matrix",

@@ -34,10 +34,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """Dense n-dimensional float64 value with optional gradient."""
 
@@ -67,9 +63,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self):
         if self.data.size != 1:
@@ -120,9 +113,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -241,22 +231,6 @@ def mul(a, b):
     return _node(a.data * b.data, (a, b), factory)
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def factory(out):
-        def backward():
-            g = out.grad
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return backward
-
-    return _node(a.data / b.data, (a, b), factory)
-
-
 def pow_scalar(a, p: float):
     a = as_tensor(a)
 
@@ -269,10 +243,6 @@ def pow_scalar(a, p: float):
     return _node(np.power(a.data, p), (a,), factory)
 
 
-def sqrt(a):
-    return pow_scalar(a, 0.5)
-
-
 def relu(a):
     a = as_tensor(a)
 
@@ -283,19 +253,6 @@ def relu(a):
         return backward
 
     return _node(np.maximum(a.data, 0.0), (a,), factory)
-
-
-def maximum_scalar(a, c: float):
-    """Elementwise max against a constant; subgradient 0 at the clamp."""
-    a = as_tensor(a)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad * (a.data > c))
-
-        return backward
-
-    return _node(np.maximum(a.data, c), (a,), factory)
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +349,6 @@ def concat(tensors, axis=0):
         return backward
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), factory)
-
-
-def stack(tensors, axis=0):
-    return concat([reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:]) for t in tensors], axis=axis)
-
-
-def pad(a, widths):
-    """Zero padding; ``widths`` is a per-axis list of (before, after)."""
-    a = as_tensor(a)
-
-    def factory(out):
-        def backward():
-            sl = tuple(slice(b, b + s) for (b, _), s in zip(widths, a.data.shape))
-            _accumulate(a, out.grad[sl])
-
-        return backward
-
-    return _node(np.pad(a.data, widths), (a,), factory)
 
 
 def _is_fancy(idx) -> bool:

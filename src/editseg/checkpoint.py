@@ -5,13 +5,15 @@ names to shapes and byte offsets plus free-form metadata, then the raw
 float64 little-endian array payloads. Arrays are sorted by name and the
 header is canonicalized, so identical state always produces identical bytes
 (seeded runs must give bitwise-identical checkpoints). Loading checks the
-header and every array's byte range against the file, so a truncated or
-corrupt file raises ``CheckpointError`` rather than a numpy error.
+header's structure and every array's byte range against the file, so a
+truncated or corrupt file raises ``CheckpointError`` rather than a numpy or
+JSON error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -63,20 +65,33 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != FORMAT_TAG:
         raise CheckpointError(f"unsupported checkpoint format: {fmt!r}")
+    entries, meta = header.get("arrays"), header.get("meta")
+    if not isinstance(entries, dict) or not isinstance(meta, dict):
+        raise CheckpointError(f'{path}: header needs an "arrays" object and a "meta" object')
     arrays = {}
-    for name, info in header["arrays"].items():
-        shape = tuple(info["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = payload_start + info["offset"]
-        end = start + 8 * count
-        if min(shape, default=0) < 0 or start < payload_start or end > len(raw):
+    for name, info in entries.items():
+        shape = info.get("shape") if isinstance(info, dict) else None
+        offset = info.get("offset") if isinstance(info, dict) else None
+        if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(offset)):
             raise CheckpointError(
-                f"{path}: array {name!r} of shape {list(shape)} needs bytes "
+                f"{path}: array {name!r} needs a shape of non-negative integers and a "
+                f"non-negative integer offset, got {info!r}"
+            )
+        count = math.prod(shape)
+        start = payload_start + offset
+        end = start + 8 * count
+        if end > len(raw):
+            raise CheckpointError(
+                f"{path}: array {name!r} of shape {shape} needs bytes "
                 f"{start}..{end} of a {len(raw)}-byte file"
             )
-        arrays[name] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-    return arrays, header["meta"]
+        try:
+            flat = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
+            arrays[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an empty array with dimensions numpy cannot hold
+            raise CheckpointError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
+    return arrays, meta
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0

@@ -24,10 +24,8 @@ from .dialogue import (
     ConnectionWordList,
     EMPTY_CONNECTION_WORDS,
     Tokenization,
-    derive_connection_words,
     detokenize,
     join_context,
-    prepare_incomplete,
     texts,
     tokenize,
 )
@@ -152,10 +150,8 @@ def cmd_train(args):
         _fail("train_path and dev_path are required")
     result = train(config, log=lambda msg: print(msg, file=sys.stderr), resume=args.resume)
     if config.connection_k > 0:
-        # Persist the derived list next to the checkpoint, one word per line.
-        examples = load_dataset(config.train_path, config.tokenization, require_rewrite=True)
-        conn = derive_connection_words(examples, config.connection_k)
-        conn.save(str(config.checkpoint_path) + ".connwords.txt")
+        # Persist the run's list next to the checkpoint, one word per line.
+        result.conn.save(str(config.checkpoint_path) + ".connwords.txt")
     _emit(
         {
             "best_checkpoint": result.best_checkpoint,
@@ -173,10 +169,7 @@ def cmd_rewrite(args):
     rows = []
     for ex in examples:
         enc = encode_example(ex, vocab, conn, k)
-        matrix = model.predict_encoded(enc)
-        out, program = rewrite_from_matrix(
-            matrix, prepare_incomplete(list(ex.incomplete)), join_context(ex, conn, k)
-        )
+        out, program = rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
         rows.append(
             {
                 "rewrite_pred": detokenize(out, tokenization),

@@ -112,6 +112,10 @@ class SyntheticSpec:
     inserts: tuple[int, int] = (0, 1)
     distractor_prob: float = 0.4
     seed: int = 0
+    # A context phrase takes the place of as many filler words instead of
+    # lengthening its turn, so the joined context length M depends only on
+    # the turn count and length (``benchmark_spec``'s fixed-size grids).
+    phrases_replace_filler: bool = False
 
     def __post_init__(self):
         if self.vocab_size < 30:
@@ -199,6 +203,12 @@ def _generate_one(rng, spec, pools) -> DialogueExample:
         list(rng.choice(pools["normals"], size=int(rng.integers(lo, hi + 1))))
         for _ in range(n_turns)
     ]
+    if spec.phrases_replace_filler:
+        for _ in range(sum(1 + len(phrase.span) for phrase in phrases)):
+            most = max(base_words, key=len)  # first turn with the most filler left
+            if not most:
+                break
+            most.pop()
     placements: list[list[tuple[int, _Phrase]]] = [[] for _ in range(n_turns)]
     for phrase in phrases:
         turn = int(rng.integers(n_turns))
@@ -243,7 +253,8 @@ def _generate_one(rng, spec, pools) -> DialogueExample:
 def benchmark_spec(num_examples: int = 200, seed: int = 0) -> SyntheticSpec:
     """Fixed-size grids with varied edit counts: output length varies while
     the per-example compute stays constant, which is what the one-pass
-    latency property measures."""
+    latency property measures. Every example has M = 17 context rows and
+    N + 1 = 9 utterance columns."""
     return SyntheticSpec(
         vocab_size=50,
         num_examples=num_examples,
@@ -252,4 +263,5 @@ def benchmark_spec(num_examples: int = 200, seed: int = 0) -> SyntheticSpec:
         substitutes=(0, 2),
         inserts=(0, 1),
         seed=seed,
+        phrases_replace_filler=True,
     )

@@ -224,14 +224,3 @@ def rewrite_from_matrix(
     program = matrix_to_program(matrix)
     return apply_edits(x_prepared, c, program), program
 
-
-def rewrite(model, example, vocab, conn=None, k: int = 0) -> list[Token]:
-    """End-to-end rewriting: predict the edit matrix, standardize it, apply it."""
-    from .dialogue import EMPTY_CONNECTION_WORDS, join_context, prepare_incomplete
-
-    conn = EMPTY_CONNECTION_WORDS if conn is None else conn
-    matrix = model.predict(example, vocab, conn, k)
-    out, _ = rewrite_from_matrix(
-        matrix, prepare_incomplete(list(example.incomplete)), join_context(example, conn, k)
-    )
-    return out

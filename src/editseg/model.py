@@ -1,12 +1,15 @@
 """The edit-matrix predictor: context layer, pair-feature encoding layer,
 and U-shaped segmentation layer.
 
-The joined context and the prepared incomplete utterance are encoded by one
-shared BiLSTM pass; every (context word, utterance word) pair then gets a
-relevance vector [h ⊙ u; cos(h, u); h W u], giving an M x N x D "image"
-that a small UNet-style encoder/decoder segments into None / Substitute /
-Insert cells. One forward pass yields the whole edit matrix, so inference
-cost does not grow with output length.
+``encode_example`` builds an example's joined context (the M rows) and its
+prepared incomplete utterance (the N + 1 columns) once; the encoded example
+carries both to generation. They are encoded by one shared BiLSTM pass;
+every (context word, utterance word) pair then gets a relevance vector
+[h ⊙ u; cos(h, u); h W u], giving an M x N x D "image" that a small
+UNet-style encoder/decoder segments into None / Substitute / Insert cells.
+A batch's images are built at once, zero-padded to one grid, by a single
+``encoding_layer`` node. One forward pass yields the whole edit matrix, so
+inference cost does not grow with output length.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .dialogue import (
     DialogueExample,
     EMPTY_CONNECTION_WORDS,
     END_TEXT,
+    JoinedContext,
     SEP_TEXT,
     Token,
     join_context,
@@ -109,13 +113,20 @@ class Vocabulary:
 
 @dataclass
 class EncodedExample:
-    """Per-example model input: id sequence for c ++ x_prepared plus dims."""
+    """Per-example model input: id sequence for c ++ x_prepared plus dims.
+
+    ``c`` (the joined context, M rows) and ``x`` (the prepared utterance,
+    N + 1 columns) are what a predicted matrix is applied to; only model
+    inputs built by hand, without tokens, leave them out.
+    """
 
     ids: np.ndarray
     m: int  # joined-context length M
     nx: int  # prepared-incomplete length N + 1
     gold: Optional[np.ndarray] = None
     coverage: Optional[Coverage] = None
+    c: Optional[JoinedContext] = None
+    x: Optional[list[Token]] = None
 
 
 def encode_example(
@@ -131,53 +142,71 @@ def encode_example(
     gold = coverage = None
     if with_gold:
         gold, coverage = build_gold_matrix(example, conn, k)
-    return EncodedExample(ids, len(c), len(x_prepared), gold, coverage)
+    return EncodedExample(ids, len(c), len(x_prepared), gold, coverage, c, x_prepared)
 
 
 # ---------------------------------------------------------------------------
 # layers
 
 
+# Floor on a row's squared norm: far below any real BiLSTM state, so it only
+# acts on the zero rows that pad a batch.
+_SQ_NORM_FLOOR = 1e-24
+
+
 def encoding_layer(u: Tensor, hx: Tensor, w_bilinear: Tensor) -> Tensor:
-    """Pairwise relevance features: for every (m, n) the concatenation of the
-    elementwise product, the cosine similarity, and the learned bilinear form.
-    Shapes: u (M, 2H), hx (N, 2H) -> (M, N, 2H + 2)."""
-    m = u.data.shape[0]
-    n = hx.data.shape[0]
-    width = u.data.shape[-1]
-    if width != hx.data.shape[-1]:
-        raise ValueError("context and utterance encodings must share hidden width")
-    elem = ad.mul(ad.reshape(u, (m, 1, width)), ad.reshape(hx, (1, n, width)))
-    dot = ad.tsum(elem, axis=2)
-    norm_u = ad.sqrt(ad.tsum(ad.mul(u, u), axis=1))
-    norm_h = ad.sqrt(ad.tsum(ad.mul(hx, hx), axis=1))
-    denom = ad.maximum_scalar(
-        ad.mul(ad.reshape(norm_u, (m, 1)), ad.reshape(norm_h, (1, n))), 1e-12
-    )
-    cos = ad.div(dot, denom)
-    bil = ad.transpose(ad.matmul(ad.matmul(hx, w_bilinear), ad.transpose(u)))
-    return ad.concat([elem, ad.reshape(cos, (m, n, 1)), ad.reshape(bil, (m, n, 1))], axis=2)
+    """Pairwise relevance features for a padded batch, as one graph node.
+
+    For every (m, n) the concatenation of the elementwise product, the cosine
+    similarity, and the learned bilinear form: u (B, M, 2H) and hx (B, N, 2H)
+    -> (B, M, N, 2H + 2), written into one array. Padding rows of ``u`` and
+    ``hx`` are zero, and so are their cells. The squared norms are clamped
+    before the square root, so a zero row has cosine 0 and a finite gradient.
+    """
+    ud, hd, w = u.data, hx.data, w_bilinear.data
+    B, M, width = ud.shape
+    N = hd.shape[1]
+    if hd.shape != (B, N, width):
+        raise ValueError(f"encodings must share batch and width: {ud.shape} vs {hd.shape}")
+    out = np.empty((B, M, N, width + 2))
+    elem = out[..., :width]
+    np.multiply(ud[:, :, None, :], hd[:, None, :, :], out=elem)
+    norm_u = np.sqrt(np.maximum((ud * ud).sum(axis=2), _SQ_NORM_FLOOR))
+    norm_h = np.sqrt(np.maximum((hd * hd).sum(axis=2), _SQ_NORM_FLOOR))
+    denom = norm_u[:, :, None] * norm_h[:, None, :]
+    cos = out[..., width]
+    np.divide(elem.sum(axis=3), denom, out=cos)
+    hw = hd @ w  # (B, N, 2H)
+    np.matmul(ud, hw.transpose(0, 2, 1), out=out[..., width + 1])
+
+    def factory(node):
+        def backward():
+            g = node.grad
+            g_elem, g_cos, g_bil = g[..., :width], g[..., width], g[..., width + 1]
+            g_dot = g_cos / denom
+            g_cos_cos = g_cos * cos
+            ub = g_bil.transpose(0, 2, 1) @ ud  # (B, N, 2H): sum_m g_bil[m, n] u_m
+            if u.requires_grad:
+                du = np.einsum("bmnd,bnd->bmd", g_elem, hd)
+                du += g_dot @ hd + g_bil @ hw
+                du -= ud * (g_cos_cos.sum(axis=2) / norm_u**2)[..., None]
+                ad._accumulate(u, du)
+            if hx.requires_grad:
+                dh = np.einsum("bmnd,bmd->bnd", g_elem, ud)
+                dh += g_dot.transpose(0, 2, 1) @ ud + ub @ w.T
+                dh -= hd * (g_cos_cos.sum(axis=1) / norm_h**2)[..., None]
+                ad._accumulate(hx, dh)
+            if w_bilinear.requires_grad:
+                ad._accumulate(w_bilinear, hd.reshape(-1, width).T @ ub.reshape(-1, width))
+
+        return backward
+
+    return ad._node(out, (u, hx, w_bilinear), factory)
 
 
 def _pad4(n: int) -> int:
     """Next multiple of 4, minimum 4 (two 2x poolings need divisibility)."""
     return max(4, -(-n // 4) * 4)
-
-
-def pad_to_grid(feature_map: Tensor, target: tuple[int, int] | None = None):
-    """Zero-pad an (M, N, D) map so both spatial dims divide by 4.
-
-    Returns the padded map and the boolean mask of real cells. ``target``
-    lets batch construction pad several maps to one shared grid.
-    """
-    m, n, _ = feature_map.data.shape
-    th, tw = target if target is not None else (_pad4(m), _pad4(n))
-    if th < m or tw < n or th % 4 or tw % 4:
-        raise ValueError(f"bad pad target {(th, tw)} for map {(m, n)}")
-    padded = ad.pad(feature_map, ((0, th - m), (0, tw - n), (0, 0)))
-    mask = np.zeros((th, tw), dtype=bool)
-    mask[:m, :n] = True
-    return padded, mask
 
 
 def decode_matrix(logits: np.ndarray, m: int, nx: int) -> np.ndarray:
@@ -279,20 +308,25 @@ class RewriteModel:
         return K.bilstm(emb, self.lstm, lengths=lengths)
 
     def feature_batch(self, batch: list[EncodedExample]):
-        """Encode a batch into one padded (B, D, H, W) feature image + mask."""
+        """Encode a batch into one padded (B, D, H, W) feature image + mask.
+
+        Each example's context and utterance rows are gathered from the
+        BiLSTM output onto a grid whose sides divide by 4, zero rows on the
+        padding, and one ``encoding_layer`` call builds the whole image.
+        """
         enc = self.context_layer(batch)
-        th = _pad4(max(ex.m for ex in batch))
-        tw = _pad4(max(ex.nx for ex in batch))
-        maps = []
-        masks = np.zeros((len(batch), th, tw), dtype=bool)
-        for i, ex in enumerate(batch):
-            u = enc[i, : ex.m, :]
-            hx = enc[i, ex.m : ex.m + ex.nx, :]
-            fmap = encoding_layer(u, hx, self.w_bilinear)
-            padded, mask = pad_to_grid(fmap, target=(th, tw))
-            maps.append(ad.transpose(padded, (2, 0, 1)))
-            masks[i] = mask
-        return ad.stack(maps, axis=0), masks
+        m = np.array([ex.m for ex in batch])[:, None]
+        nx = np.array([ex.nx for ex in batch])[:, None]
+        rows = np.arange(_pad4(int(m.max())))
+        cols = np.arange(_pad4(int(nx.max())))
+        real_rows = rows < m  # (B, th)
+        real_cols = cols < nx  # (B, tw)
+        b = np.arange(len(batch))[:, None]
+        u = ad.mul(enc[b, np.where(real_rows, rows, 0)], real_rows[..., None])
+        hx = ad.mul(enc[b, np.where(real_cols, m + cols, 0)], real_cols[..., None])
+        features = encoding_layer(u, hx, self.w_bilinear)
+        masks = real_rows[:, :, None] & real_cols[:, None, :]
+        return ad.transpose(features, (0, 3, 1, 2)), masks
 
     def segmentation_layer(self, features: Tensor, training: bool) -> Tensor:
         """U-shaped encoder/decoder over the feature image -> per-cell logits.
@@ -340,12 +374,3 @@ class RewriteModel:
             logits = self.segmentation_layer(features, training=False)
         self.invocations += 1
         return decode_matrix(logits.data[0], ex.m, ex.nx)
-
-    def predict(
-        self,
-        example: DialogueExample,
-        vocab: Vocabulary,
-        conn: ConnectionWordList = EMPTY_CONNECTION_WORDS,
-        k: int = 0,
-    ) -> np.ndarray:
-        return self.predict_encoded(encode_example(example, vocab, conn, k))

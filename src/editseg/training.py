@@ -25,8 +25,6 @@ from .dialogue import (
     EMPTY_CONNECTION_WORDS,
     Tokenization,
     derive_connection_words,
-    join_context,
-    prepare_incomplete,
     texts,
 )
 from .generation import rewrite_from_matrix
@@ -126,13 +124,14 @@ class TrainResult:
     best_dev_em: float
     history: list[EpochStats] = field(default_factory=list)
     partial_fraction: float = 0.0
+    conn: ConnectionWordList = EMPTY_CONNECTION_WORDS  # the list the run used
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def evaluate_model(model: RewriteModel, batch: list[EncodedExample], examples, conn, k):
+def evaluate_model(model: RewriteModel, batch: list[EncodedExample], examples):
     """Dev metrics: pooled unmasked cell accuracy and rewrite exact match."""
     correct = total = 0
     hits = 0
@@ -140,9 +139,7 @@ def evaluate_model(model: RewriteModel, batch: list[EncodedExample], examples, c
         pred = model.predict_encoded(enc)
         correct += int((pred == enc.gold).sum())
         total += pred.size
-        out, _ = rewrite_from_matrix(
-            pred, prepare_incomplete(list(ex.incomplete)), join_context(ex, conn, k)
-        )
+        out, _ = rewrite_from_matrix(pred, enc.x, enc.c)
         hits += texts(out) == texts(ex.gold_rewrite)
     cell_acc = correct / total if total else 1.0
     return cell_acc, hits / len(batch)
@@ -211,9 +208,19 @@ def load_model(path):
         try:
             sidecar = json.load(fh)
             config = ModelConfig.from_dict(sidecar["model_config"])
-            vocab = Vocabulary(sidecar["vocab"])
+            tokenization = Tokenization(sidecar["tokenization"]).value
+            words, conn_words = sidecar["vocab"], sidecar.get("connection_words", [])
+            k = sidecar.get("connection_k", 0)
+            if not (_is_str_list(words) and _is_str_list(conn_words)):
+                raise TypeError("vocab and connection_words must be lists of strings")
+            if type(k) is not int or not 0 <= k <= len(conn_words):
+                raise ValueError(f"connection_k {k!r} is not an integer in [0, {len(conn_words)}]")
+            vocab = Vocabulary(words)
+            conn = ConnectionWordList(tuple(conn_words), tuple(range(len(conn_words), 0, -1)))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{sidecar_path}: bad sidecar: {exc!r}") from None
+    if type(meta.get("adam_step", 0)) is not int:
+        raise CheckpointError(f"{path}: adam_step {meta['adam_step']!r} is not an integer")
     if vocab.size != config.vocab_size:
         raise CheckpointError(
             f"{sidecar_path}: {vocab.size} vocabulary ids but vocab_size {config.vocab_size}"
@@ -238,17 +245,19 @@ def load_model(path):
     for name, p in model.parameters().items():
         p.data = arrays[name].copy()
     model.load_buffers(arrays)
-    conn_words = sidecar.get("connection_words", [])
-    conn = ConnectionWordList(tuple(conn_words), tuple(range(len(conn_words), 0, -1)))
     adam = None
     if "adam_step" in meta:
         params = list(model.parameters())
         adam = K.AdamState(
-            step=int(meta["adam_step"]),
+            step=meta["adam_step"],
             m=[arrays[f"adam.m.{n}"].copy() for n in params],
             v=[arrays[f"adam.v.{n}"].copy() for n in params],
         )
-    return model, vocab, conn, sidecar.get("connection_k", 0), sidecar["tokenization"], meta, adam
+    return model, vocab, conn, k, tokenization, meta, adam
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +329,7 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
             epoch_loss += value * len(batch)
         epoch_loss /= len(train_enc)
 
-        cell_acc, em = evaluate_model(model, dev_enc, dev_examples, conn, k)
+        cell_acc, em = evaluate_model(model, dev_enc, dev_examples)
         stats = EpochStats(epoch, epoch_loss, cell_acc, em, time.perf_counter() - t0)
         history.append(stats)
         log(
@@ -356,7 +365,7 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
             log(f"no dev-EM improvement for {config.patience} epochs; stopping")
             break
 
-    return TrainResult(best_path, last_path, best_em, history, partial)
+    return TrainResult(best_path, last_path, best_em, history, partial, conn)
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +378,17 @@ def bench_latency(model, vocab, examples, conn=EMPTY_CONNECTION_WORDS, k=0, warm
     Tokenization and IO stay outside the timer. Also verifies the one-pass
     property: exactly one model invocation per example.
     """
-    prepared = []
-    for ex in examples:
-        prepared.append(
-            (
-                encode_example(ex, vocab, conn, k),
-                prepare_incomplete(list(ex.incomplete)),
-                join_context(ex, conn, k),
-            )
-        )
-    for enc, x_prepared, c in prepared[:warmup]:
-        rewrite_from_matrix(model.predict_encoded(enc), x_prepared, c)
+    encoded = [encode_example(ex, vocab, conn, k) for ex in examples]
+    for enc in encoded[:warmup]:
+        rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
 
     times = []
     out_lens = []
     invocations = []
-    for enc, x_prepared, c in prepared:
+    for enc in encoded:
         before = model.invocations
         t0 = time.perf_counter()
-        matrix = model.predict_encoded(enc)
-        out, _ = rewrite_from_matrix(matrix, x_prepared, c)
+        out, _ = rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
         times.append((time.perf_counter() - t0) * 1000.0)
         invocations.append(model.invocations - before)
         out_lens.append(len(out))

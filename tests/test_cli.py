@@ -1,13 +1,18 @@
 """End-to-end CLI surface: every subcommand plus its error contract."""
 
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from editseg.checkpoint import CheckpointError
 from editseg.cli import main
+from editseg.training import load_model
 
 
 def run_cli(args):
@@ -169,6 +174,105 @@ def test_sidecar_that_disagrees_with_arrays_is_json_error(workspace, tmp_path, c
     sidecar["model_config"]["hidden_dim"] //= 2
     sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
     assert "shape" in _rewrite_error(workspace, tmp_path, ckpt, capsys)
+
+
+def _edit_header(raw: bytes, edit) -> bytes:
+    (n,) = struct.unpack_from("<I", raw)
+    header = json.loads(raw[4 : 4 + n])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob + raw[4 + n :]
+
+
+def _first_array(header):
+    return header["arrays"][min(header["arrays"])]
+
+
+MALFORMED = {
+    "arrays_not_object": ("run", lambda h: h.update(arrays=[1])),
+    "array_entry_not_object": ("run", lambda h: h["arrays"].update({min(h["arrays"]): 1})),
+    "shape_not_list": ("run", lambda h: _first_array(h).update(shape="ab")),
+    "arrays_missing": ("run", lambda h: h.pop("arrays")),
+    "meta_missing": ("run", lambda h: h.pop("meta")),
+    "offset_not_integer": ("run", lambda h: _first_array(h).update(offset="0")),
+    "tokenization_missing": ("sidecar", lambda s: s.pop("tokenization")),
+    "connection_words_not_list": ("sidecar", lambda s: s.update(connection_words=5)),
+    "connection_k_not_integer": ("sidecar", lambda s: s.update(connection_k="x")),
+}
+
+
+def _malform(ckpt: Path, case: str):
+    target, edit = MALFORMED[case]
+    if target == "run":
+        ckpt.write_bytes(_edit_header(ckpt.read_bytes(), edit))
+    else:
+        sidecar_path = Path(str(ckpt) + ".json")
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        edit(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_header_or_sidecar_raises_checkpoint_error(workspace, tmp_path, case):
+    ckpt = _copy_checkpoint(workspace, tmp_path)
+    load_model(ckpt)  # the untouched copy loads
+    _malform(ckpt, case)
+    with pytest.raises(CheckpointError):
+        load_model(ckpt)
+
+
+def test_malformed_header_is_one_json_error_line(workspace, tmp_path, capsys):
+    ckpt = _copy_checkpoint(workspace, tmp_path)
+    _malform(ckpt, "arrays_not_object")
+    out = tmp_path / "o.jsonl"
+    code = run_cli(["rewrite", "--checkpoint", str(ckpt),
+                    "--data", str(workspace / "dev.jsonl"), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "arrays" in json.loads(err[0])["error"]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_checkpoint_loads_or_raises_checkpoint_error(workspace, tmp_path, data):
+    suffix = data.draw(st.sampled_from(["", ".json"]), label="file")
+    raw = Path(str(workspace / "model.run") + suffix).read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        raw = raw[:pos] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[pos + 1 :]
+    ckpt = _copy_checkpoint(workspace, tmp_path)
+    Path(str(ckpt) + suffix).write_bytes(raw)
+    try:
+        load_model(ckpt)
+    except CheckpointError:
+        pass
+
+
+def test_train_writes_the_connection_words_it_used(tmp_path):
+    for name, seed in (("train", "1"), ("dev", "2")):
+        assert run_cli(["synth", "--out", str(tmp_path / f"{name}.jsonl"),
+                        "--num-examples", "12", "--seed", seed]) == 0
+    # Drop a context word from every rewrite's dialogue so the derived
+    # connection-word list is not empty.
+    rows = read_jsonl(tmp_path / "train.jsonl")
+    for row in rows:
+        row["rewrite"] += " and of"
+    (tmp_path / "train.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
+    )
+    ckpt = tmp_path / "model.run"
+    code = run_cli(
+        ["train", "--train-path", str(tmp_path / "train.jsonl"),
+         "--dev-path", str(tmp_path / "dev.jsonl"), "--checkpoint-path", str(ckpt),
+         "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "3", "--base-channels", "2",
+         "--connection-k", "2"]
+    )
+    assert code == 0
+    sidecar = json.loads(Path(str(ckpt) + ".json").read_text(encoding="utf-8"))
+    written = Path(str(ckpt) + ".connwords.txt").read_text(encoding="utf-8").splitlines()
+    assert written == sidecar["connection_words"] == ["and", "of"]
 
 
 def test_console_entry_point_runs():

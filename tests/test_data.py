@@ -1,5 +1,7 @@
 """Dataset IO contracts and synthetic-corpus round trips."""
 
+import hashlib
+
 import pytest
 
 from editseg.data import (
@@ -106,6 +108,7 @@ def test_generation_deterministic_per_seed():
 
 def test_round_trip_full_coverage_on_generated_corpus():
     examples = generate_synthetic(SyntheticSpec(num_examples=100, seed=4))
+    examples += generate_synthetic(benchmark_spec(num_examples=100, seed=21))
     for ex in examples:
         matrix, coverage = build_gold_matrix(ex)
         assert coverage is Coverage.FULL
@@ -119,5 +122,38 @@ def test_benchmark_spec_has_fixed_dims_and_varied_outputs():
     examples = generate_synthetic(benchmark_spec(num_examples=60, seed=5))
     ns = {len(ex.incomplete) for ex in examples}
     assert ns == {8}
+    ms = {len(join_context(ex)) for ex in examples}
+    assert ms == {17}, "context phrases must replace filler, not lengthen turns"
     lengths = {len(ex.gold_rewrite) for ex in examples}
     assert len(lengths) > 3, "edit variety must vary the output length"
+
+
+def _corpus_digest(spec) -> str:
+    h = hashlib.sha256()
+    for ex in generate_synthetic(spec):
+        turns = [texts(u) for u in ex.context_utterances]
+        h.update(repr((turns, texts(ex.incomplete), texts(ex.gold_rewrite))).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        # The default spec, which is also the benchmark's paper-dims corpus.
+        (SyntheticSpec(num_examples=200, seed=17), "46054926c3c9995e"),
+        # The benchmark's long-dialogue corpus.
+        (
+            SyntheticSpec(
+                num_examples=200, seed=17, vocab_size=100, context_turns=(2, 3),
+                utterance_len=(8, 14), substitutes=(0, 3), inserts=(0, 2),
+            ),
+            "3970c8a2142684ef",
+        ),
+    ],
+    ids=["default", "long"],
+)
+def test_corpora_without_filler_replacement_are_unchanged(spec, digest):
+    # Digests of the corpora generated before ``phrases_replace_filler``
+    # existed: with the field off, the generator draws exactly as before.
+    assert not spec.phrases_replace_filler
+    assert _corpus_digest(spec) == digest

@@ -1,6 +1,6 @@
-"""Model-layer contracts: pair features vs a naive oracle, padding, the
-segmentation channel trace, loss masking, prediction decoding, and the
-kernel calls one batch-1 rewrite makes."""
+"""Model-layer contracts: pair features vs a naive oracle, their gradients
+and padding, the segmentation channel trace, loss masking, prediction
+decoding, and the kernel calls one batch-1 rewrite makes."""
 
 import math
 
@@ -20,7 +20,6 @@ from editseg.model import (
     decode_matrix,
     encode_example,
     encoding_layer,
-    pad_to_grid,
 )
 from editseg.supervision import EditType
 
@@ -83,54 +82,106 @@ def test_vocab_roundtrip_and_unk():
 def test_encoding_unit_vector_case():
     h = 3
     w = Tensor(np.arange(4 * h * h, dtype=float).reshape(2 * h, 2 * h) / 10)
-    e1 = np.zeros((1, 2 * h))
-    e1[0, 0] = 1.0
+    e1 = np.zeros((1, 1, 2 * h))
+    e1[0, 0, 0] = 1.0
     feats = encoding_layer(Tensor(e1), Tensor(e1), w)
-    assert feats.data.shape == (1, 1, 2 * h + 2)
-    elem = feats.data[0, 0, : 2 * h]
-    assert np.array_equal(elem, e1[0])
-    assert feats.data[0, 0, 2 * h] == pytest.approx(1.0)  # cosine
-    assert feats.data[0, 0, 2 * h + 1] == pytest.approx(w.data[0, 0])  # bilinear
+    assert feats.data.shape == (1, 1, 1, 2 * h + 2)
+    elem = feats.data[0, 0, 0, : 2 * h]
+    assert np.array_equal(elem, e1[0, 0])
+    assert feats.data[0, 0, 0, 2 * h] == pytest.approx(1.0)  # cosine
+    assert feats.data[0, 0, 0, 2 * h + 1] == pytest.approx(w.data[0, 0])  # bilinear
 
 
 def test_encoding_orthogonal_vectors_zero_cosine():
-    u = np.array([[1.0, 0.0]])
-    hx = np.array([[0.0, 1.0]])
+    u = np.array([[[1.0, 0.0]]])
+    hx = np.array([[[0.0, 1.0]]])
     feats = encoding_layer(Tensor(u), Tensor(hx), Tensor(np.eye(2)))
-    assert feats.data[0, 0, 2] == pytest.approx(0.0)
+    assert feats.data[0, 0, 0, 2] == pytest.approx(0.0)
 
 
 def test_encoding_matches_double_loop_oracle():
     rng = np.random.default_rng(0)
-    u = rng.normal(size=(3, 6))
-    hx = rng.normal(size=(2, 6))
+    u = rng.normal(size=(2, 3, 6))
+    hx = rng.normal(size=(2, 2, 6))
     w = rng.normal(size=(6, 6))
     feats = encoding_layer(Tensor(u), Tensor(hx), Tensor(w)).data
-    assert feats.shape == (3, 2, 8)
-    for m in range(3):
-        for n in range(2):
-            elem = hx[n] * u[m]
-            cos = hx[n] @ u[m] / (np.linalg.norm(hx[n]) * np.linalg.norm(u[m]))
-            bil = hx[n] @ w @ u[m]
-            want = np.concatenate([elem, [cos], [bil]])
-            assert np.max(np.abs(feats[m, n] - want)) < 1e-12
+    assert feats.shape == (2, 3, 2, 8)
+    for b in range(2):
+        for m in range(3):
+            for n in range(2):
+                elem = hx[b, n] * u[b, m]
+                cos = hx[b, n] @ u[b, m] / (np.linalg.norm(hx[b, n]) * np.linalg.norm(u[b, m]))
+                bil = hx[b, n] @ w @ u[b, m]
+                want = np.concatenate([elem, [cos], [bil]])
+                assert np.max(np.abs(feats[b, m, n] - want)) < 1e-12
+
+
+def test_encoding_grads_match_finite_differences():
+    # Rows as the BiLSTM gives them: real rows of mixed norm, then the zero
+    # rows that pad each example to the batch grid.
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(2, 4, 6)) * rng.uniform(0.2, 2.0, size=(2, 4, 1))
+    hx = rng.normal(size=(2, 3, 6))
+    u[0, 3:] = 0.0
+    hx[1, 2:] = 0.0
+    w = rng.normal(size=(6, 6))
+    tensors = [Tensor(a, requires_grad=True) for a in (u, hx, w)]
+    weights = rng.normal(size=(2, 4, 3, 8))
+    weights[0, 3:] = 0.0  # padded cells are masked out of the loss
+    weights[1, :, 2:] = 0.0
+
+    def f():
+        return ad.tsum(ad.mul(encoding_layer(*tensors), weights))
+
+    assert K.grad_check(f, tensors) < 1e-5
+
+
+def test_encoding_backward_over_zero_rows_is_finite():
+    rng = np.random.default_rng(4)
+    u = np.zeros((2, 4, 6))
+    u[0, :2] = rng.normal(size=(2, 6))
+    hx = np.zeros((2, 3, 6))
+    hx[0, :1] = rng.normal(size=(1, 6))
+    tensors = [Tensor(a, requires_grad=True) for a in (u, hx, rng.normal(size=(6, 6)))]
+    with np.errstate(all="raise"):
+        out = encoding_layer(*tensors)
+        assert np.all(out.data[1] == 0.0)
+        ad.tsum(ad.mul(out, rng.normal(size=out.data.shape))).backward()
+    for t in tensors:
+        assert np.all(np.isfinite(t.grad))
 
 
 # ---------------------------------------------------------------------------
-# pad_to_grid
+# feature_batch
 
 
-@pytest.mark.parametrize(
-    "m,n,th,tw,true_cells",
-    [(6, 5, 8, 8, 30), (4, 4, 4, 4, 16), (1, 1, 4, 4, 1)],
-)
-def test_pad_to_grid_dims(m, n, th, tw, true_cells):
-    fmap = Tensor(np.ones((m, n, 3)))
-    padded, mask = pad_to_grid(fmap)
-    assert padded.data.shape == (th, tw, 3)
-    assert mask.sum() == true_cells
-    assert np.array_equal(padded.data[:m, :n], fmap.data)
-    assert not padded.data[m:].any() and not padded.data[:, n:].any()
+def test_feature_batch_pads_mixed_sizes_with_zero_cells():
+    examples = toy_examples() + [
+        DialogueExample.create([], word_tokens(["b"]), word_tokens(["b"])),
+        DialogueExample.create(
+            [word_tokens("a b c d e f g h".split())], word_tokens("c d".split())
+        ),
+    ]
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(toy_config(vocab.size), seed=2)
+    batch = [encode_example(e, vocab) for e in examples]
+    with np.errstate(all="raise"):
+        features, masks = model.feature_batch(batch)
+        alone = []  # each example alone, its rows sliced from its own BiLSTM pass
+        for enc in batch:
+            states = model.context_layer([enc]).data
+            u, hx = states[:, : enc.m], states[:, enc.m : enc.m + enc.nx]
+            feats = encoding_layer(Tensor(u), Tensor(hx), model.w_bilinear).data[0]
+            alone.append(feats.transpose(2, 0, 1))
+    d = model.config.feature_channels
+    assert features.data.shape == (4, d, 8, 8)  # M up to 8, N + 1 up to 5
+    for i, enc in enumerate(batch):
+        assert masks[i].sum() == enc.m * enc.nx
+        assert masks[i, : enc.m, : enc.nx].all()
+        feats = features.data[i]
+        assert not feats[:, enc.m :].any() and not feats[:, :, enc.nx :].any()
+        real = np.s_[:, : enc.m, : enc.nx]
+        assert np.max(np.abs(feats[real] - alone[i]), initial=0.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

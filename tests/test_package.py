@@ -6,8 +6,9 @@ from editseg import (
     RewriteModel,
     SyntheticSpec,
     Vocabulary,
+    encode_example,
     generate_synthetic,
-    rewrite,
+    rewrite_from_matrix,
     texts,
 )
 
@@ -23,7 +24,8 @@ def test_default_config_predicts_single_example():
     ex = generate_synthetic(SyntheticSpec(num_examples=1, seed=0))[0]
     vocab = Vocabulary.from_examples([ex])
     model = RewriteModel(ModelConfig(vocab_size=vocab.size), seed=0)
-    out = rewrite(model, ex, vocab)
+    enc = encode_example(ex, vocab)
+    out, _ = rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
     assert all(isinstance(t.text, str) for t in out)
     assert model.invocations == 1
 
@@ -36,6 +38,7 @@ def test_rewrite_untrained_identity_on_empty_prediction():
     model = RewriteModel(
         ModelConfig(vocab_size=vocab.size, embed_dim=8, hidden_dim=6, base_channels=2), seed=4
     )
-    out = texts(rewrite(model, ex, vocab))
+    enc = encode_example(ex, vocab)
+    out = texts(rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)[0])
     allowed = {t.text for u in ex.context_utterances for t in u} | {t.text for t in ex.incomplete}
     assert set(out) <= allowed
