@@ -64,7 +64,7 @@ def _load_config_defaults(argv: list[str]) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             _fail(f"cannot read config {path}: {exc}")
         if not isinstance(obj, dict):
             _fail(f"config {path} must hold a JSON object")
@@ -140,8 +140,6 @@ def cmd_train(args):
     }
     merged = dict(args.config_defaults)
     merged.update(overrides)
-    if "class_weights" in merged:
-        merged["class_weights"] = tuple(merged["class_weights"])
     try:
         config = RunConfig.from_dict(merged)
     except (TypeError, ValueError) as exc:
@@ -310,7 +308,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.config_defaults = config_defaults
         if getattr(args, "seed", None) is None:
-            args.seed = int(config_defaults.get("seed", 0))
+            args.seed = config_defaults.get("seed", 0)
+            if isinstance(args.seed, bool) or not isinstance(args.seed, int):
+                _fail(f"config seed must be an integer, got {args.seed!r}")
         args.func(args)
         return 0
     except CliError as exc:

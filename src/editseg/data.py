@@ -51,9 +51,12 @@ def load_dataset(
     and "current" (string), plus "rewrite" except at inference."""
     mode = Tokenization(mode)
     examples = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"not valid UTF-8 ({exc.reason} at byte {exc.start})", lineno) from exc
             if not line.strip():
                 continue
             try:
@@ -62,14 +65,16 @@ def load_dataset(
                 raise DatasetError(f"invalid JSON ({exc.msg})", lineno) from exc
             if not isinstance(obj, dict):
                 raise DatasetError("expected a JSON object", lineno)
-            if "current" not in obj:
-                raise DatasetError('missing "current" field', lineno)
+            if not isinstance(obj.get("current"), str):
+                raise DatasetError('"current" must be a string', lineno)
             context = obj.get("context", [])
             if not isinstance(context, list) or not all(isinstance(u, str) for u in context):
                 raise DatasetError('"context" must be a list of strings', lineno)
             rewrite = obj.get("rewrite")
             if require_rewrite and rewrite is None:
                 raise DatasetError('missing "rewrite" field', lineno)
+            if rewrite is not None and not isinstance(rewrite, str):
+                raise DatasetError('"rewrite" must be a string', lineno)
             try:
                 examples.append(
                     DialogueExample.create(

@@ -10,11 +10,13 @@ just numpy, in float64 throughout.
 The two hot kernels are shaped for BLAS. The LSTM projects every step's
 input in one GEMM before its time-major scan and runs each sequence in scan
 order within its own length, so padding trails and no step needs a mask.
-The convolution's forward runs as 9 shifted GEMMs over a zero-padded,
-channels-last image flattened to rows, with no im2col copy. Its backward
-copies the padded output gradient once into a shifted-gradient stack with
-one column block per tap, so the kernel and the input gradient are one GEMM
-each.
+The 3x3 convolution is one GEMM per product (output, kernel gradient,
+input gradient) over the image's pixels as channels-last rows, with no
+padding-ring rows. The nine taps go on the narrower side: a C -> C' conv
+stacks each pixel's neighbourhood of the input (rows × 9C) when C <= C', and
+otherwise multiplies the input by all nine taps at once (rows × 9C') and adds
+the blocks back at their offsets, so the forward builds nothing 9·max(C, C')
+wide.
 
 Spatial ops accept either a single example ``(C, H, W)`` or a batch
 ``(B, C, H, W)``; single examples are treated as batches of one.
@@ -235,79 +237,95 @@ def _as_batch(x: Tensor):
     return x, False
 
 
+def _stack9(img: np.ndarray) -> np.ndarray:
+    """(B, H, W, C) channels-last -> (B·H·W, 9C): each pixel's 3x3 neighbourhood.
+
+    Column block 3a + c holds the pixel at offset (a-1, c-1), zero outside
+    the image. The image is copied once into a zero-ringed buffer, which is
+    read through the nine offsets as one strided window.
+    """
+    B, H, W, C = img.shape
+    p = np.zeros((B, H + 2, W + 2, C))
+    p[:, 1:-1, 1:-1] = img
+    # Axes (b, i, j, a, c, channel); a and c step like i and j.
+    win = as_strided(p, (B, H, W, 3, 3, C), p.strides[:3] + p.strides[1:], writeable=False)
+    return win.reshape(B * H * W, 9 * C)
+
+
+def _col2im(blocks: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
+    """Adjoint of ``_stack9``: (B·H·W, 9C) -> (B, H, W, C).
+
+    Adds column block 3a + c of each pixel's row to the pixel at offset
+    (a-1, c-1); what falls on the ring is dropped.
+    """
+    z = blocks.reshape(B, H, W, 3, 3, -1)
+    p = np.zeros((B, H + 2, W + 2, z.shape[-1]))
+    for a in range(3):
+        for c in range(3):
+            p[:, a : a + H, c : c + W] += z[:, :, :, a, c]
+    return p[:, 1:-1, 1:-1]
+
+
+def _reversed_taps(k: np.ndarray) -> np.ndarray:
+    """(C', C, 3, 3) -> (9C', C): row block u is tap 8 - u, as (C' × C)."""
+    return k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * k.shape[0], k.shape[1])
+
+
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     """3x3 same-padded convolution (cross-correlation); (B, C, H, W) -> (B, C', H, W).
 
-    The input is copied once into a zero-padded, channels-last image
-    flattened to rows: (B·(H+2)·(W+2), C). Output pixel (i, j) of image b sits
-    on row r = b·(H+2)·(W+2) + (i+1)·(W+2) + (j+1), and kernel tap (a, c)
-    reads row r + (a-1)·(W+2) + (c-1), so each tap is a contiguous row slice
-    and the convolution is 9 shifted (rows × C) @ (C × C') GEMMs with no
-    im2col copy. The GEMMs run over every row from the first interior pixel
-    to the last; rows on the padding ring get values that are thrown away
-    (and zero gradient), and an interior pixel's taps never leave its own
-    padded image, so images in a batch cannot mix.
+    Each product is one GEMM over the image's own B·H·W pixels as
+    channels-last rows, with the nine taps stacked on the narrower side:
 
-    Backward builds the shifted-gradient stack: the zero-ringed output
-    gradient seen through the 9 tap offsets, one (rows × C') column block per
-    tap, copied once from a strided window. Then the kernel gradient is one
-    (C × rows) @ (rows × 9C') GEMM and the input gradient one
-    (rows × 9C') @ (9C' × C) GEMM against the taps in reverse order. The
-    forward keeps its 9 GEMMs: a one-GEMM forward needs the same stack of
-    the input, (rows × 9C), and measured slower at batch 1 with a higher
-    peak memory, because the first conv's C is 402 against C' = 32.
+    - C <= C' (im2col): out = ``_stack9(x) @ k9``, (rows × 9C) @ (9C × C').
+    - C > C' (kn2row): ``x_rows @ k_revᵀ``, (rows × C) @ (C × 9C'), gives
+      each pixel's contribution to its nine neighbours, and ``_col2im`` adds
+      them at their offsets.
+
+    The rule follows the kernel's shape. Stacking the narrower side keeps
+    the forward's stacked array and GEMM dimension at 9·min(C, C'): the
+    first U-Net conv (402 -> 32) reads the pair-feature image in place instead
+    of copying it nine times over, and the convs that widen the channels
+    copy their narrow input rather than add up a wide output.
+
+    The backward is the same on both sides. The output gradient is stacked,
+    ``g9 = _stack9(dOut)`` (rows × 9C'); block u of a pixel's row is the
+    neighbour whose tap 8 - u reads that pixel, so the kernel gradient
+    ``x_rowsᵀ @ g9`` comes out with its taps reversed and the input gradient
+    is ``g9 @ k_rev``.
     """
     x, single = _as_batch(x)
-    xd = x.data
-    B, C, H, W = xd.shape
+    B, C, H, W = x.data.shape
     Co, Ck, kh, kw = kernels.data.shape
     if (kh, kw) != (3, 3):
         raise ValueError("conv2d kernels must be 3x3")
     if Ck != C:
         raise ValueError(f"conv2d channel mismatch: input has {C}, kernels expect {Ck}")
 
-    Wp = W + 2
-    n_rows = B * (H + 2) * Wp
-    first = Wp + 1  # row of pixel (0, 0) of image 0
-    span = n_rows - 2 * first  # rows from the first interior pixel to the last
-    starts = [first + (a - 1) * Wp + (c - 1) for a in range(3) for c in range(3)]
-    xp = np.zeros((B, H + 2, Wp, C))
-    xp[:, 1:-1, 1:-1] = xd.transpose(0, 2, 3, 1)
-    xp = xp.reshape(n_rows, C)
-    taps = kernels.data.transpose(2, 3, 1, 0).reshape(9, C, Co)
-    acc = np.zeros((n_rows, Co))
-    body = acc[first : first + span]
-    for s, tap in zip(starts, taps):
-        body += xp[s : s + span] @ tap
-    out = acc.reshape(B, H + 2, Wp, Co)[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
+    x_cl = x.data.transpose(0, 2, 3, 1)
+    k_rev = None  # built only where a product uses it
+    if C <= Co:
+        # k9ᵀ (C' × 9C) transposes each output channel's contiguous (C, 9)
+        # block, a cache-friendlier copy than building k9 (9C × C') itself.
+        k9t = kernels.data.reshape(Co, C, 9).transpose(0, 2, 1).reshape(Co, 9 * C)
+        out = (_stack9(x_cl) @ k9t.T).reshape(B, H, W, Co)
+    else:
+        k_rev = _reversed_taps(kernels.data)
+        out = _col2im(x_cl.reshape(B * H * W, C) @ k_rev.T, B, H, W)
 
     def factory(node):
         def backward():
-            gp = np.zeros((B, H + 2, Wp, Co))
-            gp[:, 1:-1, 1:-1] = node.grad.transpose(0, 2, 3, 1)
-            gp = gp.reshape(n_rows, Co)
-            # Shifted-gradient stack over the body rows, one column block per
-            # tap: g[r, 3a + c] = gp[r + a·(W+2) + c], the gradient at offset
-            # (a-1, c-1) from body row r. The three blocks of one kernel row
-            # are adjacent rows of gp, so g is a strided window copied once.
-            # Block u pairs row r with the pixel whose tap 8 - u reads it,
-            # so both gradients use the taps in reverse order.
-            rs, cs = gp.strides
-            g = as_strided(gp, (span, 3, 3 * Co), (rs, Wp * rs, cs), writeable=False)
-            g = g.reshape(span, 9 * Co)
+            g9 = _stack9(node.grad.transpose(0, 2, 3, 1))
             if kernels.requires_grad:
-                dk = (xp[first : first + span].T @ g).reshape(C, 3, 3, Co)
+                dk = (x_cl.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
                 ad._accumulate(kernels, dk[:, ::-1, ::-1].transpose(3, 0, 1, 2))
             if x.requires_grad:
-                # Rows outside the body are never read back, so they stay unset.
-                dxp = np.empty((n_rows, C))
-                flipped = taps[::-1].transpose(0, 2, 1).reshape(9 * Co, C)
-                np.matmul(g, flipped, out=dxp[first : first + span])
-                ad._accumulate(x, dxp.reshape(B, H + 2, Wp, C)[:, 1:-1, 1:-1].transpose(0, 3, 1, 2))
+                k_r = _reversed_taps(kernels.data) if k_rev is None else k_rev
+                ad._accumulate(x, (g9 @ k_r).reshape(B, H, W, C).transpose(0, 3, 1, 2))
 
         return backward
 
-    res = ad._node(out, (x, kernels), factory)
+    res = ad._node(out.transpose(0, 3, 1, 2), (x, kernels), factory)
     return ad.reshape(res, res.data.shape[1:]) if single else res
 
 

@@ -10,6 +10,8 @@ checkpoint carrying the optimizer state.
 from __future__ import annotations
 
 import json
+import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +54,21 @@ class TrainingDiverged(RuntimeError):
         self.loss_history = loss_history
 
 
+# The type each RunConfig field must have; bools are refused as numbers.
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("train_path", "dev_path", "test_path", "labels_path", "checkpoint_path", "tokenization"),
+        (str, os.PathLike),
+    ),
+    **dict.fromkeys(
+        ("embed_dim", "hidden_dim", "base_channels", "epochs", "batch_size", "seed", "patience", "connection_k"),
+        numbers.Integral,
+    ),
+    "lr": numbers.Real,
+    **dict.fromkeys(("target_dev_em", "target_dev_cell_acc"), (numbers.Real, type(None))),
+}
+
+
 @dataclass
 class RunConfig:
     """Everything one training run needs; JSON-serializable."""
@@ -81,9 +98,21 @@ class RunConfig:
     target_dev_cell_acc: Optional[float] = None
 
     def __post_init__(self):
+        # Config files are user input: a wrong type fails here, by name,
+        # rather than as a TypeError somewhere inside training.
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config field {name} has the wrong type: {value!r}")
+        cw = self.class_weights
+        if not isinstance(cw, (list, tuple)) or len(cw) != 3 or not all(
+            isinstance(w, numbers.Real) and not isinstance(w, bool) for w in cw
+        ):
+            raise ValueError(f"class_weights must be a list of 3 numbers, got {cw!r}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        self.class_weights = tuple(float(w) for w in self.class_weights)
+        Tokenization(self.tokenization)  # ValueError on an unknown mode
+        self.class_weights = tuple(float(w) for w in cw)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(

@@ -1,6 +1,7 @@
 """End-to-end CLI surface: every subcommand plus its error contract."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import editseg
 from editseg.checkpoint import CheckpointError
 from editseg.cli import main
 from editseg.training import load_model
@@ -275,11 +277,53 @@ def test_train_writes_the_connection_words_it_used(tmp_path):
     assert written == sidecar["connection_words"] == ["and", "of"]
 
 
+GOOD_LINE = '{"context": ["a b c"], "current": "b c", "rewrite": "a b c"}\n'
+
+# Each case ended in a raw traceback before datasets and configs were checked.
+BAD_INPUT = {
+    "current_not_string": ("data", b'{"context": ["a b c"], "current": 5, "rewrite": "a b c"}\n'),
+    "rewrite_not_string": ("data", b'{"context": ["a b c"], "current": "b c", "rewrite": ["a"]}\n'),
+    "dataset_not_utf8": ("data", b'{"context": ["a \xff"], "current": "b", "rewrite": "a b"}\n'),
+    "config_not_utf8": ("config", b'{"epochs": "\xff"}'),
+    "epochs_not_integer": ("config", b'{"epochs": "ten"}'),
+    "class_weights_not_list": ("config", b'{"class_weights": 5}'),
+    "seed_not_integer": ("config", b'{"seed": "x"}'),
+    "tokenization_unknown": ("config", b'{"tokenization": "morse"}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_malformed_dataset_or_config_is_one_json_error_line(tmp_path, capsys, case):
+    kind, raw = BAD_INPUT[case]
+    good = tmp_path / "good.jsonl"
+    good.write_text(GOOD_LINE, encoding="utf-8")
+    bad = tmp_path / ("bad.jsonl" if kind == "data" else "config.json")
+    bad.write_bytes(raw)
+    if kind == "data":
+        argv = ["derive-labels", "--data", str(bad), "--out", str(tmp_path / "o.jsonl")]
+    else:
+        argv = ["train", "--config", str(bad), "--train-path", str(good), "--dev-path", str(good),
+                "--checkpoint-path", str(tmp_path / "model.run")]
+    code = run_cli(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    obj = json.loads(err[0])
+    assert obj["error"]
+    if kind == "data":
+        assert obj["line"] == 1
+    assert not (tmp_path / "o.jsonl").exists() and not (tmp_path / "model.run").exists()
+
+
 def test_console_entry_point_runs():
+    # The child imports the same package as the tests, installed or not.
+    src = str(Path(editseg.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "editseg.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "derive-labels" in proc.stdout

@@ -187,7 +187,12 @@ def conv_reference(x, k):
     return out
 
 
-@pytest.mark.parametrize("shape, co", [((2, 3, 4, 8), 5), ((3, 2, 1, 1), 1), ((1, 1, 5, 2), 3)])
+# C < C' and C = C' stack the input; C > C' multiplies by all taps and adds
+# the blocks back, so both sides of the choice run on grids of H, W >= 2.
+@pytest.mark.parametrize(
+    "shape, co",
+    [((2, 3, 4, 8), 5), ((3, 2, 1, 1), 1), ((1, 1, 5, 2), 3), ((2, 7, 3, 5), 3), ((2, 4, 3, 5), 4)],
+)
 def test_conv_matches_direct_loop_reference(shape, co):
     rng = rng_for(sum(shape) + co)
     x = rng.normal(size=shape)
@@ -206,6 +211,8 @@ def test_conv_matches_direct_loop_reference(shape, co):
         # One row: the upper and lower taps of every pixel read the ring, and
         # an edge pixel has only two taps inside the image.
         pytest.param(3, (2, 3, 1, 5), 4, id="one_row"),
+        pytest.param(4, (2, 5, 1, 4), 2, id="one_row_wide_in"),
+        pytest.param(5, (2, 3, 4, 5), 3, id="equal_channels"),
     ],
 )
 def test_conv_grads_match_finite_differences_batched_non_square(seed, shape, co):
@@ -220,6 +227,27 @@ def test_conv_grads_match_finite_differences_batched_non_square(seed, shape, co)
         return ad.tsum(ad.mul(K.conv2d(x, k), probe))
 
     assert K.grad_check(f, [x, k], h=H_STEP) < TOL
+
+
+@pytest.mark.parametrize("c, co", [(6, 2), (2, 6)], ids=["wide_in", "wide_out"])
+def test_conv_same_result_for_channels_last_view_and_contiguous_copy(c, co):
+    # The model feeds conv2d both layouts: the pair-feature image is a
+    # transposed view of a channels-last array, later inputs are fresh arrays.
+    rng = rng_for(300 + c)
+    x_cl = rng.normal(size=(2, 3, 4, c))
+    k = rng.normal(size=(co, c, 3, 3))
+    probe = rng.normal(size=(2, co, 3, 4))
+    results = []
+    for xd in (x_cl.transpose(0, 3, 1, 2), np.ascontiguousarray(x_cl.transpose(0, 3, 1, 2))):
+        x, kt = Tensor(xd, requires_grad=True), Tensor(k, requires_grad=True)
+        out = K.conv2d(x, kt)
+        ad.tsum(ad.mul(out, probe)).backward()
+        results.append((out.data, x.grad, kt.grad))
+    (view_out, view_dx, view_dk), (copy_out, copy_dx, copy_dk) = results
+    np.testing.assert_allclose(view_out, copy_out, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(view_dx, copy_dx, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(view_dk, copy_dk, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(copy_out, conv_reference(x_cl.transpose(0, 3, 1, 2), k), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
