@@ -46,18 +46,6 @@ class Tensor:
         self._backward = None
         self._parents = ()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -95,45 +83,11 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
 
-    # Operator sugar; the free functions below do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -199,22 +153,6 @@ def add(a, b):
     return _node(a.data + b.data, (a, b), factory)
 
 
-def sub(a, b):
-    return add(a, neg(as_tensor(b)))
-
-
-def neg(a):
-    a = as_tensor(a)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, -out.grad)
-
-        return backward
-
-    return _node(-a.data, (a,), factory)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
@@ -229,30 +167,6 @@ def mul(a, b):
         return backward
 
     return _node(a.data * b.data, (a, b), factory)
-
-
-def pow_scalar(a, p: float):
-    a = as_tensor(a)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad * p * np.power(a.data, p - 1.0))
-
-        return backward
-
-    return _node(np.power(a.data, p), (a,), factory)
-
-
-def relu(a):
-    a = as_tensor(a)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad * (a.data > 0.0))
-
-        return backward
-
-    return _node(np.maximum(a.data, 0.0), (a,), factory)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +209,6 @@ def tsum(a, axis=None, keepdims=False):
     return _node(data, (a,), factory)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -317,21 +223,6 @@ def reshape(a, shape):
         return backward
 
     return _node(a.data.reshape(shape), (a,), factory)
-
-
-def transpose(a, axes=None):
-    a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    inv = np.argsort(axes)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad.transpose(inv))
-
-        return backward
-
-    return _node(a.data.transpose(axes), (a,), factory)
 
 
 def concat(tensors, axis=0):

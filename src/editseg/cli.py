@@ -1,7 +1,9 @@
 """Command-line interface: derive-labels, synth, train, rewrite, eval, bench.
 
-Every subcommand accepts ``--config <path>`` (a JSON object whose keys match
-the flag names) with individual flags overriding file values. Outputs are
+Every subcommand accepts ``--config <path>``, a JSON object of defaults whose
+keys are the subcommand's flag names with underscores (``num_examples``; for
+``train``, the ``RunConfig`` fields); flags given on the command line win.
+An unknown key or a value of the wrong type fails like any bad input. Outputs are
 UTF-8 JSON or JSONL; errors go to stderr as one JSON object per failure and
 the process exits nonzero.
 """
@@ -70,6 +72,32 @@ def _load_config_defaults(argv: list[str]) -> dict:
             _fail(f"config {path} must hold a JSON object")
         return obj
     return {}
+
+
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str], config: dict):
+    """Make each config key the default of the chosen subcommand's flag.
+
+    ``train`` checks its keys itself, against ``RunConfig``. For the other
+    subcommands a key must name one of their flags, and its value must have
+    the flag's type and be one of its choices.
+    """
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    name = argv[0] if argv else None
+    if not config or name not in subcommands or name == "train":
+        return
+    sub = subcommands[name]
+    flags = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    for key, value in config.items():
+        action = flags.get(key)
+        if action is None:
+            _fail(f"unknown config key for {name}: {key}")
+        kind = action.type or str
+        if isinstance(value, bool) or not isinstance(value, kind) or (
+            action.choices is not None and value not in action.choices
+        ):
+            _fail(f"config key {key} for {name} has a bad value: {value!r}")
+        action.required = False
+    sub.set_defaults(**config)
 
 
 def _write_jsonl(path, rows):
@@ -235,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     add_common(p)
+    p.set_defaults(seed=0)
     p.add_argument("--out", required=True)
     p.add_argument("--num-examples", type=int, default=1000, dest="num_examples")
     p.add_argument("--vocab-size", type=int, default=50, dest="vocab_size")
@@ -305,12 +334,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         config_defaults = _load_config_defaults(argv)
+        _apply_config(parser, argv, config_defaults)
         args = parser.parse_args(argv)
         args.config_defaults = config_defaults
-        if getattr(args, "seed", None) is None:
-            args.seed = config_defaults.get("seed", 0)
-            if isinstance(args.seed, bool) or not isinstance(args.seed, int):
-                _fail(f"config seed must be an integer, got {args.seed!r}")
         args.func(args)
         return 0
     except CliError as exc:

@@ -2,24 +2,25 @@
 
 Covers everything the segmentation model needs: embedding lookup, a (bi)LSTM
 over right-padded batches with hand-rolled backprop-through-time, 3x3
-same-padded convolution, 2x2 max pooling, 2x2 stride-2 transposed
-convolution, batch normalization, affine layers, weighted cross-entropy,
+same-padded convolution fused with batch norm and ReLU, 2x2 max pooling,
+2x2 stride-2 transposed convolution, affine layers, weighted cross-entropy,
 Adam, and a finite-difference gradient checker. No ML framework underneath,
 just numpy, in float64 throughout.
+
+Every op takes a batch. Sequences are (B, L, E); images are channels-last
+(B, H, W, C), the layout the pair-feature layer writes, so the U-Net runs
+from the feature image to the per-cell head without a re-layout.
 
 The two hot kernels are shaped for BLAS. The LSTM projects every step's
 input in one GEMM before its time-major scan and runs each sequence in scan
 order within its own length, so padding trails and no step needs a mask.
 The 3x3 convolution is one GEMM per product (output, kernel gradient,
-input gradient) over the image's pixels as channels-last rows, with no
-padding-ring rows. The nine taps go on the narrower side: a C -> C' conv
-stacks each pixel's neighbourhood of the input (rows × 9C) when C <= C', and
-otherwise multiplies the input by all nine taps at once (rows × 9C') and adds
-the blocks back at their offsets, so the forward builds nothing 9·max(C, C')
-wide.
-
-Spatial ops accept either a single example ``(C, H, W)`` or a batch
-``(B, C, H, W)``; single examples are treated as batches of one.
+input gradient) over the image's pixels as rows, with no padding-ring rows.
+The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
+neighbourhood of the input (rows × 9C) when C <= C', and otherwise
+multiplies the input by all nine taps at once (rows × 9C') and adds the
+blocks back at their offsets, so the forward builds nothing 9·max(C, C')
+wide. Batch norm and ReLU after it are one node with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -211,30 +212,14 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
 
 
 def bilstm(x: Tensor, params: BiLSTMParams, lengths=None) -> Tensor:
-    """Bidirectional LSTM; concatenates both directions per position.
-
-    Accepts (L, E) for a single sequence (returns (L, 2H)) or (B, L, E)
-    batches (returns (B, L, 2H)).
-    """
-    single = x.data.ndim == 2
-    if single:
-        x = ad.reshape(x, (1,) + x.data.shape)
+    """Bidirectional LSTM, (B, L, E) -> (B, L, 2H); forward states first."""
     fwd = lstm(x, params.fwd, lengths=lengths, reverse=False)
     bwd = lstm(x, params.bwd, lengths=lengths, reverse=True)
-    out = ad.concat([fwd, bwd], axis=2)
-    if single:
-        out = ad.reshape(out, out.data.shape[1:])
-    return out
+    return ad.concat([fwd, bwd], axis=2)
 
 
 # ---------------------------------------------------------------------------
-# spatial ops
-
-
-def _as_batch(x: Tensor):
-    if x.data.ndim == 3:
-        return ad.reshape(x, (1,) + x.data.shape), True
-    return x, False
+# spatial ops, channels-last (B, H, W, C)
 
 
 def _stack9(img: np.ndarray) -> np.ndarray:
@@ -272,10 +257,11 @@ def _reversed_taps(k: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
-    """3x3 same-padded convolution (cross-correlation); (B, C, H, W) -> (B, C', H, W).
+    """3x3 same-padded convolution (cross-correlation); (B, H, W, C) -> (B, H, W, C').
 
-    Each product is one GEMM over the image's own B·H·W pixels as
-    channels-last rows, with the nine taps stacked on the narrower side:
+    ``kernels`` has shape (C', C, 3, 3). Each product is one GEMM over the
+    image's B·H·W pixels as rows, with the nine taps stacked on the narrower
+    side:
 
     - C <= C' (im2col): out = ``_stack9(x) @ k9``, (rows × 9C) @ (9C × C').
     - C > C' (kn2row): ``x_rows @ k_revᵀ``, (rows × C) @ (C × 9C'), gives
@@ -294,97 +280,99 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     ``x_rowsᵀ @ g9`` comes out with its taps reversed and the input gradient
     is ``g9 @ k_rev``.
     """
-    x, single = _as_batch(x)
-    B, C, H, W = x.data.shape
+    xd = x.data
+    B, H, W, C = xd.shape
     Co, Ck, kh, kw = kernels.data.shape
     if (kh, kw) != (3, 3):
         raise ValueError("conv2d kernels must be 3x3")
     if Ck != C:
         raise ValueError(f"conv2d channel mismatch: input has {C}, kernels expect {Ck}")
 
-    x_cl = x.data.transpose(0, 2, 3, 1)
     k_rev = None  # built only where a product uses it
     if C <= Co:
         # k9ᵀ (C' × 9C) transposes each output channel's contiguous (C, 9)
         # block, a cache-friendlier copy than building k9 (9C × C') itself.
         k9t = kernels.data.reshape(Co, C, 9).transpose(0, 2, 1).reshape(Co, 9 * C)
-        out = (_stack9(x_cl) @ k9t.T).reshape(B, H, W, Co)
+        out = (_stack9(xd) @ k9t.T).reshape(B, H, W, Co)
     else:
         k_rev = _reversed_taps(kernels.data)
-        out = _col2im(x_cl.reshape(B * H * W, C) @ k_rev.T, B, H, W)
+        out = _col2im(xd.reshape(B * H * W, C) @ k_rev.T, B, H, W)
 
     def factory(node):
         def backward():
-            g9 = _stack9(node.grad.transpose(0, 2, 3, 1))
+            g9 = _stack9(node.grad)
             if kernels.requires_grad:
-                dk = (x_cl.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
+                dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
                 ad._accumulate(kernels, dk[:, ::-1, ::-1].transpose(3, 0, 1, 2))
             if x.requires_grad:
                 k_r = _reversed_taps(kernels.data) if k_rev is None else k_rev
-                ad._accumulate(x, (g9 @ k_r).reshape(B, H, W, C).transpose(0, 3, 1, 2))
+                ad._accumulate(x, (g9 @ k_r).reshape(B, H, W, C))
 
         return backward
 
-    res = ad._node(out.transpose(0, 3, 1, 2), (x, kernels), factory)
-    return ad.reshape(res, res.data.shape[1:]) if single else res
+    return ad._node(out, (x, kernels), factory)
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2; gradient routes to the first argmax per window."""
-    x, single = _as_batch(x)
-    B, C, H, W = x.data.shape
+    """2x2 max pooling, stride 2, (B, H, W, C) -> (B, H/2, W/2, C).
+
+    Gradient routes to the first argmax per window, in row-major window order.
+    """
+    B, H, W, C = x.data.shape
     if H % 2 or W % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {H}x{W}")
     h, w = H // 2, W // 2
-    r = x.data.reshape(B, C, h, 2, w, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, h, w, 4)
+    # The window goes on the last axis, (B, h, w, C, 4), so argmax reads it
+    # contiguously.
+    r = x.data.reshape(B, h, 2, w, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, h, w, C, 4)
     idx = r.argmax(axis=4)
     out = np.take_along_axis(r, idx[..., None], axis=4)[..., 0]
 
     def factory(node):
         def backward():
-            dr = np.zeros((B, C, h, w, 4))
+            dr = np.zeros((B, h, w, C, 4))
             np.put_along_axis(dr, idx[..., None], node.grad[..., None], axis=4)
-            dx = dr.reshape(B, C, h, w, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W)
+            dx = dr.reshape(B, h, w, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
             ad._accumulate(x, dx)
 
         return backward
 
-    res = ad._node(out, (x,), factory)
-    return ad.reshape(res, res.data.shape[1:]) if single else res
+    return ad._node(out, (x,), factory)
 
 
 def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
-    """Transposed convolution, 2x2 kernel, stride 2; doubles spatial dims.
+    """Transposed convolution, 2x2 kernel, stride 2; (B, H, W, C) -> (B, 2H, 2W, C').
 
-    ``kernels`` has shape (C_in, C_out, 2, 2).
+    ``kernels`` has shape (C, C', 2, 2).
     """
-    x, single = _as_batch(x)
-    B, C, H, W = x.data.shape
+    B, H, W, C = x.data.shape
     Ci, Co, kh, kw = kernels.data.shape
     if (kh, kw) != (2, 2):
         raise ValueError("deconv2 kernels must be 2x2")
     if Ci != C:
         raise ValueError(f"deconv2 channel mismatch: input has {C}, kernels expect {Ci}")
 
-    out6 = np.einsum("bcij,cdkl->bdikjl", x.data, kernels.data, optimize=True)
-    out = out6.reshape(B, Co, 2 * H, 2 * W)
+    out6 = np.einsum("bijc,cdkl->bikjld", x.data, kernels.data, optimize=True)
+    out = out6.reshape(B, 2 * H, 2 * W, Co)
 
     def factory(node):
         def backward():
-            g6 = node.grad.reshape(B, Co, H, 2, W, 2)
+            g6 = node.grad.reshape(B, H, 2, W, 2, Co)
             if x.requires_grad:
-                ad._accumulate(x, np.einsum("bdikjl,cdkl->bcij", g6, kernels.data, optimize=True))
+                ad._accumulate(x, np.einsum("bikjld,cdkl->bijc", g6, kernels.data, optimize=True))
             if kernels.requires_grad:
-                ad._accumulate(kernels, np.einsum("bcij,bdikjl->cdkl", x.data, g6, optimize=True))
+                ad._accumulate(kernels, np.einsum("bijc,bikjld->cdkl", x.data, g6, optimize=True))
 
         return backward
 
-    res = ad._node(out, (x, kernels), factory)
-    return ad.reshape(res, res.data.shape[1:]) if single else res
+    return ad._node(out, (x, kernels), factory)
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# batch normalization + ReLU
+
+BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
+BN_EPS = 1e-5
 
 
 @dataclass
@@ -395,8 +383,6 @@ class BatchNormParams:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @staticmethod
     def create(channels: int) -> "BatchNormParams":
@@ -407,40 +393,69 @@ class BatchNormParams:
             running_var=np.ones(channels),
         )
 
-    def tensors(self):
-        return [self.gamma, self.beta]
 
+def bn_relu(y: Tensor, bn: BatchNormParams, training: bool) -> Tensor:
+    """ReLU(batch norm(y)) over the channels (last axis) of (B, H, W, C), one node.
 
-def batch_norm(x: Tensor, bn: BatchNormParams, training: bool) -> Tensor:
-    """Channel-wise normalization over batch and spatial dims of (B, C, H, W)."""
-    C = x.data.shape[1]
-    shape = (1, C, 1, 1)
-    if training:
-        mu = ad.tmean(x, axis=(0, 2, 3), keepdims=True)
-        xc = ad.sub(x, mu)
-        var = ad.tmean(ad.mul(xc, xc), axis=(0, 2, 3), keepdims=True)
-        inv = ad.pow_scalar(ad.add(var, bn.eps), -0.5)
-        xhat = ad.mul(xc, inv)
-        m = bn.momentum
-        bn.running_mean = (1.0 - m) * bn.running_mean + m * mu.data.reshape(C)
-        bn.running_var = (1.0 - m) * bn.running_var + m * var.data.reshape(C)
-    else:
-        inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
-        xhat = ad.mul(ad.sub(x, bn.running_mean.reshape(shape)), inv.reshape(shape))
-    return ad.add(ad.mul(xhat, ad.reshape(bn.gamma, shape)), ad.reshape(bn.beta, shape))
-
-
-def conv_bn_relu(x: Tensor, kernels: Tensor, bn: BatchNormParams | None, training: bool) -> Tensor:
-    """Conv module from the segmentation net: 3x3 conv, batch norm, ReLU.
-
-    ``bn=None`` skips normalization (plain conv + ReLU).
+    Training normalizes by the batch's mean and biased variance over
+    (B, H, W) and moves the running statistics toward them. Eval folds the
+    running statistics into one per-channel scale and shift. The backward is
+    the closed form of Ioffe & Szegedy (2015): with g the output gradient
+    passed through the ReLU, x̂ the normalized input and n = B·H·W,
+    dy = γ/σ · (g - Σg/n - x̂ · Σ(g·x̂)/n) in training, and dy = γ/σ · g in
+    eval, where the statistics are constants.
     """
-    x, single = _as_batch(x)
-    out = conv2d(x, kernels)
-    if bn is not None:
-        out = batch_norm(out, bn, training)
-    out = ad.relu(out)
-    return ad.reshape(out, out.data.shape[1:]) if single else out
+    yd = y.data
+    gamma, beta = bn.gamma, bn.beta
+    axes = (0, 1, 2)
+    if training:
+        mu = yd.mean(axis=axes)
+        xhat = yd - mu
+        var = np.mean(xhat * xhat, axis=axes)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv
+        out = xhat * gamma.data
+        out += beta.data
+        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mu
+        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
+    else:
+        mu = bn.running_mean
+        inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
+        scale = gamma.data * inv
+        out = yd * scale
+        out += beta.data - mu * scale
+        xhat = None  # formed in the backward, which eval mode seldom runs
+    np.maximum(out, 0.0, out=out)
+
+    def factory(node):
+        def backward():
+            g = node.grad * (node.data > 0.0)
+            xh = (yd - mu) * inv if xhat is None else xhat
+            dbeta = g.sum(axis=axes)
+            dgamma = (g * xh).sum(axis=axes)
+            if gamma.requires_grad:
+                ad._accumulate(gamma, dgamma)
+            if beta.requires_grad:
+                ad._accumulate(beta, dbeta)
+            if y.requires_grad:
+                if training:
+                    n = yd.size // yd.shape[-1]
+                    g -= dbeta / n
+                    g -= xh * (dgamma / n)
+                g *= gamma.data * inv
+                ad._accumulate(y, g)
+
+        return backward
+
+    return ad._node(out, (y, gamma, beta), factory)
+
+
+def conv_bn_relu(x: Tensor, kernels: Tensor, bn: BatchNormParams, training: bool) -> Tensor:
+    """Conv module of the segmentation net: 3x3 ``conv2d``, then ``bn_relu``.
+
+    Channels-last (B, H, W, C) -> (B, H, W, C'); ``kernels`` is (C', C, 3, 3).
+    """
+    return bn_relu(conv2d(x, kernels), bn, training)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def encode_example(
     ids = np.concatenate([vocab.encode(c.tokens), vocab.encode(x_prepared)])
     gold = coverage = None
     if with_gold:
-        gold, coverage = build_gold_matrix(example, conn, k)
+        gold, coverage = build_gold_matrix(example, c=c)
     return EncodedExample(ids, len(c), len(x_prepared), gold, coverage, c, x_prepared)
 
 
@@ -308,11 +308,12 @@ class RewriteModel:
         return K.bilstm(emb, self.lstm, lengths=lengths)
 
     def feature_batch(self, batch: list[EncodedExample]):
-        """Encode a batch into one padded (B, D, H, W) feature image + mask.
+        """Encode a batch into one padded (B, H, W, D) feature image + mask.
 
         Each example's context and utterance rows are gathered from the
         BiLSTM output onto a grid whose sides divide by 4, zero rows on the
-        padding, and one ``encoding_layer`` call builds the whole image.
+        padding, and one ``encoding_layer`` call builds the whole image,
+        channels-last as the U-Net takes it. The (B, H, W) mask marks real cells.
         """
         enc = self.context_layer(batch)
         m = np.array([ex.m for ex in batch])[:, None]
@@ -324,17 +325,17 @@ class RewriteModel:
         b = np.arange(len(batch))[:, None]
         u = ad.mul(enc[b, np.where(real_rows, rows, 0)], real_rows[..., None])
         hx = ad.mul(enc[b, np.where(real_cols, m + cols, 0)], real_cols[..., None])
-        features = encoding_layer(u, hx, self.w_bilinear)
         masks = real_rows[:, :, None] & real_cols[:, None, :]
-        return ad.transpose(features, (0, 3, 1, 2)), masks
+        return encoding_layer(u, hx, self.w_bilinear), masks
 
     def segmentation_layer(self, features: Tensor, training: bool) -> Tensor:
         """U-shaped encoder/decoder over the feature image -> per-cell logits.
 
-        Two down-sampling blocks (conv, conv, pool; channels double), two
+        Channels-last throughout: (B, H, W, D) in, (B, H, W, 3) out. Two
+        down-sampling blocks (conv, conv, pool; channels double), two
         up-sampling blocks (conv, conv, deconv; channels halve) with skip
-        concatenation of the matching pre-pool features, then a per-cell
-        affine head to the three edit types. Output is (B, H, W, 3).
+        concatenation of the matching pre-pool features on the channel axis,
+        then a per-cell affine head to the three edit types.
         """
 
         def block(x, name):
@@ -343,10 +344,10 @@ class RewriteModel:
         d1 = block(block(features, "down1.conv1"), "down1.conv2")
         d2 = block(block(K.maxpool2(d1), "down2.conv1"), "down2.conv2")
         bottom = block(block(K.maxpool2(d2), "up1.conv1"), "up1.conv2")
-        u1 = ad.concat([K.deconv2(bottom, self.deconvs["up1.deconv"]), d2], axis=1)
+        u1 = ad.concat([K.deconv2(bottom, self.deconvs["up1.deconv"]), d2], axis=3)
         u2 = block(block(u1, "up2.conv1"), "up2.conv2")
-        u2 = ad.concat([K.deconv2(u2, self.deconvs["up2.deconv"]), d1], axis=1)
-        return K.linear(ad.transpose(u2, (0, 2, 3, 1)), self.head_w, self.head_b)
+        u2 = ad.concat([K.deconv2(u2, self.deconvs["up2.deconv"]), d1], axis=3)
+        return K.linear(u2, self.head_w, self.head_b)
 
     # -- objectives -------------------------------------------------------------
 

@@ -221,8 +221,12 @@ def build_gold_matrix(
     example: DialogueExample,
     conn: ConnectionWordList = EMPTY_CONNECTION_WORDS,
     k: int = 0,
+    c: Optional[JoinedContext] = None,
 ) -> tuple[np.ndarray, Coverage]:
     """Derive the (noisy) gold edit matrix for a training example.
+
+    ``c`` is the example's context already joined with ``conn`` and ``k``,
+    for a caller that has it; otherwise it is joined here.
 
     Coverage is Full when every edit span was found as one contiguous run in
     the context; splitting a span or dropping tokens degrades it to Partial
@@ -230,7 +234,8 @@ def build_gold_matrix(
     """
     if example.gold_rewrite is None:
         raise ValueError("gold matrix derivation needs a gold rewrite")
-    c = join_context(example, conn, k)
+    if c is None:
+        c = join_context(example, conn, k)
     x = list(example.incomplete)
     x_prepared = prepare_incomplete(x)
     matrix = new_edit_matrix(len(c), len(x_prepared))

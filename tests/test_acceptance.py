@@ -34,6 +34,11 @@ from editseg.training import RunConfig, bench_latency, load_model, train
 ctok = functools.partial(tokenize, mode=Tokenization.PER_CHARACTER)
 
 
+def channels_last(a):
+    """(B, C, H, W) -> contiguous (B, H, W, C), the layout the spatial ops take."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 def report(criterion: int, ok: bool, detail: str):
     line = f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}"
     print("\n" + line, flush=True)  # live with -s; captured otherwise
@@ -119,14 +124,14 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
         check(K.grad_check(lambda: ad.tsum(ad.mul(K.embedding_lookup(table, ids), w)), [table]))
 
         p = K.bilstm_params_init(rng, 4, 5)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        probe = rng.normal(size=(3, 10))
+        x = Tensor(rng.normal(size=(3, 4))[None], requires_grad=True)
+        probe = rng.normal(size=(3, 10))[None]
         check(K.grad_check(lambda: ad.tsum(ad.mul(K.bilstm(x, p), probe)), [x] + p.tensors()))
 
-        xc = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
+        xc = Tensor(channels_last(rng.normal(size=(1, 2, 6, 6))), requires_grad=True)
         kc = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
         bn = K.BatchNormParams.create(4)
-        probe_c = rng.normal(size=(1, 4, 6, 6))
+        probe_c = channels_last(rng.normal(size=(1, 4, 6, 6)))
         check(
             K.grad_check(
                 lambda: ad.tsum(ad.mul(K.conv_bn_relu(xc, kc, bn, training=True), probe_c)),
@@ -134,13 +139,13 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
             )
         )
 
-        xp = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
-        probe_p = rng.normal(size=(1, 1, 2, 2))
+        xp = Tensor(channels_last(rng.normal(size=(1, 1, 4, 4))), requires_grad=True)
+        probe_p = channels_last(rng.normal(size=(1, 1, 2, 2)))
         check(K.grad_check(lambda: ad.tsum(ad.mul(K.maxpool2(xp), probe_p)), [xp]))
 
-        xd = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+        xd = Tensor(channels_last(rng.normal(size=(1, 2, 3, 3))), requires_grad=True)
         kd = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-        probe_d = rng.normal(size=(1, 3, 6, 6))
+        probe_d = channels_last(rng.normal(size=(1, 3, 6, 6)))
         check(K.grad_check(lambda: ad.tsum(ad.mul(K.deconv2(xd, kd), probe_d)), [xd, kd]))
 
         xl = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

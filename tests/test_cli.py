@@ -123,6 +123,8 @@ def test_config_file_with_flag_overrides(workspace, tmp_path, capsys):
     out = tmp_path / "data.jsonl"
     assert run_cli(["synth", "--config", str(cfg), "--out", str(out), "--num-examples", "5"]) == 0
     assert len(read_jsonl(out)) == 5  # flag wins over config file
+    assert run_cli(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_jsonl(out)) == 7  # config file wins over the flag's default
 
 
 def test_errors_are_machine_readable_and_nonzero(workspace, tmp_path, capsys):
@@ -289,6 +291,10 @@ BAD_INPUT = {
     "class_weights_not_list": ("config", b'{"class_weights": 5}'),
     "seed_not_integer": ("config", b'{"seed": "x"}'),
     "tokenization_unknown": ("config", b'{"tokenization": "morse"}'),
+    "config_unknown_key": ("config", b'{"epoch": 3}'),
+    "synth_config_unknown_key": ("synth_config", b'{"num_exampels": 7}'),
+    "synth_config_not_integer": ("synth_config", b'{"num_examples": 7.5}'),
+    "synth_config_unknown_mode": ("synth_config", b'{"mode": "morse"}'),
 }
 
 
@@ -301,6 +307,8 @@ def test_malformed_dataset_or_config_is_one_json_error_line(tmp_path, capsys, ca
     bad.write_bytes(raw)
     if kind == "data":
         argv = ["derive-labels", "--data", str(bad), "--out", str(tmp_path / "o.jsonl")]
+    elif kind == "synth_config":
+        argv = ["synth", "--config", str(bad), "--out", str(tmp_path / "o.jsonl")]
     else:
         argv = ["train", "--config", str(bad), "--train-path", str(good), "--dev-path", str(good),
                 "--checkpoint-path", str(tmp_path / "model.run")]

@@ -23,6 +23,11 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def channels_last(a):
+    """(B, C, H, W) -> contiguous (B, H, W, C), the layout the spatial ops take."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 # ---------------------------------------------------------------------------
 # embedding_lookup
 
@@ -75,29 +80,29 @@ def test_bilstm_zero_params_zero_output():
                          Tensor(np.zeros((5, 20)), requires_grad=True),
                          Tensor(np.zeros(20), requires_grad=True)),
     )
-    out = K.bilstm(Tensor(rng_for(1).normal(size=(3, 4))), p)
-    assert np.array_equal(out.data, np.zeros((3, 10)))
+    out = K.bilstm(Tensor(rng_for(1).normal(size=(3, 4))[None]), p)
+    assert np.array_equal(out.data, np.zeros((1, 3, 10)))
 
 
 def test_bilstm_single_step_directions_agree():
     rng = rng_for(2)
     p = K.bilstm_params_init(rng, 4, 5)
-    x = Tensor(rng.normal(size=(1, 4)))
+    x = Tensor(rng.normal(size=(1, 4))[None])
     out = K.bilstm(x, p)
-    assert out.data.shape == (1, 10)
+    assert out.data.shape == (1, 1, 10)
     # With one step, both directions see the same input through their own
     # weights; feeding the same params to both must duplicate the halves.
     p_same = K.BiLSTMParams(fwd=p.fwd, bwd=p.fwd)
     out_same = K.bilstm(x, p_same)
-    assert np.allclose(out_same.data[0, :5], out_same.data[0, 5:])
+    assert np.allclose(out_same.data[0, 0, :5], out_same.data[0, 0, 5:])
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_bilstm_grads_match_finite_differences(seed):
     rng = rng_for(100 + seed)
     p = K.bilstm_params_init(rng, 4, 5)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    probe = rng.normal(size=(3, 10))
+    x = Tensor(rng.normal(size=(3, 4))[None], requires_grad=True)
+    probe = rng.normal(size=(3, 10))[None]
 
     def f():
         return ad.tsum(ad.mul(K.bilstm(x, p), probe))
@@ -114,10 +119,10 @@ def test_masked_batch_matches_per_example():
     batch[0] = a
     batch[1, :2] = b
     out = K.bilstm(Tensor(batch), p, lengths=[5, 2])
-    out_a = K.bilstm(Tensor(a), p)
-    out_b = K.bilstm(Tensor(b), p)
-    assert np.allclose(out.data[0], out_a.data)
-    assert np.allclose(out.data[1, :2], out_b.data)
+    out_a = K.bilstm(Tensor(a[None]), p)
+    out_b = K.bilstm(Tensor(b[None]), p)
+    assert np.allclose(out.data[0], out_a.data[0])
+    assert np.allclose(out.data[1, :2], out_b.data[0])
     assert np.allclose(out.data[1, 2:], 0.0)
 
 
@@ -153,24 +158,24 @@ def test_lstm_rejects_lengths_beyond_sequence():
 
 
 def test_conv_identity_kernel_passthrough():
-    x = Tensor(np.abs(rng_for(4).normal(size=(1, 5, 6))))
+    x = Tensor(np.abs(rng_for(4).normal(size=(1, 5, 6))).transpose(1, 2, 0)[None])
     k = np.zeros((1, 1, 3, 3))
     k[0, 0, 1, 1] = 1.0
-    out = K.conv_bn_relu(x, Tensor(k), bn=None, training=False)
+    out = K.conv2d(x, Tensor(k))
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv_bn_relu_all_negative_is_zero():
-    x = Tensor(-np.abs(rng_for(5).normal(size=(2, 4, 4))) - 0.1)
+    x = Tensor((-np.abs(rng_for(5).normal(size=(2, 4, 4))) - 0.1).transpose(1, 2, 0)[None])
     k = np.zeros((3, 2, 3, 3))
     k[:, :, 1, 1] = 1.0
-    out = K.conv_bn_relu(x, Tensor(k), bn=None, training=False)
-    assert np.array_equal(out.data, np.zeros((3, 4, 4)))
+    out = K.conv_bn_relu(x, Tensor(k), K.BatchNormParams.create(3), training=False)
+    assert np.array_equal(out.data, np.zeros((1, 4, 4, 3)))
 
 
 def test_conv_channel_mismatch_fails():
     with pytest.raises(ValueError, match="channel"):
-        K.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
+        K.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 5, 3, 3))))
 
 
 def conv_reference(x, k):
@@ -197,8 +202,8 @@ def test_conv_matches_direct_loop_reference(shape, co):
     rng = rng_for(sum(shape) + co)
     x = rng.normal(size=shape)
     k = rng.normal(size=(co, shape[1], 3, 3))
-    out = K.conv2d(Tensor(x), Tensor(k))
-    assert np.allclose(out.data, conv_reference(x, k), rtol=1e-12, atol=1e-12)
+    out = K.conv2d(Tensor(channels_last(x)), Tensor(k))
+    assert np.allclose(out.data, channels_last(conv_reference(x, k)), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -219,9 +224,9 @@ def test_conv_grads_match_finite_differences_batched_non_square(seed, shape, co)
     # B=2 on non-square grids with C != Co: a batch-boundary or row/column
     # mix-up in the flattened shifts would show here, not on one square image.
     rng = rng_for(250 + seed)
-    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    x = Tensor(channels_last(rng.normal(size=shape)), requires_grad=True)
     k = Tensor(rng.normal(size=(co, shape[1], 3, 3)), requires_grad=True)
-    probe = rng.normal(size=(shape[0], co) + shape[2:])
+    probe = channels_last(rng.normal(size=(shape[0], co) + shape[2:]))
 
     def f():
         return ad.tsum(ad.mul(K.conv2d(x, k), probe))
@@ -231,14 +236,14 @@ def test_conv_grads_match_finite_differences_batched_non_square(seed, shape, co)
 
 @pytest.mark.parametrize("c, co", [(6, 2), (2, 6)], ids=["wide_in", "wide_out"])
 def test_conv_same_result_for_channels_last_view_and_contiguous_copy(c, co):
-    # The model feeds conv2d both layouts: the pair-feature image is a
-    # transposed view of a channels-last array, later inputs are fresh arrays.
+    # conv2d must not depend on its input's memory layout: a channels-last
+    # view of a channels-first array gives what a contiguous copy gives.
     rng = rng_for(300 + c)
     x_cl = rng.normal(size=(2, 3, 4, c))
     k = rng.normal(size=(co, c, 3, 3))
-    probe = rng.normal(size=(2, co, 3, 4))
+    probe = channels_last(rng.normal(size=(2, co, 3, 4)))
     results = []
-    for xd in (x_cl.transpose(0, 3, 1, 2), np.ascontiguousarray(x_cl.transpose(0, 3, 1, 2))):
+    for xd in (np.ascontiguousarray(x_cl.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1), x_cl):
         x, kt = Tensor(xd, requires_grad=True), Tensor(k, requires_grad=True)
         out = K.conv2d(x, kt)
         ad.tsum(ad.mul(out, probe)).backward()
@@ -247,16 +252,18 @@ def test_conv_same_result_for_channels_last_view_and_contiguous_copy(c, co):
     np.testing.assert_allclose(view_out, copy_out, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(view_dx, copy_dx, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(view_dk, copy_dk, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(copy_out, conv_reference(x_cl.transpose(0, 3, 1, 2), k), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        copy_out, channels_last(conv_reference(x_cl.transpose(0, 3, 1, 2), k)), rtol=1e-12, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_bn_relu_grads_match_finite_differences(seed):
     rng = rng_for(200 + seed)
-    x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
+    x = Tensor(channels_last(rng.normal(size=(1, 2, 6, 6))), requires_grad=True)
     k = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
     bn = K.BatchNormParams.create(4)
-    probe = rng.normal(size=(1, 4, 6, 6))
+    probe = channels_last(rng.normal(size=(1, 4, 6, 6)))
 
     def f():
         return ad.tsum(ad.mul(K.conv_bn_relu(x, k, bn, training=True), probe))
@@ -264,23 +271,75 @@ def test_conv_bn_relu_grads_match_finite_differences(seed):
     assert K.grad_check(f, [x, k, bn.gamma, bn.beta], h=H_STEP) < TOL
 
 
+def test_bn_relu_training_matches_numpy_reference():
+    rng = rng_for(210)
+    y = rng.normal(size=(3, 4, 5, 6)) * rng.uniform(0.5, 3.0, size=6) + rng.normal(size=6)
+    bn = K.BatchNormParams.create(6)
+    bn.gamma.data[:] = rng.uniform(0.5, 2.0, size=6)
+    bn.beta.data[:] = rng.normal(size=6)
+    bn.running_mean = rng.normal(size=6)
+    bn.running_var = rng.uniform(0.5, 2.0, size=6)
+    rm0, rv0 = bn.running_mean.copy(), bn.running_var.copy()
+    out = K.bn_relu(Tensor(y), bn, training=True)
+
+    # Direct per-channel reference over the (B, H, W) cells of each channel.
+    cells = y.reshape(-1, 6)
+    mean = cells.sum(axis=0) / cells.shape[0]
+    var = ((cells - mean) ** 2).sum(axis=0) / cells.shape[0]
+    want = np.maximum((y - mean) / np.sqrt(var + 1e-5) * bn.gamma.data + bn.beta.data, 0.0)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(bn.running_mean, 0.9 * rm0 + 0.1 * mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(bn.running_var, 0.9 * rv0 + 0.1 * var, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_bn_relu_eval_grads_match_finite_differences(seed):
+    # Eval mode with running statistics far from (0, 1), so the folded
+    # scale and shift differ from gamma and beta.
+    rng = rng_for(220 + seed)
+    x = Tensor(channels_last(rng.normal(size=(2, 2, 4, 6))), requires_grad=True)
+    k = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
+    bn = K.BatchNormParams.create(4)
+    bn.gamma.data[:] = rng.uniform(0.5, 2.0, size=4)
+    bn.beta.data[:] = rng.normal(size=4) * 0.3
+    bn.running_mean = rng.normal(size=4) * 0.5
+    bn.running_var = rng.uniform(0.3, 3.0, size=4)
+    probe = channels_last(rng.normal(size=(2, 4, 4, 6)))
+
+    def f():
+        return ad.tsum(ad.mul(K.conv_bn_relu(x, k, bn, training=False), probe))
+
+    assert K.grad_check(f, [x, k, bn.gamma, bn.beta], h=H_STEP) < TOL
+
+
+def test_maxpool_tie_routes_gradient_to_first_cell():
+    # A constant window has four maxima; the gradient goes to its first cell
+    # in row-major order, separately in every channel.
+    x = Tensor(np.full((2, 4, 6, 3), 2.5), requires_grad=True)
+    probe = rng_for(310).normal(size=(2, 2, 3, 3))
+    ad.tsum(ad.mul(K.maxpool2(x), probe)).backward()
+    want = np.zeros((2, 4, 6, 3))
+    want[:, ::2, ::2] = probe
+    assert np.array_equal(x.grad, want)
+
+
 def test_maxpool_constant_and_single_window():
-    x = Tensor(np.full((1, 4, 4), 2.5))
-    assert np.array_equal(K.maxpool2(x).data, np.full((1, 2, 2), 2.5))
-    y = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    x = Tensor(np.full((1, 4, 4, 1), 2.5))
+    assert np.array_equal(K.maxpool2(x).data, np.full((1, 2, 2, 1), 2.5))
+    y = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]).transpose(1, 2, 0)[None])
     assert K.maxpool2(y).data.reshape(()) == 4.0
 
 
 def test_maxpool_odd_dims_fail():
     with pytest.raises(ValueError, match="even"):
-        K.maxpool2(Tensor(np.zeros((1, 3, 4))))
+        K.maxpool2(Tensor(np.zeros((1, 3, 4, 1))))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_maxpool_grad_is_one_hot_and_matches_fd(seed):
     rng = rng_for(300 + seed)
-    x = Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
-    probe = rng.normal(size=(1, 1, 2, 2))
+    x = Tensor(channels_last(rng.normal(size=(1, 1, 4, 4))), requires_grad=True)
+    probe = channels_last(rng.normal(size=(1, 1, 2, 2)))
 
     def f():
         return ad.tsum(ad.mul(K.maxpool2(x), probe))
@@ -293,22 +352,22 @@ def test_maxpool_grad_is_one_hot_and_matches_fd(seed):
 
 
 def test_deconv_broadcasts_single_value():
-    x = Tensor(np.array([[[3.0]]]))
+    x = Tensor(np.array([[[[3.0]]]]))
     k = Tensor(np.ones((1, 1, 2, 2)))
-    assert np.array_equal(K.deconv2(x, k).data, np.full((1, 2, 2), 3.0))
+    assert np.array_equal(K.deconv2(x, k).data, np.full((1, 2, 2, 1), 3.0))
 
 
 def test_deconv_zero_input_zero_output():
-    out = K.deconv2(Tensor(np.zeros((2, 3, 3))), Tensor(rng_for(6).normal(size=(2, 5, 2, 2))))
-    assert np.array_equal(out.data, np.zeros((5, 6, 6)))
+    out = K.deconv2(Tensor(np.zeros((1, 3, 3, 2))), Tensor(rng_for(6).normal(size=(2, 5, 2, 2))))
+    assert np.array_equal(out.data, np.zeros((1, 6, 6, 5)))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_deconv_grads_match_finite_differences(seed):
     rng = rng_for(400 + seed)
-    x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+    x = Tensor(channels_last(rng.normal(size=(1, 2, 3, 3))), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-    probe = rng.normal(size=(1, 3, 6, 6))
+    probe = channels_last(rng.normal(size=(1, 3, 6, 6)))
 
     def f():
         return ad.tsum(ad.mul(K.deconv2(x, k), probe))
@@ -318,9 +377,9 @@ def test_deconv_grads_match_finite_differences(seed):
 
 def test_pool_deconv_shape_round_trip():
     rng = rng_for(7)
-    x = Tensor(rng.normal(size=(1, 2, 8, 6)))
+    x = Tensor(channels_last(rng.normal(size=(1, 2, 8, 6))))
     k = Tensor(rng.normal(size=(2, 2, 2, 2)))
-    assert K.deconv2(K.maxpool2(x), k).data.shape == (1, 2, 8, 6)
+    assert K.deconv2(K.maxpool2(x), k).data.shape == (1, 8, 6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +511,7 @@ def test_graph_is_freed_after_backward_without_the_collector():
         w = Tensor(rng_for(5).normal(size=(3, 3)), requires_grad=True)
         h = ad.matmul(w, w)
         watch = weakref.ref(h.data)
-        loss = ad.tsum(ad.relu(h))
+        loss = ad.tsum(ad.mul(h, h))
         loss.backward()
         assert w.grad is not None
         del h, loss
@@ -469,7 +528,7 @@ def test_graph_is_freed_after_backward_without_the_collector():
 def test_ops_bitwise_deterministic():
     def run():
         rng = rng_for(77)
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
+        x = Tensor(channels_last(rng.normal(size=(1, 2, 4, 4))), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
         bn = K.BatchNormParams.create(2)
         out = K.conv_bn_relu(x, k, bn, training=True)

@@ -10,8 +10,16 @@ import pytest
 from editseg import autodiff as ad
 from editseg import generation
 from editseg import kernels as K
+from editseg import model as model_module
+from editseg import supervision
 from editseg.autodiff import Tensor
-from editseg.dialogue import DialogueExample, join_context, prepare_incomplete, word_tokens
+from editseg.dialogue import (
+    ConnectionWordList,
+    DialogueExample,
+    join_context,
+    prepare_incomplete,
+    word_tokens,
+)
 from editseg.model import (
     EncodedExample,
     ModelConfig,
@@ -21,7 +29,7 @@ from editseg.model import (
     encode_example,
     encoding_layer,
 )
-from editseg.supervision import EditType
+from editseg.supervision import EditType, build_gold_matrix
 
 
 def toy_config(vocab_size=20, **kw):
@@ -73,6 +81,27 @@ def test_vocab_roundtrip_and_unk():
     assert ids[2] == Vocabulary.UNK
     assert ids[0] != ids[1]
     assert vocab.size == 5  # UNK, [S], [E], a, b
+
+
+def test_encode_with_gold_joins_context_once(monkeypatch):
+    examples = toy_examples()
+    conn = ConnectionWordList(words=("and", "of"), frequencies=(5, 3))
+    vocab = Vocabulary.from_examples(examples, conn)
+    joins = []
+
+    def counting_join(*args, **kwargs):
+        joins.append(args[0])
+        return join_context(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "join_context", counting_join)
+    monkeypatch.setattr(supervision, "join_context", counting_join)
+    encoded = [encode_example(ex, vocab, conn, 2, with_gold=True) for ex in examples]
+    assert joins == examples
+    monkeypatch.undo()
+    for ex, enc in zip(examples, encoded):
+        gold, coverage = build_gold_matrix(ex, conn, 2)
+        assert np.array_equal(enc.gold, gold) and enc.coverage is coverage
+        assert enc.m == len(join_context(ex, conn, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +201,15 @@ def test_feature_batch_pads_mixed_sizes_with_zero_cells():
             states = model.context_layer([enc]).data
             u, hx = states[:, : enc.m], states[:, enc.m : enc.m + enc.nx]
             feats = encoding_layer(Tensor(u), Tensor(hx), model.w_bilinear).data[0]
-            alone.append(feats.transpose(2, 0, 1))
+            alone.append(feats)
     d = model.config.feature_channels
-    assert features.data.shape == (4, d, 8, 8)  # M up to 8, N + 1 up to 5
+    assert features.data.shape == (4, 8, 8, d)  # M up to 8, N + 1 up to 5
     for i, enc in enumerate(batch):
         assert masks[i].sum() == enc.m * enc.nx
         assert masks[i, : enc.m, : enc.nx].all()
         feats = features.data[i]
-        assert not feats[:, enc.m :].any() and not feats[:, :, enc.nx :].any()
-        real = np.s_[:, : enc.m, : enc.nx]
+        assert not feats[enc.m :].any() and not feats[:, enc.nx :].any()
+        real = np.s_[: enc.m, : enc.nx]
         assert np.max(np.abs(feats[real] - alone[i]), initial=0.0) < 1e-12
 
 
@@ -248,7 +277,7 @@ def test_segmentation_channel_trace():
 def test_segmentation_preserves_spatial_dims():
     cfg = toy_config()
     model = RewriteModel(cfg, seed=0)
-    x = Tensor(np.random.default_rng(1).normal(size=(2, cfg.feature_channels, 8, 4)))
+    x = Tensor(np.random.default_rng(1).normal(size=(2, cfg.feature_channels, 8, 4)).transpose(0, 2, 3, 1))
     logits = model.segmentation_layer(x, training=False)
     assert logits.data.shape == (2, 8, 4, 3)
 
@@ -257,7 +286,7 @@ def test_eval_mode_is_batch_order_invariant():
     cfg = toy_config()
     model = RewriteModel(cfg, seed=3)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, cfg.feature_channels, 4, 4))
+    x = rng.normal(size=(3, cfg.feature_channels, 4, 4)).transpose(0, 2, 3, 1)
     with ad.no_grad():
         out = model.segmentation_layer(Tensor(x), training=False).data
         flipped = model.segmentation_layer(Tensor(x[::-1].copy()), training=False).data
