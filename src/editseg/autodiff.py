@@ -1,9 +1,12 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 A ``Tensor`` wraps a numpy array plus an optional gradient. Operations build
 a computation graph of closures; ``Tensor.backward()`` runs reverse-mode
-accumulation in topological order. Everything is 64-bit: gradient checks
-against central finite differences need the precision.
+accumulation in topological order. A tensor keeps the float dtype it is
+given, and every op computes in its operands' dtype, so the gradients come
+out in the dtype of the values. The model runs in float32; gradient checks
+against central finite differences build float64 tensors, which need the
+precision, and run through the same ops.
 
 Graphs are single-threaded, single-use objects: build, call ``backward()``
 once, discard. ``backward()`` unlinks each node from its closure and parents
@@ -35,12 +38,17 @@ class no_grad:
 
 
 class Tensor:
-    """Dense n-dimensional float64 value with optional gradient."""
+    """Dense n-dimensional float value with optional gradient.
+
+    A float array keeps its dtype; anything else (lists, Python scalars,
+    integer or bool arrays) becomes float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None

@@ -1,11 +1,14 @@
 """Single-file binary checkpoints, format tag "run-v1".
 
 Layout: a little-endian uint32 header length, a JSON header mapping array
-names to shapes and byte offsets plus free-form metadata, then the raw
-float64 little-endian array payloads. Arrays are sorted by name and the
-header is canonicalized, so identical state always produces identical bytes
-(seeded runs must give bitwise-identical checkpoints). Loading checks the
-header's structure and every array's byte range against the file, so a
+names to dtypes, shapes and byte offsets plus free-form metadata, then the
+raw little-endian array payloads. Each array is stored in its header dtype:
+``"<f4"`` for a float32 array, ``"<f8"`` for anything else (cast to
+float64). An entry without a dtype, as every file written before the field
+existed has, reads as ``"<f8"``. Arrays are sorted by name and the header is
+canonicalized, so identical state always produces identical bytes (seeded
+runs must give bitwise-identical checkpoints). Loading checks the header's
+structure, dtypes and every array's byte range against the file, so a
 truncated or corrupt file raises ``CheckpointError`` rather than a numpy or
 JSON error.
 """
@@ -19,15 +22,18 @@ import struct
 import numpy as np
 
 FORMAT_TAG = "run-v1"
+PAYLOAD_DTYPES = ("<f4", "<f8")  # a header entry without a dtype is "<f8"
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
     names = sorted(arrays)
+    stored = {}
     header_arrays = {}
     offset = 0
     for name in names:
-        arr = np.asarray(arrays[name], dtype="<f8")
-        header_arrays[name] = {"shape": list(arr.shape), "offset": offset}
+        arr = np.asarray(arrays[name])
+        arr = stored[name] = arr.astype("<f4" if arr.dtype == np.float32 else "<f8", copy=False)
+        header_arrays[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
     header = {"format": FORMAT_TAG, "arrays": header_arrays, "meta": meta or {}}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode(
@@ -39,7 +45,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         for name in names:
             # tobytes() always emits C order, so no contiguity fixup needed
             # (ascontiguousarray would also silently promote 0-d to 1-d).
-            fh.write(np.asarray(arrays[name], dtype="<f8").tobytes())
+            fh.write(stored[name].tobytes())
 
 
 class CheckpointError(ValueError):
@@ -77,17 +83,23 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"{path}: array {name!r} needs a shape of non-negative integers and a "
                 f"non-negative integer offset, got {info!r}"
             )
+        tag = info.get("dtype", "<f8")
+        if not isinstance(tag, str) or tag not in PAYLOAD_DTYPES:
+            raise CheckpointError(
+                f"{path}: array {name!r} has dtype {tag!r}, not one of {list(PAYLOAD_DTYPES)}"
+            )
+        dtype = np.dtype(tag)
         count = math.prod(shape)
         start = payload_start + offset
-        end = start + 8 * count
+        end = start + dtype.itemsize * count
         if end > len(raw):
             raise CheckpointError(
                 f"{path}: array {name!r} of shape {shape} needs bytes "
                 f"{start}..{end} of a {len(raw)}-byte file"
             )
         try:
-            flat = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-            arrays[name] = flat.reshape(shape).astype(np.float64)
+            flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
+            arrays[name] = flat.reshape(shape).astype(dtype.type)
         except ValueError as exc:  # an empty array with dimensions numpy cannot hold
             raise CheckpointError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
     return arrays, meta

@@ -54,6 +54,13 @@ def _fail(message: str, code: int = 2):
     raise CliError(message, code)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns argparse's usage errors into ``CliError``; subparsers inherit the class."""
+
+    def error(self, message):
+        _fail(f"{self.prog}: {message}")
+
+
 def _load_config_defaults(argv: list[str]) -> dict:
     """Pull --config JSON ahead of parsing so flags can override it."""
     for i, arg in enumerate(argv):
@@ -251,7 +258,7 @@ def cmd_bench(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="editseg",
         description="Rewrite incomplete dialogue utterances via word-level edit matrices.",
     )

@@ -5,7 +5,10 @@ over right-padded batches with hand-rolled backprop-through-time, 3x3
 same-padded convolution fused with batch norm and ReLU, 2x2 max pooling,
 2x2 stride-2 transposed convolution, affine layers, weighted cross-entropy,
 Adam, and a finite-difference gradient checker. No ML framework underneath,
-just numpy, in float64 throughout.
+just numpy. Every kernel computes and allocates in its inputs' dtype: the
+model runs in float32, and the gradient checks run the same kernels on
+float64 inputs. The initializers here draw float64; ``RewriteModel`` stores
+its parameters as float32.
 
 Every op takes a batch. Sequences are (B, L, E); images are channels-last
 (B, H, W, C), the layout the pair-feature layer writes, so the U-Net runs
@@ -152,10 +155,11 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
     w_ih, w_hh, b = params.w_ih, params.w_hh, params.b
     xs = xd[rows, order]  # (L, B, E), scan order
     gates = (xs.reshape(L * B, E) @ w_ih.data + b.data).reshape(L, B, 4 * H)
-    hs = np.zeros((L + 1, B, H))  # hs[t] is the state entering step t
-    cs = np.zeros((L + 1, B, H))
-    tcs = np.empty((L, B, H))
-    ig = np.empty((B, H))
+    dt = gates.dtype
+    hs = np.zeros((L + 1, B, H), dtype=dt)  # hs[t] is the state entering step t
+    cs = np.zeros((L + 1, B, H), dtype=dt)
+    tcs = np.empty((L, B, H), dtype=dt)
+    ig = np.empty((B, H), dtype=dt)
     for t in range(L):
         z = gates[t]  # becomes the step's activations i, f, g, o in place
         z += hs[t] @ w_hh.data
@@ -176,7 +180,7 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
             i, f, g, o = g4[:, :, 0], g4[:, :, 1], g4[:, :, 2], g4[:, :, 3]
             # Per-step factors turning (dc, dc, dc, dh) into the gate
             # pre-activation gradients dz = (di, df, dg, do).
-            fac = np.empty((L, B, 4, H))
+            fac = np.empty((L, B, 4, H), dtype=dt)
             fac[:, :, 0] = g * i * (1.0 - i)
             fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
             fac[:, :, 2] = i * (1.0 - g * g)
@@ -184,9 +188,9 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
             dc_from_h = o * (1.0 - tcs * tcs)
             dout = node.grad[rows, order]  # (L, B, H), scan order
             dout[~valid] = 0.0
-            dz = np.empty((L, B, 4, H))
-            dh = np.zeros((B, H))
-            dc = np.zeros((B, H))
+            dz = np.empty((L, B, 4, H), dtype=dt)
+            dh = np.zeros((B, H), dtype=dt)
+            dc = np.zeros((B, H), dtype=dt)
             w_hh_t = w_hh.data.T
             for t in range(L - 1, -1, -1):
                 dh += dout[t]
@@ -230,7 +234,7 @@ def _stack9(img: np.ndarray) -> np.ndarray:
     read through the nine offsets as one strided window.
     """
     B, H, W, C = img.shape
-    p = np.zeros((B, H + 2, W + 2, C))
+    p = np.zeros((B, H + 2, W + 2, C), dtype=img.dtype)
     p[:, 1:-1, 1:-1] = img
     # Axes (b, i, j, a, c, channel); a and c step like i and j.
     win = as_strided(p, (B, H, W, 3, 3, C), p.strides[:3] + p.strides[1:], writeable=False)
@@ -244,7 +248,7 @@ def _col2im(blocks: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
     (a-1, c-1); what falls on the ring is dropped.
     """
     z = blocks.reshape(B, H, W, 3, 3, -1)
-    p = np.zeros((B, H + 2, W + 2, z.shape[-1]))
+    p = np.zeros((B, H + 2, W + 2, z.shape[-1]), dtype=blocks.dtype)
     for a in range(3):
         for c in range(3):
             p[:, a : a + H, c : c + W] += z[:, :, :, a, c]
@@ -330,7 +334,7 @@ def maxpool2(x: Tensor) -> Tensor:
 
     def factory(node):
         def backward():
-            dr = np.zeros((B, h, w, C, 4))
+            dr = np.zeros((B, h, w, C, 4), dtype=x.data.dtype)
             np.put_along_axis(dr, idx[..., None], node.grad[..., None], axis=4)
             dx = dr.reshape(B, h, w, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
             ad._accumulate(x, dx)
@@ -481,10 +485,12 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tenso
     """Mean over unmasked cells of ``weights[target] * -log softmax(logits)[target]``.
 
     ``logits`` is (K, n_classes); ``targets`` integer class ids; ``mask`` an
-    optional boolean keep-flag per cell.
+    optional boolean keep-flag per cell. The loss has the logits' dtype. The
+    log-sum-exp subtracts each row's maximum first, so ``exp`` only sees
+    values <= 0 and cannot overflow in float32.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=logits.data.dtype)
     if np.any(weights <= 0):
         raise ValueError("class weights must be positive")
     K = logits.data.shape[0]
@@ -499,7 +505,7 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tenso
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     logp_t = z[np.arange(sel.size), t] - lse
     w_t = weights[t]
-    loss = float((-w_t * logp_t).mean())
+    loss = (-w_t * logp_t).mean()
 
     def factory(node):
         def backward():
@@ -512,7 +518,7 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tenso
 
         return backward
 
-    return ad._node(np.float64(loss), (logits,), factory)
+    return ad._node(loss, (logits,), factory)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +568,18 @@ def grad_check(f, params, h: float = 1e-4) -> float:
     """Max relative error between reverse-mode and central-difference gradients.
 
     ``f()`` rebuilds and returns a scalar Tensor; ``params`` are the leaves to
-    probe. Every coordinate of every parameter is perturbed by ±h.
+    probe. Every coordinate of every parameter is perturbed by ±h in place,
+    so each parameter must be C-contiguous float64: a strided view would be
+    probed through a copy the computation never reads, and float32 cannot
+    resolve a ±1e-4 difference. Anything else raises ``ValueError``.
     """
+    for i, p in enumerate(params):
+        if p.data.dtype != np.float64 or not p.data.flags.c_contiguous:
+            layout = "C-contiguous" if p.data.flags.c_contiguous else "strided"
+            raise ValueError(
+                f"grad_check parameter {i} of shape {p.data.shape} is {layout} "
+                f"{p.data.dtype}; it must be C-contiguous float64"
+            )
     for p in params:
         p.zero_grad()
     out = f()

@@ -150,7 +150,8 @@ def encode_example(
 
 
 # Floor on a row's squared norm: far below any real BiLSTM state, so it only
-# acts on the zero rows that pad a batch.
+# acts on the zero rows that pad a batch. It is a normal float32 (the
+# smallest is 1.2e-38), and so are its square root and the product of two.
 _SQ_NORM_FLOOR = 1e-24
 
 
@@ -168,7 +169,7 @@ def encoding_layer(u: Tensor, hx: Tensor, w_bilinear: Tensor) -> Tensor:
     N = hd.shape[1]
     if hd.shape != (B, N, width):
         raise ValueError(f"encodings must share batch and width: {ud.shape} vs {hd.shape}")
-    out = np.empty((B, M, N, width + 2))
+    out = np.empty((B, M, N, width + 2), dtype=ud.dtype)
     elem = out[..., :width]
     np.multiply(ud[:, :, None, :], hd[:, None, :, :], out=elem)
     norm_u = np.sqrt(np.maximum((ud * ud).sum(axis=2), _SQ_NORM_FLOOR))
@@ -215,7 +216,11 @@ def decode_matrix(logits: np.ndarray, m: int, nx: int) -> np.ndarray:
 
 
 class RewriteModel:
-    """Parameters plus the forward passes for training and prediction."""
+    """Parameters plus the forward passes for training and prediction.
+
+    Parameters and batch-norm statistics are float32, and so is everything
+    computed from them: activations, gradients and Adam moments.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
@@ -254,6 +259,11 @@ class RewriteModel:
         self.bns = {name: K.BatchNormParams.create(k.data.shape[0]) for name, k in self.convs.items()}
         self.head_w = K.xavier_uniform(rng, (2 * c0, N_EDIT_TYPES), 2 * c0, N_EDIT_TYPES)
         self.head_b = K.zeros_param(N_EDIT_TYPES)
+        for p in self.parameters().values():
+            p.data = p.data.astype(np.float32)
+        for bn in self.bns.values():
+            bn.running_mean = bn.running_mean.astype(np.float32)
+            bn.running_var = bn.running_var.astype(np.float32)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -283,9 +293,10 @@ class RewriteModel:
         return out
 
     def load_buffers(self, buffers: dict[str, np.ndarray]):
+        """Copy in running statistics, cast to the buffers' own dtype."""
         for name, bn in self.bns.items():
-            bn.running_mean = buffers[f"{name}.bn.running_mean"].copy()
-            bn.running_var = buffers[f"{name}.bn.running_var"].copy()
+            bn.running_mean = buffers[f"{name}.bn.running_mean"].astype(bn.running_mean.dtype)
+            bn.running_var = buffers[f"{name}.bn.running_var"].astype(bn.running_var.dtype)
 
     def zero_grad(self):
         for p in self.parameters().values():
@@ -314,6 +325,8 @@ class RewriteModel:
         BiLSTM output onto a grid whose sides divide by 4, zero rows on the
         padding, and one ``encoding_layer`` call builds the whole image,
         channels-last as the U-Net takes it. The (B, H, W) mask marks real cells.
+        The row masks multiply in the BiLSTM output's dtype: a bool or float64
+        mask would promote the whole float32 graph after it to float64.
         """
         enc = self.context_layer(batch)
         m = np.array([ex.m for ex in batch])[:, None]
@@ -323,8 +336,9 @@ class RewriteModel:
         real_rows = rows < m  # (B, th)
         real_cols = cols < nx  # (B, tw)
         b = np.arange(len(batch))[:, None]
-        u = ad.mul(enc[b, np.where(real_rows, rows, 0)], real_rows[..., None])
-        hx = ad.mul(enc[b, np.where(real_cols, m + cols, 0)], real_cols[..., None])
+        dt = enc.data.dtype
+        u = ad.mul(enc[b, np.where(real_rows, rows, 0)], real_rows[..., None].astype(dt))
+        hx = ad.mul(enc[b, np.where(real_cols, m + cols, 0)], real_cols[..., None].astype(dt))
         masks = real_rows[:, :, None] & real_cols[:, None, :]
         return encoding_layer(u, hx, self.w_bilinear), masks
 

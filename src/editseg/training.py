@@ -229,7 +229,8 @@ def load_model(path):
     """Rebuild a model (plus vocab/conn/tokenization) from a checkpoint pair.
 
     The arrays must have exactly the names and shapes of the model that the
-    sidecar's config builds; anything else raises ``CheckpointError``.
+    sidecar's config builds; anything else raises ``CheckpointError``. They
+    are cast to the model's float32, so float64 files load too.
     """
     arrays, meta = load_checkpoint(path)
     sidecar_path = str(path) + ".json"
@@ -271,16 +272,16 @@ def load_model(path):
                 f"{path}: array {name!r} has shape {list(arrays[name].shape)}, "
                 f"but the sidecar's model config needs {list(shape)}"
             )
-    for name, p in model.parameters().items():
-        p.data = arrays[name].copy()
+    params = model.parameters()
+    for name, p in params.items():
+        p.data = arrays[name].astype(p.data.dtype)
     model.load_buffers(arrays)
     adam = None
     if "adam_step" in meta:
-        params = list(model.parameters())
         adam = K.AdamState(
             step=meta["adam_step"],
-            m=[arrays[f"adam.m.{n}"].copy() for n in params],
-            v=[arrays[f"adam.v.{n}"].copy() for n in params],
+            m=[arrays[f"adam.m.{n}"].astype(p.data.dtype) for n, p in params.items()],
+            v=[arrays[f"adam.v.{n}"].astype(p.data.dtype) for n, p in params.items()],
         )
     return model, vocab, conn, k, tokenization, meta, adam
 

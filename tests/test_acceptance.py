@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import _acceptance_registry
+from _float64 import to_float64
 
 from editseg import autodiff as ad
 from editseg import kernels as K
@@ -181,7 +182,7 @@ def test_criterion_3b_full_model_gradient_spot_check():
     from editseg.model import ModelConfig
 
     cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=3, base_channels=2)
-    model = RewriteModel(cfg, seed=7)
+    model = to_float64(RewriteModel(cfg, seed=7))  # finite differences need float64
     gold = np.zeros((4, 4), dtype=np.int8)
     gold[1:3, 1] = EditType.SUBSTITUTE
     gold[0, 2] = EditType.INSERT

@@ -1,5 +1,8 @@
 """Checkpoint binary format: round trip, determinism, and version gating."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,28 @@ def test_identical_state_gives_identical_bytes(tmp_path):
     save_checkpoint(tmp_path / "a", arrays, {"epoch": 1})
     save_checkpoint(tmp_path / "b", arrays, {"epoch": 1})
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_float32_round_trip_keeps_dtype_and_gives_identical_bytes(tmp_path):
+    arrays = {
+        "w": np.linspace(0, 1, 7, dtype=np.float32).reshape(7, 1),
+        "s": np.float32(0.1).reshape(()),
+        "d": np.linspace(0, 1, 3),
+    }
+    save_checkpoint(tmp_path / "a", arrays, {"epoch": 1})
+    save_checkpoint(tmp_path / "b", arrays, {"epoch": 1})
+    raw = (tmp_path / "a").read_bytes()
+    assert raw == (tmp_path / "b").read_bytes()
+    (n,) = struct.unpack_from("<I", raw)
+    header = json.loads(raw[4 : 4 + n])
+    assert {name: e["dtype"] for name, e in header["arrays"].items()} == {
+        "w": "<f4", "s": "<f4", "d": "<f8"
+    }
+    assert len(raw) == 4 + n + 4 * 8 + 8 * 3  # float32 payloads take 4 bytes a value
+    loaded, _ = load_checkpoint(tmp_path / "a")
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype
+        assert np.array_equal(loaded[name], arr)
 
 
 def test_unknown_format_tag_rejected(tmp_path):

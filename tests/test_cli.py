@@ -7,13 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from _float64 import to_float64
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import editseg
-from editseg.checkpoint import CheckpointError
+from editseg.checkpoint import CheckpointError, load_checkpoint
 from editseg.cli import main
+from editseg.data import load_dataset
+from editseg.dialogue import texts
+from editseg.generation import rewrite_from_matrix
+from editseg.model import encode_example
 from editseg.training import load_model
 
 
@@ -199,6 +205,8 @@ MALFORMED = {
     "arrays_missing": ("run", lambda h: h.pop("arrays")),
     "meta_missing": ("run", lambda h: h.pop("meta")),
     "offset_not_integer": ("run", lambda h: _first_array(h).update(offset="0")),
+    "dtype_integer": ("run", lambda h: _first_array(h).update(dtype="<i8")),
+    "dtype_half": ("run", lambda h: _first_array(h).update(dtype="<f2")),
     "tokenization_missing": ("sidecar", lambda s: s.pop("tokenization")),
     "connection_words_not_list": ("sidecar", lambda s: s.update(connection_words=5)),
     "connection_k_not_integer": ("sidecar", lambda s: s.update(connection_k="x")),
@@ -236,16 +244,73 @@ def test_malformed_header_is_one_json_error_line(workspace, tmp_path, capsys):
     assert len(err) == 1 and "arrays" in json.loads(err[0])["error"]
 
 
+def test_unknown_dtype_is_one_json_error_line(workspace, tmp_path, capsys):
+    ckpt = _copy_checkpoint(workspace, tmp_path)
+    _malform(ckpt, "dtype_integer")
+    out = tmp_path / "o.jsonl"
+    code = run_cli(["rewrite", "--checkpoint", str(ckpt),
+                    "--data", str(workspace / "dev.jsonl"), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "<i8" in json.loads(err[0])["error"]
+
+
+def _write_legacy_checkpoint(path, arrays, meta):
+    """A run-v1 file as written before arrays carried a dtype: float64 payloads only."""
+    names = sorted(arrays)
+    entries, offset = {}, 0
+    for name in names:
+        entries[name] = {"shape": list(arrays[name].shape), "offset": offset}
+        offset += 8 * arrays[name].size
+    header = {"format": "run-v1", "arrays": entries, "meta": meta}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(np.asarray(arrays[name], dtype="<f8").tobytes() for name in names)
+    Path(path).write_bytes(struct.pack("<I", len(blob)) + blob + payload)
+
+
+def test_legacy_float64_checkpoint_serves_in_float32(workspace, tmp_path):
+    model, vocab, conn, k, tokenization, meta, _ = load_model(workspace / "model.run")
+    wide = to_float64(model)
+    legacy = tmp_path / "legacy.run"
+    arrays = {name: p.data for name, p in wide.parameters().items()} | wide.buffers()
+    _write_legacy_checkpoint(legacy, arrays, meta)
+    Path(str(legacy) + ".json").write_bytes(Path(str(workspace / "model.run") + ".json").read_bytes())
+    assert b'"dtype"' not in legacy.read_bytes()
+    assert {a.dtype for a in load_checkpoint(legacy)[0].values()} == {np.dtype(np.float64)}
+
+    served = load_model(legacy)[0]
+    assert {p.data.dtype for p in served.parameters().values()} == {np.dtype(np.float32)}
+    examples = load_dataset(workspace / "dev.jsonl", tokenization)
+    for ex in examples:
+        enc = encode_example(ex, vocab, conn, k)
+        outs = [texts(rewrite_from_matrix(m.predict_encoded(enc), enc.x, enc.c)[0]) for m in (wide, served)]
+        assert outs[0] == outs[1]
+
+
+# Header dtypes a corrupted file may carry: valid, unknown, or not a string.
+DTYPE_TAGS = st.one_of(
+    st.sampled_from(["<f4", "<f8", ">f8", "f4", "<i8", "<f2", ""]), st.integers(), st.none()
+)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_corrupted_checkpoint_loads_or_raises_checkpoint_error(workspace, tmp_path, data):
     suffix = data.draw(st.sampled_from(["", ".json"]), label="file")
     raw = Path(str(workspace / "model.run") + suffix).read_bytes()
-    if data.draw(st.booleans(), label="truncate"):
+    corruption = data.draw(st.sampled_from(["truncate", "byte", "dtype"]), label="corruption")
+    if corruption == "truncate":
         raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
-    else:
+    elif corruption == "byte" or suffix:
         pos = data.draw(st.integers(0, len(raw) - 1), label="position")
         raw = raw[:pos] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[pos + 1 :]
+    else:
+
+        def set_dtype(header):
+            name = data.draw(st.sampled_from(sorted(header["arrays"])), label="array")
+            header["arrays"][name]["dtype"] = data.draw(DTYPE_TAGS, label="dtype")
+
+        raw = _edit_header(raw, set_dtype)
     ckpt = _copy_checkpoint(workspace, tmp_path)
     Path(str(ckpt) + suffix).write_bytes(raw)
     try:
@@ -277,6 +342,35 @@ def test_train_writes_the_connection_words_it_used(tmp_path):
     sidecar = json.loads(Path(str(ckpt) + ".json").read_text(encoding="utf-8"))
     written = Path(str(ckpt) + ".connwords.txt").read_text(encoding="utf-8").splitlines()
     assert written == sidecar["connection_words"] == ["and", "of"]
+
+
+# argparse's own errors, which printed usage text instead of JSON.
+USAGE_ERRORS = {
+    "invalid_int": ["synth", "--config", "{config}", "--out", "o.jsonl", "--num-examples", "x"],
+    "missing_subcommand": ["--config", "{config}"],
+    "unknown_flag": ["synth", "--out", "o.jsonl", "--bogus"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_are_one_json_error_line(tmp_path, capsys, case):
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": 1}', encoding="utf-8")
+    argv = [arg.format(config=config) for arg in USAGE_ERRORS[case]]
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and json.loads(err[0])["error"].startswith("editseg")
+    assert not captured.out
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["synth", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 GOOD_LINE = '{"context": ["a b c"], "current": "b c", "rewrite": "a b c"}\n'

@@ -541,3 +541,34 @@ def test_ops_bitwise_deterministic():
     assert l1 == l2
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gk1, gk2)
+
+
+# ---------------------------------------------------------------------------
+# grad_check preconditions
+
+
+@pytest.mark.parametrize(
+    "layout, found",
+    [("channels_last_view", "strided float64"), ("float32", "C-contiguous float32")],
+)
+def test_grad_check_refuses_parameters_it_cannot_probe(layout, found):
+    # A strided view is probed through a copy the computation never reads
+    # (every numeric gradient 0, rel-err 1.0), and float32 cannot resolve a
+    # ±1e-4 difference; either is refused, naming the parameter.
+    rng = rng_for(21)
+    nchw = rng.normal(size=(1, 2, 4, 4))
+    if layout == "channels_last_view":
+        xd = nchw.transpose(0, 2, 3, 1)
+    else:
+        xd = channels_last(nchw).astype(np.float32)
+    x = Tensor(xd, requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    probe = rng.normal(size=(1, 4, 4, 3))
+
+    def f():
+        return ad.tsum(ad.mul(K.conv2d(x, k), probe))
+
+    with pytest.raises(ValueError, match=rf"parameter 1 of shape \(1, 4, 4, 2\) is {found}"):
+        K.grad_check(f, [k, x])
+    x.data = np.ascontiguousarray(xd, dtype=np.float64)
+    assert K.grad_check(f, [k, x], h=H_STEP) < TOL

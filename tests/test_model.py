@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from _float64 import to_float64
 
 from editseg import autodiff as ad
 from editseg import generation
@@ -14,6 +15,7 @@ from editseg import model as model_module
 from editseg import supervision
 from editseg.autodiff import Tensor
 from editseg.dialogue import (
+    EMPTY_CONNECTION_WORDS,
     ConnectionWordList,
     DialogueExample,
     join_context,
@@ -30,6 +32,7 @@ from editseg.model import (
     encoding_layer,
 )
 from editseg.supervision import EditType, build_gold_matrix
+from editseg.training import load_model, save_model
 
 
 def toy_config(vocab_size=20, **kw):
@@ -313,10 +316,11 @@ def test_loss_all_none_with_confident_logits_near_zero():
 
 
 def test_loss_uniform_logits_all_none_is_ln3():
-    # With zeroed head the logits are all equal, so loss = w[None] * ln 3.
+    # With zeroed head the logits are all equal, so loss = w[None] * ln 3;
+    # rel=1e-9 needs float64.
     examples = toy_examples()
     vocab = Vocabulary.from_examples(examples)
-    model = RewriteModel(toy_config(vocab.size), seed=4)
+    model = to_float64(RewriteModel(toy_config(vocab.size), seed=4))
     model.head_w.data[:] = 0.0
     model.head_b.data[:] = 0.0
     batch = [encode_example(e, vocab, with_gold=True) for e in examples]
@@ -344,7 +348,7 @@ def test_full_model_gradient_spot_check():
     rng = np.random.default_rng(9)
     vocab = Vocabulary([f"w{i}" for i in range(8)])
     cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=3, base_channels=2)
-    model = RewriteModel(cfg, seed=7)
+    model = to_float64(RewriteModel(cfg, seed=7))  # finite differences need float64
     gold = np.zeros((4, 4), dtype=np.int8)
     gold[1:3, 1] = EditType.SUBSTITUTE
     gold[0, 2] = EditType.INSERT
@@ -460,3 +464,69 @@ def test_batch1_rewrite_calls_traced_kernels_through_module_attributes(monkeypat
     matrix = model.predict_encoded(encode_example(ex, vocab))
     generation.rewrite_from_matrix(matrix, prepare_incomplete(list(ex.incomplete)), join_context(ex))
     assert calls == {"lstm": 2, "conv2d": 8, "two_pass_label": 1}
+
+
+# ---------------------------------------------------------------------------
+# dtype
+
+
+def test_float32_end_to_end(tmp_path, monkeypatch):
+    """A training step, the Adam state, serving and a reloaded model stay float32.
+
+    A single float64 array in the graph (a bool or float64 padding mask, say)
+    would silently promote every node after it, so each node value and each
+    accumulated gradient is checked where the graph makes it.
+    """
+    examples = toy_examples()  # grids 6 x 4 and 2 x 5: both padded to 8 x 8
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(toy_config(vocab.size), seed=5)
+    batch = [encode_example(e, vocab, with_gold=True) for e in examples]
+    seen = []
+    node, accumulate = ad._node, ad._accumulate
+
+    def recording_node(data, parents, factory):
+        out = node(data, parents, factory)
+        seen.append(("value", out.data.dtype))
+        return out
+
+    def recording_accumulate(t, g):
+        accumulate(t, g)
+        seen.append(("grad", t.grad.dtype))
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    monkeypatch.setattr(ad, "_accumulate", recording_accumulate)
+    model.forward_loss(batch).backward()
+    assert {kind for kind, _ in seen} == {"value", "grad"}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
+    params = list(model.parameters().values())
+    assert all(np.isfinite(p.grad).all() for p in params)
+    adam = K.AdamState.for_params(params)
+    K.adam_step(params, [p.grad for p in params], adam, lr=1e-3)
+    stored = adam.m + adam.v + [p.data for p in params] + list(model.buffers().values())
+    assert {a.dtype for a in stored} == {np.dtype(np.float32)}
+
+    logits = []
+    segmentation_layer = model.segmentation_layer
+
+    def recording_segmentation(features, training):
+        out = segmentation_layer(features, training)
+        logits.append(out.data.dtype)
+        return out
+
+    monkeypatch.setattr(model, "segmentation_layer", recording_segmentation)
+    seen.clear()
+    model.predict_encoded(batch[0])
+    assert logits == [np.dtype(np.float32)]
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
+    path = tmp_path / "m.run"
+    save_model(path, model, vocab, EMPTY_CONNECTION_WORDS, 0, "whitespace", adam=adam, meta={})
+    loaded, *_, loaded_adam = load_model(path)
+    stored = (
+        [p.data for p in loaded.parameters().values()]
+        + list(loaded.buffers().values())
+        + loaded_adam.m
+        + loaded_adam.v
+    )
+    assert {a.dtype for a in stored} == {np.dtype(np.float32)}
