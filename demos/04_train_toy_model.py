@@ -13,12 +13,10 @@ from editseg import (
     RunConfig,
     generate_synthetic,
     load_model,
-    rewrite_from_matrix,
     save_dataset,
     texts,
     train,
 )
-from editseg.model import encode_example
 
 workdir = Path(tempfile.mkdtemp(prefix="editseg-demo-"))
 examples = generate_synthetic(SyntheticSpec(num_examples=600, seed=7))
@@ -42,11 +40,10 @@ config = RunConfig(
 result = train(config, log=print)
 print(f"\nbest dev EM {result.best_dev_em:.2f}; checkpoint at {result.best_checkpoint}")
 
-model, vocab, conn, k, _, _, _ = load_model(result.best_checkpoint)
+rw = load_model(result.best_checkpoint)
 print("\nsample rewrites from the dev set:")
 for ex in examples[500:506]:
-    enc = encode_example(ex, vocab, conn, k)
-    out, program = rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
+    out, program = rw.rewrite(ex)
     flag = "ok " if texts(out) == texts(ex.gold_rewrite) else "MISS"
     print(f"  [{flag}] {' '.join(texts(ex.incomplete))}")
     print(f"         -> {' '.join(texts(out))}")

@@ -40,12 +40,12 @@ config = RunConfig(
 print("training a small model (3 quick epochs; quality is not the point here)...")
 train(config, log=print)
 
-model, vocab, conn, k, _, _, _ = load_model(config.checkpoint_path)
+rw = load_model(config.checkpoint_path)
 bench_examples = generate_synthetic(benchmark_spec(num_examples=300, seed=21))
 lengths = sorted({len(ex.gold_rewrite) for ex in bench_examples})
 print(f"\nbenchmark corpus: fixed 8-word utterances, rewrite lengths {lengths}")
 
-report = bench_latency(model, vocab, bench_examples, conn, k)
+report = bench_latency(rw, bench_examples)
 print(json.dumps(report, indent=2))
 print(
     f"\nmodel invocations per sentence: {report['invocations']} "

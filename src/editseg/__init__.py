@@ -70,6 +70,7 @@ from .supervision import (
     pair_spans,
 )
 from .training import (
+    Rewriter,
     RunConfig,
     TrainingDiverged,
     TrainResult,
@@ -133,6 +134,7 @@ __all__ = [
     "locate_in_context",
     "mark_spans",
     "pair_spans",
+    "Rewriter",
     "RunConfig",
     "TrainingDiverged",
     "TrainResult",

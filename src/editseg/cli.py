@@ -31,9 +31,7 @@ from .dialogue import (
     texts,
     tokenize,
 )
-from .generation import rewrite_from_matrix
 from .metrics import evaluate_corpus
-from .model import encode_example
 from .supervision import Coverage, build_gold_matrix
 from .training import (
     RunConfig,
@@ -197,15 +195,13 @@ def cmd_train(args):
 
 
 def cmd_rewrite(args):
-    model, vocab, conn, k, tokenization, _, _ = load_model(args.checkpoint)
-    examples = load_dataset(args.data, tokenization)
+    rw = load_model(args.checkpoint)
     rows = []
-    for ex in examples:
-        enc = encode_example(ex, vocab, conn, k)
-        out, program = rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
+    for ex in load_dataset(args.data, rw.tokenization):
+        out, program = rw.rewrite(ex)
         rows.append(
             {
-                "rewrite_pred": detokenize(out, tokenization),
+                "rewrite_pred": detokenize(out, rw.tokenization),
                 "program": {
                     "substitutes": [list(s) for s in program.substitutes],
                     "inserts": [list(i) for i in program.inserts],
@@ -245,9 +241,8 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    model, vocab, conn, k, tokenization, _, _ = load_model(args.checkpoint)
-    examples = load_dataset(args.data, tokenization)
-    report = bench_latency(model, vocab, examples, conn, k)
+    rw = load_model(args.checkpoint)
+    report = bench_latency(rw, load_dataset(args.data, rw.tokenization))
     if report["invocations"] != 1:
         _fail(f"one-pass violation: {report['invocations']} invocations per example", code=3)
     _emit(report, args.out)

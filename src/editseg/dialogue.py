@@ -137,13 +137,16 @@ class ConnectionWordList:
                 fh.write(w + "\n")
 
     @staticmethod
+    def from_ranked(words) -> "ConnectionWordList":
+        """A list known by its order only, as files and sidecars persist it:
+        synthesize the non-increasing frequencies n, n - 1, ..., 1."""
+        words = tuple(words)
+        return ConnectionWordList(words, tuple(range(len(words), 0, -1)))
+
+    @staticmethod
     def load(path) -> "ConnectionWordList":
         with open(path, encoding="utf-8") as fh:
-            words = [line.rstrip("\n") for line in fh if line.strip()]
-        # Persisted files carry order but not counts; synthesize a valid
-        # non-increasing frequency vector.
-        n = len(words)
-        return ConnectionWordList(tuple(words), tuple(range(n, 0, -1)))
+            return ConnectionWordList.from_ranked(line.rstrip("\n") for line in fh if line.strip())
 
 
 EMPTY_CONNECTION_WORDS = ConnectionWordList()

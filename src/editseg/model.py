@@ -259,11 +259,7 @@ class RewriteModel:
         self.bns = {name: K.BatchNormParams.create(k.data.shape[0]) for name, k in self.convs.items()}
         self.head_w = K.xavier_uniform(rng, (2 * c0, N_EDIT_TYPES), 2 * c0, N_EDIT_TYPES)
         self.head_b = K.zeros_param(N_EDIT_TYPES)
-        for p in self.parameters().values():
-            p.data = p.data.astype(np.float32)
-        for bn in self.bns.values():
-            bn.running_mean = bn.running_mean.astype(np.float32)
-            bn.running_var = bn.running_var.astype(np.float32)
+        self.load_state(self.state())  # float32 from here on
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -285,18 +281,23 @@ class RewriteModel:
         params["head.b"] = self.head_b
         return params
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, bn in self.bns.items():
-            out[f"{name}.bn.running_mean"] = bn.running_mean
-            out[f"{name}.bn.running_var"] = bn.running_var
+    def _buffers(self):
+        """(checkpoint name, owner, attribute) of each batch-norm running statistic."""
+        stats = ("running_mean", "running_var")
+        return [(f"{name}.bn.{attr}", bn, attr) for name, bn in self.bns.items() for attr in stats]
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Every parameter's array and batch-norm statistic, by checkpoint name."""
+        out = {name: p.data for name, p in self.parameters().items()}
+        out.update((key, getattr(bn, attr)) for key, bn, attr in self._buffers())
         return out
 
-    def load_buffers(self, buffers: dict[str, np.ndarray]):
-        """Copy in running statistics, cast to the buffers' own dtype."""
-        for name, bn in self.bns.items():
-            bn.running_mean = buffers[f"{name}.bn.running_mean"].astype(bn.running_mean.dtype)
-            bn.running_var = buffers[f"{name}.bn.running_var"].astype(bn.running_var.dtype)
+    def load_state(self, arrays: dict[str, np.ndarray]):
+        """Assign each array that ``state`` names from ``arrays``, cast to float32."""
+        for name, p in self.parameters().items():
+            p.data = arrays[name].astype(np.float32)
+        for key, bn, attr in self._buffers():
+            setattr(bn, attr, arrays[key].astype(np.float32))
 
     def zero_grad(self):
         for p in self.parameters().values():

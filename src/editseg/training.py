@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .dialogue import (
     derive_connection_words,
     texts,
 )
-from .generation import rewrite_from_matrix
+from .generation import EditProgram, rewrite_from_matrix
 from .model import (
     EncodedExample,
     ModelConfig,
@@ -57,7 +57,7 @@ class TrainingDiverged(RuntimeError):
 # The type each RunConfig field must have; bools are refused as numbers.
 _FIELD_TYPES = {
     **dict.fromkeys(
-        ("train_path", "dev_path", "test_path", "labels_path", "checkpoint_path", "tokenization"),
+        ("train_path", "dev_path", "checkpoint_path", "tokenization"),
         (str, os.PathLike),
     ),
     **dict.fromkeys(
@@ -75,8 +75,6 @@ class RunConfig:
 
     train_path: str = ""
     dev_path: str = ""
-    test_path: str = ""
-    labels_path: str = ""
     checkpoint_path: str = "model.run"
 
     embed_dim: int = 100
@@ -189,49 +187,62 @@ def _batches_by_size(encoded: list[EncodedExample], order: np.ndarray, batch_siz
 # checkpoint plumbing
 
 
-def _model_arrays(model: RewriteModel, adam: K.AdamState | None):
-    arrays = {name: p.data for name, p in model.parameters().items()}
-    arrays.update(model.buffers())
-    if adam is not None:
-        for (name, _), m, v in zip(model.parameters().items(), adam.m, adam.v):
-            arrays[f"adam.m.{name}"] = m
-            arrays[f"adam.v.{name}"] = v
-    return arrays
+class Rewriter(NamedTuple):
+    """A trained model and what it was trained with: everything a rewrite needs."""
+
+    model: RewriteModel
+    vocab: Vocabulary
+    conn: ConnectionWordList
+    k: int
+    tokenization: str
+
+    def rewrite(self, example) -> tuple[list, EditProgram]:
+        """One model pass, then standardize and apply: (tokens, program)."""
+        enc = encode_example(example, self.vocab, self.conn, self.k)
+        return rewrite_from_matrix(self.model.predict_encoded(enc), enc.x, enc.c)
 
 
-def save_model(
-    path,
-    model: RewriteModel,
-    vocab: Vocabulary,
-    conn: ConnectionWordList,
-    k: int,
-    tokenization: str,
-    adam: K.AdamState | None = None,
-    meta: dict | None = None,
-):
+def _adam_arrays(model: RewriteModel, adam: K.AdamState) -> dict[str, np.ndarray]:
+    """Adam's moments by checkpoint name: ``adam.m.<parameter>``, ``adam.v.<parameter>``."""
+    names = list(model.parameters())
+    return {
+        f"adam.{kind}.{name}": moment
+        for kind, moments in (("m", adam.m), ("v", adam.v))
+        for name, moment in zip(names, moments)
+    }
+
+
+def save_model(path, rw: Rewriter, adam: K.AdamState | None = None, meta: dict | None = None):
     meta = dict(meta or {})
+    arrays = rw.model.state()
     if adam is not None:
         meta["adam_step"] = adam.step
-    save_checkpoint(path, _model_arrays(model, adam), meta)
+        arrays |= _adam_arrays(rw.model, adam)
+    save_checkpoint(path, arrays, meta)
     sidecar = {
         "format": FORMAT_TAG,
-        "model_config": model.config.to_dict(),
-        "tokenization": tokenization,
-        "vocab": vocab.words,
-        "connection_words": list(conn.words),
-        "connection_k": k,
+        "model_config": rw.model.config.to_dict(),
+        "tokenization": rw.tokenization,
+        "vocab": rw.vocab.words,
+        "connection_words": list(rw.conn.words),
+        "connection_k": rw.k,
     }
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, ensure_ascii=False, sort_keys=True)
 
 
-def load_model(path):
-    """Rebuild a model (plus vocab/conn/tokenization) from a checkpoint pair.
+def load_model(path) -> Rewriter:
+    """Rebuild a trained model from a checkpoint pair (``path`` and its sidecar).
 
     The arrays must have exactly the names and shapes of the model that the
     sidecar's config builds; anything else raises ``CheckpointError``. They
     are cast to the model's float32, so float64 files load too.
     """
+    return _load_run(path)[0]
+
+
+def _load_run(path) -> tuple[Rewriter, dict, K.AdamState | None]:
+    """``load_model`` plus the run's metadata and, if saved, the Adam state."""
     arrays, meta = load_checkpoint(path)
     sidecar_path = str(path) + ".json"
     with open(sidecar_path, encoding="utf-8") as fh:
@@ -246,7 +257,7 @@ def load_model(path):
             if type(k) is not int or not 0 <= k <= len(conn_words):
                 raise ValueError(f"connection_k {k!r} is not an integer in [0, {len(conn_words)}]")
             vocab = Vocabulary(words)
-            conn = ConnectionWordList(tuple(conn_words), tuple(range(len(conn_words), 0, -1)))
+            conn = ConnectionWordList.from_ranked(conn_words)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{sidecar_path}: bad sidecar: {exc!r}") from None
     if type(meta.get("adam_step", 0)) is not int:
@@ -256,11 +267,12 @@ def load_model(path):
             f"{sidecar_path}: {vocab.size} vocabulary ids but vocab_size {config.vocab_size}"
         )
     model = RewriteModel(config, seed=0)
-    expected = {name: p.data.shape for name, p in model.parameters().items()}
+    adam = None
     if "adam_step" in meta:
-        for name in model.parameters():
-            expected[f"adam.m.{name}"] = expected[f"adam.v.{name}"] = expected[name]
-    expected.update((name, b.shape) for name, b in model.buffers().items())
+        adam = K.AdamState.for_params(model.parameters().values())
+        adam.step = meta["adam_step"]
+    moments = {} if adam is None else _adam_arrays(model, adam)
+    expected = {name: a.shape for name, a in (model.state() | moments).items()}
     if set(arrays) != set(expected):
         raise CheckpointError(
             f"{path}: arrays missing {sorted(set(expected) - set(arrays))}, "
@@ -272,18 +284,10 @@ def load_model(path):
                 f"{path}: array {name!r} has shape {list(arrays[name].shape)}, "
                 f"but the sidecar's model config needs {list(shape)}"
             )
-    params = model.parameters()
-    for name, p in params.items():
-        p.data = arrays[name].astype(p.data.dtype)
-    model.load_buffers(arrays)
-    adam = None
-    if "adam_step" in meta:
-        adam = K.AdamState(
-            step=meta["adam_step"],
-            m=[arrays[f"adam.m.{n}"].astype(p.data.dtype) for n, p in params.items()],
-            v=[arrays[f"adam.v.{n}"].astype(p.data.dtype) for n, p in params.items()],
-        )
-    return model, vocab, conn, k, tokenization, meta, adam
+    model.load_state(arrays)
+    for name, moment in moments.items():
+        moment[...] = arrays[name]  # cast to the parameter's float32
+    return Rewriter(model, vocab, conn, k, tokenization), meta, adam
 
 
 def _is_str_list(value) -> bool:
@@ -314,16 +318,18 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
     history: list[EpochStats] = []
 
     if resume and Path(last_path).exists():
-        model, vocab, conn, k, _, meta, adam = load_model(last_path)
+        rw, meta, adam = _load_run(last_path)
         start_epoch = int(meta["epoch"]) + 1
         best_em = float(meta.get("best_dev_em", -1.0))
         log(f"resuming from {last_path} at epoch {start_epoch}")
     else:
         model = RewriteModel(config.model_config(vocab.size), seed=config.seed)
         adam = K.AdamState.for_params(list(model.parameters().values()))
+        rw = Rewriter(model, vocab, conn, k, mode.value)
+    model = rw.model
 
-    train_enc = [encode_example(ex, vocab, conn, k, with_gold=True) for ex in train_examples]
-    dev_enc = [encode_example(ex, vocab, conn, k, with_gold=True) for ex in dev_examples]
+    train_enc = [encode_example(ex, rw.vocab, rw.conn, rw.k, with_gold=True) for ex in train_examples]
+    dev_enc = [encode_example(ex, rw.vocab, rw.conn, rw.k, with_gold=True) for ex in dev_examples]
     # Context-free examples have zero-row matrices: no cells to supervise.
     skipped = sum(e.m == 0 for e in train_enc)
     if skipped:
@@ -370,57 +376,44 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
         if em > best_em:
             best_em = em
             epochs_since_best = 0
-            save_model(
-                best_path, model, vocab, conn, k, mode.value, adam=None,
-                meta={"epoch": epoch, "best_dev_em": best_em},
-            )
+            save_model(best_path, rw, meta={"epoch": epoch, "best_dev_em": best_em})
         else:
             epochs_since_best += 1
-        save_model(
-            last_path, model, vocab, conn, k, mode.value, adam=adam,
-            meta={"epoch": epoch, "best_dev_em": best_em},
-        )
+        save_model(last_path, rw, adam=adam, meta={"epoch": epoch, "best_dev_em": best_em})
 
-        reached_em = config.target_dev_em is not None and em >= config.target_dev_em
-        reached_acc = (
-            config.target_dev_cell_acc is not None and cell_acc >= config.target_dev_cell_acc
-        )
-        if (config.target_dev_em is None or reached_em) and (
-            config.target_dev_cell_acc is None or reached_acc
-        ):
-            if config.target_dev_em is not None or config.target_dev_cell_acc is not None:
-                log(f"targets reached at epoch {epoch}; stopping")
-                break
+        targets = ((em, config.target_dev_em), (cell_acc, config.target_dev_cell_acc))
+        reached = [value >= target for value, target in targets if target is not None]
+        if reached and all(reached):
+            log(f"targets reached at epoch {epoch}; stopping")
+            break
         if epochs_since_best > config.patience:
             log(f"no dev-EM improvement for {config.patience} epochs; stopping")
             break
 
-    return TrainResult(best_path, last_path, best_em, history, partial, conn)
+    return TrainResult(best_path, last_path, best_em, history, partial, rw.conn)
 
 
 # ---------------------------------------------------------------------------
 # latency benchmark
 
 
-def bench_latency(model, vocab, examples, conn=EMPTY_CONNECTION_WORDS, k=0, warmup=3):
-    """Per-example wall time of predict + standardize + apply, no batching.
+def bench_latency(rw: Rewriter, examples, warmup=3):
+    """Per-example wall time of ``rw.rewrite``: encode, predict, standardize
+    and apply, at batch 1.
 
     Tokenization and IO stay outside the timer. Also verifies the one-pass
     property: exactly one model invocation per example.
     """
-    encoded = [encode_example(ex, vocab, conn, k) for ex in examples]
-    for enc in encoded[:warmup]:
-        rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
+    for ex in examples[:warmup]:
+        rw.rewrite(ex)
 
-    times = []
-    out_lens = []
-    invocations = []
-    for enc in encoded:
-        before = model.invocations
+    times, out_lens, invocations = [], [], []
+    for ex in examples:
+        before = rw.model.invocations
         t0 = time.perf_counter()
-        out, _ = rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)
+        out, _ = rw.rewrite(ex)
         times.append((time.perf_counter() - t0) * 1000.0)
-        invocations.append(model.invocations - before)
+        invocations.append(rw.model.invocations - before)
         out_lens.append(len(out))
 
     times_arr = np.array(times)

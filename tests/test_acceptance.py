@@ -28,7 +28,7 @@ from editseg.dialogue import (
 )
 from editseg.generation import rewrite_from_matrix, two_pass_label
 from editseg.metrics import bleu_n, evaluate_corpus, exact_match, rewriting_prf, rouge_l, rouge_n
-from editseg.model import RewriteModel, Vocabulary, encode_example
+from editseg.model import RewriteModel, Vocabulary
 from editseg.supervision import Coverage, build_gold_matrix
 from editseg.training import RunConfig, bench_latency, load_model, train
 
@@ -317,9 +317,8 @@ def test_criterion_6_metric_fixtures():
 
 def test_criterion_7_one_pass_inference(trained):
     tmp, config, _, _ = trained
-    model, vocab, conn, k, _, _, _ = load_model(config.checkpoint_path)
     examples = generate_synthetic(benchmark_spec(num_examples=300, seed=21))
-    bench = bench_latency(model, vocab, examples, conn, k)
+    bench = bench_latency(load_model(config.checkpoint_path), examples)
     corr = bench["corr_time_vs_output_len"]
     ok = bench["invocations"] == 1 and abs(corr) < 0.3
     report(
@@ -332,16 +331,13 @@ def test_criterion_7_one_pass_inference(trained):
 
 def test_criterion_8_copy_restriction(trained):
     tmp, config, _, _ = trained
-    trained_model, vocab, conn, k, _, _, _ = load_model(config.checkpoint_path)
-    untrained = RewriteModel(trained_model.config, seed=321)
+    trained_rw = load_model(config.checkpoint_path)
+    untrained_rw = trained_rw._replace(model=RewriteModel(trained_rw.model.config, seed=321))
     examples = generate_synthetic(SyntheticSpec(num_examples=1000, seed=31))
     violations = 0
     for i, ex in enumerate(examples):
-        model = untrained if i < 700 else trained_model
-        enc = encode_example(ex, vocab, conn, k)
-        matrix = model.predict_encoded(enc)
-        c = join_context(ex, conn, k)
-        out, _ = rewrite_from_matrix(matrix, prepare_incomplete(list(ex.incomplete)), c)
+        out, _ = (untrained_rw if i < 700 else trained_rw).rewrite(ex)
+        c = join_context(ex, trained_rw.conn, trained_rw.k)
         allowed = {t.text for t in ex.incomplete}
         allowed.update(t.text for t in c.tokens if not t.is_special())
         if not {t.text for t in out} <= allowed:
@@ -366,14 +362,10 @@ def test_criterion_9_end_to_end_determinism(trained, tmp_path):
             seed=99,
         )
         train(config)
-        model, vocab, conn, k, _, _, _ = load_model(config.checkpoint_path)
-        rewrites = []
-        for ex in generate_synthetic(SyntheticSpec(num_examples=30, seed=8)):
-            matrix = model.predict_encoded(encode_example(ex, vocab, conn, k))
-            out, _ = rewrite_from_matrix(
-                matrix, prepare_incomplete(list(ex.incomplete)), join_context(ex, conn, k)
-            )
-            rewrites.append(texts(out))
+        rw = load_model(config.checkpoint_path)
+        rewrites = [
+            texts(rw.rewrite(ex)[0]) for ex in generate_synthetic(SyntheticSpec(num_examples=30, seed=8))
+        ]
         runs.append(
             (
                 (tmp_path / f"{name}.run").read_bytes(),

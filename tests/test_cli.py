@@ -18,8 +18,6 @@ from editseg.checkpoint import CheckpointError, load_checkpoint
 from editseg.cli import main
 from editseg.data import load_dataset
 from editseg.dialogue import texts
-from editseg.generation import rewrite_from_matrix
-from editseg.model import encode_example
 from editseg.training import load_model
 
 
@@ -269,22 +267,18 @@ def _write_legacy_checkpoint(path, arrays, meta):
 
 
 def test_legacy_float64_checkpoint_serves_in_float32(workspace, tmp_path):
-    model, vocab, conn, k, tokenization, meta, _ = load_model(workspace / "model.run")
-    wide = to_float64(model)
+    rw = load_model(workspace / "model.run")
+    wide = to_float64(rw.model)
     legacy = tmp_path / "legacy.run"
-    arrays = {name: p.data for name, p in wide.parameters().items()} | wide.buffers()
-    _write_legacy_checkpoint(legacy, arrays, meta)
+    _write_legacy_checkpoint(legacy, wide.state(), load_checkpoint(workspace / "model.run")[1])
     Path(str(legacy) + ".json").write_bytes(Path(str(workspace / "model.run") + ".json").read_bytes())
     assert b'"dtype"' not in legacy.read_bytes()
     assert {a.dtype for a in load_checkpoint(legacy)[0].values()} == {np.dtype(np.float64)}
 
-    served = load_model(legacy)[0]
-    assert {p.data.dtype for p in served.parameters().values()} == {np.dtype(np.float32)}
-    examples = load_dataset(workspace / "dev.jsonl", tokenization)
-    for ex in examples:
-        enc = encode_example(ex, vocab, conn, k)
-        outs = [texts(rewrite_from_matrix(m.predict_encoded(enc), enc.x, enc.c)[0]) for m in (wide, served)]
-        assert outs[0] == outs[1]
+    served = load_model(legacy)
+    assert {a.dtype for a in served.model.state().values()} == {np.dtype(np.float32)}
+    for ex in load_dataset(workspace / "dev.jsonl", rw.tokenization):
+        assert texts(rw._replace(model=wide).rewrite(ex)[0]) == texts(served.rewrite(ex)[0])
 
 
 # Header dtypes a corrupted file may carry: valid, unknown, or not a string.
@@ -386,6 +380,7 @@ BAD_INPUT = {
     "seed_not_integer": ("config", b'{"seed": "x"}'),
     "tokenization_unknown": ("config", b'{"tokenization": "morse"}'),
     "config_unknown_key": ("config", b'{"epoch": 3}'),
+    "config_deleted_key": ("config", b'{"test_path": "test.jsonl"}'),
     "synth_config_unknown_key": ("synth_config", b'{"num_exampels": 7}'),
     "synth_config_not_integer": ("synth_config", b'{"num_examples": 7.5}'),
     "synth_config_unknown_mode": ("synth_config", b'{"mode": "morse"}'),

@@ -1,6 +1,10 @@
-"""Package-level smoke: public API and the default-size configuration."""
+"""Package-level smoke: public API, the default-size configuration, and the
+calls the benchmark harness makes."""
+
+from collections import Counter
 
 import editseg
+from editseg import autodiff, generation, kernels, training
 from editseg import (
     ModelConfig,
     RewriteModel,
@@ -9,6 +13,7 @@ from editseg import (
     encode_example,
     generate_synthetic,
     rewrite_from_matrix,
+    save_dataset,
     texts,
 )
 
@@ -42,3 +47,76 @@ def test_rewrite_untrained_identity_on_empty_prediction():
     out = texts(rewrite_from_matrix(model.predict_encoded(enc), enc.x, enc.c)[0])
     allowed = {t.text for u in ex.context_utterances for t in u} | {t.text for t in ex.incomplete}
     assert set(out) <= allowed
+
+
+# What the benchmark harness (perfbench/run.py) wraps in timing spans, by owner.
+TRACED = {
+    editseg.model.RewriteModel: ("context_layer", "segmentation_layer", "zero_grad", "forward_loss"),
+    editseg.model: ("encoding_layer", "decode_matrix", "build_gold_matrix"),
+    kernels: ("lstm", "conv_bn_relu", "conv2d", "maxpool2", "deconv2", "linear",
+              "weighted_cross_entropy", "adam_step"),
+    autodiff.Tensor: ("backward",),
+    generation: ("two_pass_label", "min_cover_rect", "resolve_conflicts", "apply_edits"),
+    training: ("evaluate_model", "save_model"),
+}
+
+
+def test_benchmark_harness_calls_still_work(tmp_path, monkeypatch):
+    """The calls perfbench/run.py makes, exactly as it makes them; the harness
+    is frozen, so a refactor that breaks one of them fails here first."""
+    for owner, names in TRACED.items():
+        for name in names:
+            assert callable(getattr(owner, name)), name
+    examples = generate_synthetic(SyntheticSpec(num_examples=24, seed=3))
+    save_dataset(examples[:20], tmp_path / "train.jsonl")
+    save_dataset(examples[20:], tmp_path / "dev.jsonl")
+
+    # train() must reach these through the module, where the harness wraps them.
+    calls = Counter()
+    for name in ("save_model", "evaluate_model"):
+        original = getattr(training, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+    config = editseg.RunConfig(
+        train_path=str(tmp_path / "train.jsonl"),
+        dev_path=str(tmp_path / "dev.jsonl"),
+        checkpoint_path=str(tmp_path / "train.run"),
+        epochs=1, batch_size=8, lr=1e-3, seed=1, patience=1,
+        embed_dim=4, hidden_dim=3, base_channels=2,
+    )
+    result = editseg.train(config, log=None)
+    assert [h.train_loss for h in result.history] and calls == {"save_model": 2, "evaluate_model": 1}
+
+    model, vocab, conn, k, *_ = editseg.load_model(config.checkpoint_path)
+    serve = examples[20:]
+    encs = [editseg.encode_example(ex, vocab, conn, k) for ex in serve]
+    for ex in serve:
+        x, c = editseg.prepare_incomplete(list(ex.incomplete)), editseg.join_context(ex, conn, k)
+        gold = editseg.build_gold_matrix(ex, conn, k)[0]
+        assert texts(editseg.rewrite_from_matrix(gold, x, c)[0]) == texts(ex.gold_rewrite)
+        assert editseg.model.encode_example(ex, vocab, with_gold=True).gold is not None
+
+    # Batch 1; the harness names conv blocks by the kernel tensor, the second argument.
+    kernel_ids = []
+    conv_bn_relu = kernels.conv_bn_relu
+
+    def recording_conv_bn_relu(x, kernel, *args):
+        kernel_ids.append(id(kernel))
+        return conv_bn_relu(x, kernel, *args)
+
+    monkeypatch.setattr(kernels, "conv_bn_relu", recording_conv_bn_relu)
+    before = model.invocations
+    matrices = [model.predict_encoded(enc) for enc in encs]
+    assert model.invocations - before == len(encs)
+    assert set(kernel_ids) == {id(kernel) for kernel in model.convs.values()}
+
+    # Batched.
+    with editseg.no_grad():
+        features, _ = model.feature_batch(encs)
+        logits = model.segmentation_layer(features, training=False)
+    for pos, (enc, matrix) in enumerate(zip(encs, matrices)):
+        assert editseg.model.decode_matrix(logits.data[pos], enc.m, enc.nx).shape == matrix.shape

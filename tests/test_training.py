@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from editseg import training
 from editseg.data import SyntheticSpec, generate_synthetic, save_dataset
 from editseg.training import (
     RunConfig,
@@ -11,7 +12,7 @@ from editseg.training import (
     save_model,
     train,
 )
-from editseg.model import RewriteModel, encode_example
+from editseg.model import encode_example
 
 
 def small_config(tmp_path, name="model.run", **kw):
@@ -79,31 +80,25 @@ def test_resume_reproduces_uninterrupted_trajectory(corpus):
 def test_checkpoint_round_trip_preserves_predictions(corpus):
     cfg = small_config(corpus, epochs=1)
     train(cfg)
-    model, vocab, conn, k, tokenization, meta, _ = load_model(str(corpus / "model.run"))
-    assert tokenization == "whitespace"
-    examples = generate_synthetic(SyntheticSpec(num_examples=3, seed=2))
-    fresh = RewriteModel(model.config, seed=99)  # different init
-    for ex in examples:
-        enc = encode_example(ex, vocab, conn, k)
-        a = model.predict_encoded(enc)
-        b = model.predict_encoded(enc)
-        assert np.array_equal(a, b)
-    # Save/load again: arrays identical.
-    save_model(str(corpus / "copy.run"), model, vocab, conn, k, tokenization)
-    model2, *_ = load_model(str(corpus / "copy.run"))
-    for (n1, p1), (n2, p2) in zip(
-        model.parameters().items(), model2.parameters().items()
-    ):
-        assert n1 == n2
-        assert np.array_equal(p1.data, p2.data)
+    rw = load_model(str(corpus / "model.run"))
+    assert rw.tokenization == "whitespace"
+    # Save/load again: arrays and predictions identical.
+    save_model(str(corpus / "copy.run"), rw)
+    copy = load_model(str(corpus / "copy.run"))
+    assert copy.model.state().keys() == rw.model.state().keys()
+    for name, array in rw.model.state().items():
+        assert np.array_equal(array, copy.model.state()[name])
+    for ex in generate_synthetic(SyntheticSpec(num_examples=3, seed=2)):
+        enc = encode_example(ex, rw.vocab, rw.conn, rw.k)
+        assert np.array_equal(rw.model.predict_encoded(enc), copy.model.predict_encoded(enc))
 
 
 def test_bench_reports_schema_and_one_invocation(corpus):
     cfg = small_config(corpus, epochs=1)
     train(cfg)
-    model, vocab, conn, k, _, _, _ = load_model(str(corpus / "model.run"))
+    rw = load_model(str(corpus / "model.run"))
     examples = generate_synthetic(SyntheticSpec(num_examples=12, seed=3))
-    report = bench_latency(model, vocab, examples, conn, k, warmup=1)
+    report = bench_latency(rw, examples, warmup=1)
     assert set(report) >= {"mean_ms", "median_ms", "p95_ms", "invocations"}
     assert report["invocations"] == 1
     assert report["mean_ms"] > 0
@@ -115,8 +110,7 @@ def test_training_with_connection_words(tmp_path):
     import json
 
     from editseg.data import load_dataset
-    from editseg.dialogue import join_context, prepare_incomplete, texts
-    from editseg.generation import rewrite_from_matrix
+    from editseg.dialogue import join_context, texts
 
     rows = []
     fillers = ["red", "blue", "tall", "old", "new", "grey", "big", "wee"]
@@ -142,9 +136,9 @@ def test_training_with_connection_words(tmp_path):
     assert sidecar["connection_words"] == ["of"]
     assert sidecar["connection_k"] == 1  # clamped to the derived list length
 
-    model, vocab, conn, k, _, _, _ = load_model(str(tmp_path / "model.run"))
+    rw = load_model(str(tmp_path / "model.run"))
     ex = load_dataset(tmp_path / "dev.jsonl")[0]
-    c = join_context(ex, conn, k)
+    c = join_context(ex, rw.conn, rw.k)
     assert texts(c.tokens)[-1] == "of"
 
 
@@ -164,3 +158,27 @@ def test_empty_context_examples_are_skipped_not_fatal(tmp_path):
     result = train(cfg, log=logs.append)
     assert any("empty-context" in line for line in logs)
     assert len(result.history) == 1
+
+
+# Scripted dev metrics, (cell accuracy, exact match) per epoch. EM first
+# reaches 0.5 at epoch 1 and cell accuracy 0.9 at epoch 2, but EM dips below
+# 0.5 there, so both targets first hold together at epoch 3.
+DEV_METRICS = [(0.5, 0.0), (0.7, 0.5), (0.9, 0.25), (0.95, 0.5), (0.99, 1.0), (1.0, 1.0)]
+TARGET_CASES = {
+    "em_only": ({"target_dev_em": 0.5}, 2),
+    "cell_acc_only": ({"target_dev_cell_acc": 0.9}, 3),
+    "both": ({"target_dev_em": 0.5, "target_dev_cell_acc": 0.9}, 4),
+    "none": ({}, len(DEV_METRICS)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGET_CASES))
+def test_training_stops_at_first_epoch_meeting_every_set_target(corpus, monkeypatch, case):
+    targets, epochs_run = TARGET_CASES[case]
+    scripted = iter(DEV_METRICS)
+    monkeypatch.setattr(training, "evaluate_model", lambda model, batch, examples: next(scripted))
+    cfg = small_config(
+        corpus, epochs=len(DEV_METRICS), patience=100, embed_dim=4, hidden_dim=3, base_channels=2, **targets
+    )
+    result = train(cfg)
+    assert [(h.dev_cell_acc, h.dev_em) for h in result.history] == DEV_METRICS[:epochs_run]
