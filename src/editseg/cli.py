@@ -242,7 +242,10 @@ def cmd_eval(args):
 
 def cmd_bench(args):
     rw = load_model(args.checkpoint)
-    report = bench_latency(rw, load_dataset(args.data, rw.tokenization))
+    examples = load_dataset(args.data, rw.tokenization)
+    if not examples:
+        _fail(f"{args.data}: no examples to time")
+    report = bench_latency(rw, examples)
     if report["invocations"] != 1:
         _fail(f"one-pass violation: {report['invocations']} invocations per example", code=3)
     _emit(report, args.out)
@@ -261,11 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
-        p.add_argument("--seed", type=int, default=None, help="global random seed")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     add_common(p)
-    p.set_defaults(seed=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed of the generator")
     p.add_argument("--out", required=True)
     p.add_argument("--num-examples", type=int, default=1000, dest="num_examples")
     p.add_argument("--vocab-size", type=int, default=50, dest="vocab_size")
@@ -292,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-path", dest="train_path")
     p.add_argument("--dev-path", dest="dev_path")
     p.add_argument("--checkpoint-path", dest="checkpoint_path")
+    p.add_argument("--seed", type=int, default=None, help="seed of the initial weights and the shuffles")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     p.add_argument("--lr", type=float, default=None)

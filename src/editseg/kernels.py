@@ -7,8 +7,12 @@ same-padded convolution fused with batch norm and ReLU, 2x2 max pooling,
 Adam, and a finite-difference gradient checker. No ML framework underneath,
 just numpy. Every kernel computes and allocates in its inputs' dtype: the
 model runs in float32, and the gradient checks run the same kernels on
-float64 inputs. The initializers here draw float64; ``RewriteModel`` stores
-its parameters as float32.
+float64 inputs.
+
+Kernels take their weights as plain tensors, and batch norm its running
+statistics as arrays it updates in place. Which arrays a model has, and
+their names, shapes and initial values, is listed in one place only:
+``model.array_table``.
 
 Every op takes a batch. Sequences are (B, L, E); images are channels-last
 (B, H, W, C), the layout the pair-feature layer writes, so the U-Net runs
@@ -38,23 +42,6 @@ from .autodiff import Tensor
 
 
 # ---------------------------------------------------------------------------
-# initialization
-
-
-def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-
-def zeros_param(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def embedding_init(rng: np.random.Generator, vocab: int, dim: int) -> Tensor:
-    return Tensor(rng.normal(0.0, 0.1, size=(vocab, dim)), requires_grad=True)
-
-
-# ---------------------------------------------------------------------------
 # embedding
 
 
@@ -72,42 +59,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # LSTM
 
 
-@dataclass
-class LSTMParams:
-    """One direction: input and recurrent weights plus bias, gate order i,f,g,o."""
-
-    w_ih: Tensor  # (E, 4H)
-    w_hh: Tensor  # (H, 4H)
-    b: Tensor  # (4H,)
-
-    def tensors(self):
-        return [self.w_ih, self.w_hh, self.b]
-
-
-@dataclass
-class BiLSTMParams:
-    fwd: LSTMParams
-    bwd: LSTMParams
-
-    def tensors(self):
-        return self.fwd.tensors() + self.bwd.tensors()
-
-
-def lstm_params_init(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> LSTMParams:
-    return LSTMParams(
-        w_ih=xavier_uniform(rng, (input_dim, 4 * hidden_dim), input_dim, 4 * hidden_dim),
-        w_hh=xavier_uniform(rng, (hidden_dim, 4 * hidden_dim), hidden_dim, 4 * hidden_dim),
-        b=zeros_param(4 * hidden_dim),
-    )
-
-
-def bilstm_params_init(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> BiLSTMParams:
-    return BiLSTMParams(
-        fwd=lstm_params_init(rng, input_dim, hidden_dim),
-        bwd=lstm_params_init(rng, input_dim, hidden_dim),
-    )
-
-
 def _sigmoid_(z):
     """In-place logistic function, same arithmetic as ``1 / (1 + exp(-z))``."""
     np.negative(z, out=z)
@@ -116,8 +67,10 @@ def _sigmoid_(z):
     np.reciprocal(z, out=z)
 
 
-def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> Tensor:
+def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse: bool = False) -> Tensor:
     """Unidirectional LSTM over right-padded ``x`` (B, L, E) -> (B, L, H).
+
+    ``w_ih`` is (E, 4H), ``w_hh`` (H, 4H) and ``b`` (4H,), gate order i, f, g, o.
 
     The scan runs time-major. Each sequence is first gathered into scan
     order: position t for the forward direction, ``length - 1 - t`` for the
@@ -136,7 +89,7 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
     """
     xd = x.data
     B, L, E = xd.shape
-    H = params.w_hh.data.shape[0]
+    H = w_hh.data.shape[0]
     if lengths is None:
         lengths = np.full(B, L, dtype=np.int64)
     else:
@@ -152,7 +105,6 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
         order = np.where(valid, lengths - 1 - steps[:, None], order)
     rows = np.arange(B)
 
-    w_ih, w_hh, b = params.w_ih, params.w_hh, params.b
     xs = xd[rows, order]  # (L, B, E), scan order
     gates = (xs.reshape(L * B, E) @ w_ih.data + b.data).reshape(L, B, 4 * H)
     dt = gates.dtype
@@ -215,11 +167,12 @@ def lstm(x: Tensor, params: LSTMParams, lengths=None, reverse: bool = False) -> 
     return ad._node(out, (x, w_ih, w_hh, b), factory)
 
 
-def bilstm(x: Tensor, params: BiLSTMParams, lengths=None) -> Tensor:
-    """Bidirectional LSTM, (B, L, E) -> (B, L, 2H); forward states first."""
-    fwd = lstm(x, params.fwd, lengths=lengths, reverse=False)
-    bwd = lstm(x, params.bwd, lengths=lengths, reverse=True)
-    return ad.concat([fwd, bwd], axis=2)
+def bilstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
+    """Bidirectional LSTM, (B, L, E) -> (B, L, 2H); forward states first.
+
+    ``fwd`` and ``bwd`` are each direction's ``(w_ih, w_hh, b)``.
+    """
+    return ad.concat([lstm(x, *fwd, lengths=lengths), lstm(x, *bwd, lengths=lengths, reverse=True)], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,38 +332,18 @@ BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
 BN_EPS = 1e-5
 
 
-@dataclass
-class BatchNormParams:
-    """Per-channel scale/shift plus running statistics for eval mode."""
-
-    gamma: Tensor
-    beta: Tensor
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    @staticmethod
-    def create(channels: int) -> "BatchNormParams":
-        return BatchNormParams(
-            gamma=Tensor(np.ones(channels), requires_grad=True),
-            beta=zeros_param(channels),
-            running_mean=np.zeros(channels),
-            running_var=np.ones(channels),
-        )
-
-
-def bn_relu(y: Tensor, bn: BatchNormParams, training: bool) -> Tensor:
+def bn_relu(y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool) -> Tensor:
     """ReLU(batch norm(y)) over the channels (last axis) of (B, H, W, C), one node.
 
     Training normalizes by the batch's mean and biased variance over
-    (B, H, W) and moves the running statistics toward them. Eval folds the
-    running statistics into one per-channel scale and shift. The backward is
-    the closed form of Ioffe & Szegedy (2015): with g the output gradient
-    passed through the ReLU, x̂ the normalized input and n = B·H·W,
+    (B, H, W) and moves the running statistics toward them, in place. Eval
+    folds the running statistics into one per-channel scale and shift. The
+    backward is the closed form of Ioffe & Szegedy (2015): with g the output
+    gradient passed through the ReLU, x̂ the normalized input and n = B·H·W,
     dy = γ/σ · (g - Σg/n - x̂ · Σ(g·x̂)/n) in training, and dy = γ/σ · g in
     eval, where the statistics are constants.
     """
     yd = y.data
-    gamma, beta = bn.gamma, bn.beta
     axes = (0, 1, 2)
     if training:
         mu = yd.mean(axis=axes)
@@ -420,11 +353,12 @@ def bn_relu(y: Tensor, bn: BatchNormParams, training: bool) -> Tensor:
         xhat *= inv
         out = xhat * gamma.data
         out += beta.data
-        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mu
-        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * var
+        for stat, batch_stat in ((running_mean, mu), (running_var, var)):
+            stat *= 1.0 - BN_MOMENTUM
+            stat += BN_MOMENTUM * batch_stat
     else:
-        mu = bn.running_mean
-        inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
+        mu = running_mean
+        inv = 1.0 / np.sqrt(running_var + BN_EPS)
         scale = gamma.data * inv
         out = yd * scale
         out += beta.data - mu * scale
@@ -454,12 +388,14 @@ def bn_relu(y: Tensor, bn: BatchNormParams, training: bool) -> Tensor:
     return ad._node(out, (y, gamma, beta), factory)
 
 
-def conv_bn_relu(x: Tensor, kernels: Tensor, bn: BatchNormParams, training: bool) -> Tensor:
+def conv_bn_relu(
+    x: Tensor, kernels: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool
+) -> Tensor:
     """Conv module of the segmentation net: 3x3 ``conv2d``, then ``bn_relu``.
 
     Channels-last (B, H, W, C) -> (B, H, W, C'); ``kernels`` is (C', C, 3, 3).
     """
-    return bn_relu(conv2d(x, kernels), bn, training)
+    return bn_relu(conv2d(x, kernels), gamma, beta, running_mean, running_var, training)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +461,11 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tenso
 # optimization
 
 
+ADAM_BETA1 = 0.9  # decay of the first-moment estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment estimate
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates, one slot per parameter."""
@@ -532,9 +473,6 @@ class AdamState:
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params) -> "AdamState":
@@ -547,7 +485,7 @@ class AdamState:
 def adam_step(params, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update; mutates parameter data in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -557,7 +495,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

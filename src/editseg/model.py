@@ -10,10 +10,17 @@ UNet-style encoder/decoder segments into None / Substitute / Insert cells.
 A batch's images are built at once, zero-padded to one grid, by a single
 ``encoding_layer`` node. One forward pass yields the whole edit matrix, so
 inference cost does not grow with output length.
+
+``array_table`` is the one place the model's arrays are listed, by
+checkpoint name and shape. ``RewriteModel`` keeps them in one store under
+those names, draws them from a seed or takes them from a checkpoint, and
+every layer, ``parameters``, ``state`` and the checkpoint code read them
+from there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -215,93 +222,120 @@ def decode_matrix(logits: np.ndarray, m: int, nx: int) -> np.ndarray:
     return logits[:m, :nx].argmax(axis=2).astype(np.int8)
 
 
-class RewriteModel:
-    """Parameters plus the forward passes for training and prediction.
+# The U-Net's conv blocks, (name, output channels, input channels) in units
+# of the base width C0; ``None`` stands for the feature channels D. Channel
+# path: D -> C0 -> C0 | pool -> 2C0 -> 2C0 | pool -> 4C0 -> 4C0 -> deconv 2C0
+# (+2C0 skip) -> 2C0 -> 2C0 -> deconv C0 (+C0 skip) -> head 2C0 -> 3.
+CONV_BLOCKS = (
+    ("down1.conv1", 1, None),
+    ("down1.conv2", 1, 1),
+    ("down2.conv1", 2, 1),
+    ("down2.conv2", 2, 2),
+    ("up1.conv1", 4, 2),
+    ("up1.conv2", 4, 4),
+    ("up2.conv1", 2, 4),
+    ("up2.conv2", 2, 2),
+)
+BN_STATS = ("running_mean", "running_var")
 
-    Parameters and batch-norm statistics are float32, and so is everything
-    computed from them: activations, gradients and Adam moments.
+
+def array_table(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every array of the model by checkpoint name, with its shape, in draw order.
+
+    This is the one place the model's arrays are listed: 36 parameters and
+    16 batch-norm running statistics (``*.bn.running_mean``,
+    ``*.bn.running_var``), which are state but not parameters. The
+    initializer of each array follows from its name (``initial_value``).
+    """
+    e, h, c0 = config.embed_dim, config.hidden_dim, config.base_channels
+    table = {"embedding": (config.vocab_size, e)}
+    for direction in ("fwd", "bwd"):
+        table[f"lstm.{direction}.w_ih"] = (e, 4 * h)
+        table[f"lstm.{direction}.w_hh"] = (h, 4 * h)
+        table[f"lstm.{direction}.b"] = (4 * h,)
+    table["bilinear.w"] = (2 * h, 2 * h)
+    for name, c_out, c_in in CONV_BLOCKS:
+        table[f"{name}.k"] = (c_out * c0, config.feature_channels if c_in is None else c_in * c0, 3, 3)
+        for part in ("gamma", "beta", *BN_STATS):
+            table[f"{name}.bn.{part}"] = (c_out * c0,)
+    table["up1.deconv.k"] = (4 * c0, 2 * c0, 2, 2)
+    table["up2.deconv.k"] = (2 * c0, c0, 2, 2)
+    table["head.w"] = (2 * c0, N_EDIT_TYPES)
+    table["head.b"] = (N_EDIT_TYPES,)
+    return table
+
+
+def is_parameter(name: str) -> bool:
+    return not name.endswith(BN_STATS)
+
+
+def initial_value(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 initial value of the array ``name``; only some draw from ``rng``.
+
+    The embedding is N(0, 0.1); biases, batch-norm shifts and running means
+    are zeros; batch-norm scales and running variances are ones. Every other
+    array is a weight, Xavier-uniform with fan-in + fan-out
+    (s0 + s1) · s2 · s3 · ... for shape (s0, s1, s2, ...).
+    """
+    if name == "embedding":
+        return rng.normal(0.0, 0.1, size=shape)
+    if name.endswith((".b", "beta", "running_mean")):
+        return np.zeros(shape)
+    if name.endswith(("gamma", "running_var")):
+        return np.ones(shape)
+    limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+class RewriteModel:
+    """The model's arrays plus the forward passes for training and prediction.
+
+    ``tensors`` holds every array that ``array_table`` names, as a float32
+    ``Tensor`` under its checkpoint name; parameters require gradients and
+    the batch-norm running statistics do not. Everything computed from them
+    is float32 too: activations, gradients and Adam moments.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self._adopt(config, {name: initial_value(rng, name, shape) for name, shape in array_table(config).items()})
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "RewriteModel":
+        """The model holding ``arrays``, cast to float32; nothing is drawn.
+
+        ``arrays`` must have exactly the names and shapes of
+        ``array_table(config)``, which the caller checks.
+        """
+        model = cls.__new__(cls)
+        model._adopt(config, arrays)
+        return model
+
+    def _adopt(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
         self.config = config
         self.invocations = 0  # one per predicted example, by construction
-        rng = np.random.default_rng(seed)
-        e, h, c0 = config.embed_dim, config.hidden_dim, config.base_channels
-        d = config.feature_channels
-
-        self.embedding = K.embedding_init(rng, config.vocab_size, e)
-        self.lstm = K.bilstm_params_init(rng, e, h)
-        self.w_bilinear = K.xavier_uniform(rng, (2 * h, 2 * h), 2 * h, 2 * h)
-
-        def conv(c_out, c_in):
-            return K.xavier_uniform(rng, (c_out, c_in, 3, 3), c_in * 9, c_out * 9)
-
-        def deconv(c_in, c_out):
-            return K.xavier_uniform(rng, (c_in, c_out, 2, 2), c_in * 4, c_out * 4)
-
-        # Channel path: D -> C0 -> C0 | pool -> 2C0 -> 2C0 | pool
-        # -> 4C0 -> 4C0 -> deconv 2C0 (+2C0 skip) -> 2C0 -> 2C0 -> deconv C0
-        # (+C0 skip) -> head 2C0 -> 3.
-        self.convs = {
-            "down1.conv1": conv(c0, d),
-            "down1.conv2": conv(c0, c0),
-            "down2.conv1": conv(2 * c0, c0),
-            "down2.conv2": conv(2 * c0, 2 * c0),
-            "up1.conv1": conv(4 * c0, 2 * c0),
-            "up1.conv2": conv(4 * c0, 4 * c0),
-            "up2.conv1": conv(2 * c0, 4 * c0),
-            "up2.conv2": conv(2 * c0, 2 * c0),
+        self.tensors = {
+            name: Tensor(arrays[name].astype(np.float32), requires_grad=is_parameter(name))
+            for name in array_table(config)
         }
-        self.deconvs = {
-            "up1.deconv": deconv(4 * c0, 2 * c0),
-            "up2.deconv": deconv(2 * c0, c0),
-        }
-        self.bns = {name: K.BatchNormParams.create(k.data.shape[0]) for name, k in self.convs.items()}
-        self.head_w = K.xavier_uniform(rng, (2 * c0, N_EDIT_TYPES), 2 * c0, N_EDIT_TYPES)
-        self.head_b = K.zeros_param(N_EDIT_TYPES)
-        self.load_state(self.state())  # float32 from here on
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"embedding": self.embedding}
-        for direction in ("fwd", "bwd"):
-            lp = getattr(self.lstm, direction)
-            params[f"lstm.{direction}.w_ih"] = lp.w_ih
-            params[f"lstm.{direction}.w_hh"] = lp.w_hh
-            params[f"lstm.{direction}.b"] = lp.b
-        params["bilinear.w"] = self.w_bilinear
-        for name, k in self.convs.items():
-            params[f"{name}.k"] = k
-            params[f"{name}.bn.gamma"] = self.bns[name].gamma
-            params[f"{name}.bn.beta"] = self.bns[name].beta
-        for name, k in self.deconvs.items():
-            params[f"{name}.k"] = k
-        params["head.w"] = self.head_w
-        params["head.b"] = self.head_b
-        return params
+    @property
+    def convs(self) -> dict[str, Tensor]:
+        """Each conv block's kernel by block name (``down1.conv1``, ...)."""
+        return {name: self.tensors[f"{name}.k"] for name, _, _ in CONV_BLOCKS}
 
-    def _buffers(self):
-        """(checkpoint name, owner, attribute) of each batch-norm running statistic."""
-        stats = ("running_mean", "running_var")
-        return [(f"{name}.bn.{attr}", bn, attr) for name, bn in self.bns.items() for attr in stats]
+    def parameters(self) -> dict[str, Tensor]:
+        return {name: t for name, t in self.tensors.items() if t.requires_grad}
 
     def state(self) -> dict[str, np.ndarray]:
         """Every parameter's array and batch-norm statistic, by checkpoint name."""
-        out = {name: p.data for name, p in self.parameters().items()}
-        out.update((key, getattr(bn, attr)) for key, bn, attr in self._buffers())
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        """Assign each array that ``state`` names from ``arrays``, cast to float32."""
-        for name, p in self.parameters().items():
-            p.data = arrays[name].astype(np.float32)
-        for key, bn, attr in self._buffers():
-            setattr(bn, attr, arrays[key].astype(np.float32))
+        return {name: t.data for name, t in self.tensors.items()}
 
     def zero_grad(self):
-        for p in self.parameters().values():
-            p.zero_grad()
+        for t in self.tensors.values():
+            t.zero_grad()
 
     # -- layers ----------------------------------------------------------------
 
@@ -316,8 +350,10 @@ class RewriteModel:
         ids = np.zeros((len(batch), lmax), dtype=np.int64)
         for i, ex in enumerate(batch):
             ids[i, : len(ex.ids)] = ex.ids
-        emb = K.embedding_lookup(self.embedding, ids)
-        return K.bilstm(emb, self.lstm, lengths=lengths)
+        t = self.tensors
+        emb = K.embedding_lookup(t["embedding"], ids)
+        fwd, bwd = ([t[f"lstm.{d}.{w}"] for w in ("w_ih", "w_hh", "b")] for d in ("fwd", "bwd"))
+        return K.bilstm(emb, fwd, bwd, lengths=lengths)
 
     def feature_batch(self, batch: list[EncodedExample]):
         """Encode a batch into one padded (B, H, W, D) feature image + mask.
@@ -341,7 +377,7 @@ class RewriteModel:
         u = ad.mul(enc[b, np.where(real_rows, rows, 0)], real_rows[..., None].astype(dt))
         hx = ad.mul(enc[b, np.where(real_cols, m + cols, 0)], real_cols[..., None].astype(dt))
         masks = real_rows[:, :, None] & real_cols[:, None, :]
-        return encoding_layer(u, hx, self.w_bilinear), masks
+        return encoding_layer(u, hx, self.tensors["bilinear.w"]), masks
 
     def segmentation_layer(self, features: Tensor, training: bool) -> Tensor:
         """U-shaped encoder/decoder over the feature image -> per-cell logits.
@@ -353,16 +389,19 @@ class RewriteModel:
         then a per-cell affine head to the three edit types.
         """
 
+        t = self.tensors
+
         def block(x, name):
-            return K.conv_bn_relu(x, self.convs[name], self.bns[name], training)
+            gamma, beta, mean, var = (t[f"{name}.bn.{a}"] for a in ("gamma", "beta", *BN_STATS))
+            return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training)
 
         d1 = block(block(features, "down1.conv1"), "down1.conv2")
         d2 = block(block(K.maxpool2(d1), "down2.conv1"), "down2.conv2")
         bottom = block(block(K.maxpool2(d2), "up1.conv1"), "up1.conv2")
-        u1 = ad.concat([K.deconv2(bottom, self.deconvs["up1.deconv"]), d2], axis=3)
+        u1 = ad.concat([K.deconv2(bottom, t["up1.deconv.k"]), d2], axis=3)
         u2 = block(block(u1, "up2.conv1"), "up2.conv2")
-        u2 = ad.concat([K.deconv2(u2, self.deconvs["up2.deconv"]), d1], axis=3)
-        return K.linear(u2, self.head_w, self.head_b)
+        u2 = ad.concat([K.deconv2(u2, t["up2.deconv.k"]), d1], axis=3)
+        return K.linear(u2, t["head.w"], t["head.b"])
 
     # -- objectives -------------------------------------------------------------
 

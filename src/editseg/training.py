@@ -36,7 +36,9 @@ from .model import (
     RewriteModel,
     Vocabulary,
     _pad4,
+    array_table,
     encode_example,
+    is_parameter,
 )
 from .supervision import Coverage
 
@@ -121,11 +123,6 @@ class RunConfig:
             class_weights=self.class_weights,
         )
 
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["class_weights"] = list(self.class_weights)
-        return d
-
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         known = {f for f in RunConfig.__dataclass_fields__}
@@ -202,6 +199,14 @@ class Rewriter(NamedTuple):
         return rewrite_from_matrix(self.model.predict_encoded(enc), enc.x, enc.c)
 
 
+# Run metadata a checkpoint may carry, each with the test its value must pass.
+_META_CHECKS = {
+    "adam_step": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "epoch": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "best_dev_em": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+}
+
+
 def _adam_arrays(model: RewriteModel, adam: K.AdamState) -> dict[str, np.ndarray]:
     """Adam's moments by checkpoint name: ``adam.m.<parameter>``, ``adam.v.<parameter>``."""
     names = list(model.parameters())
@@ -234,9 +239,10 @@ def save_model(path, rw: Rewriter, adam: K.AdamState | None = None, meta: dict |
 def load_model(path) -> Rewriter:
     """Rebuild a trained model from a checkpoint pair (``path`` and its sidecar).
 
-    The arrays must have exactly the names and shapes of the model that the
-    sidecar's config builds; anything else raises ``CheckpointError``. They
-    are cast to the model's float32, so float64 files load too.
+    The arrays must have exactly the names and shapes that ``array_table``
+    lists for the sidecar's config; anything else raises ``CheckpointError``.
+    They are cast to the model's float32, so float64 files load too. The
+    model is built from them directly; nothing is drawn.
     """
     return _load_run(path)[0]
 
@@ -260,19 +266,17 @@ def _load_run(path) -> tuple[Rewriter, dict, K.AdamState | None]:
             conn = ConnectionWordList.from_ranked(conn_words)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{sidecar_path}: bad sidecar: {exc!r}") from None
-    if type(meta.get("adam_step", 0)) is not int:
-        raise CheckpointError(f"{path}: adam_step {meta['adam_step']!r} is not an integer")
+    for key, (valid, what) in _META_CHECKS.items():
+        if key in meta and not valid(meta[key]):
+            raise CheckpointError(f"{path}: {key} {meta[key]!r} is not {what}")
     if vocab.size != config.vocab_size:
         raise CheckpointError(
             f"{sidecar_path}: {vocab.size} vocabulary ids but vocab_size {config.vocab_size}"
         )
-    model = RewriteModel(config, seed=0)
-    adam = None
+    expected = array_table(config)
+    params = [name for name in expected if is_parameter(name)]
     if "adam_step" in meta:
-        adam = K.AdamState.for_params(model.parameters().values())
-        adam.step = meta["adam_step"]
-    moments = {} if adam is None else _adam_arrays(model, adam)
-    expected = {name: a.shape for name, a in (model.state() | moments).items()}
+        expected |= {f"adam.{kind}.{name}": expected[name] for kind in "mv" for name in params}
     if set(arrays) != set(expected):
         raise CheckpointError(
             f"{path}: arrays missing {sorted(set(expected) - set(arrays))}, "
@@ -284,9 +288,11 @@ def _load_run(path) -> tuple[Rewriter, dict, K.AdamState | None]:
                 f"{path}: array {name!r} has shape {list(arrays[name].shape)}, "
                 f"but the sidecar's model config needs {list(shape)}"
             )
-    model.load_state(arrays)
-    for name, moment in moments.items():
-        moment[...] = arrays[name]  # cast to the parameter's float32
+    model = RewriteModel.from_arrays(config, arrays)
+    adam = None
+    if "adam_step" in meta:
+        m, v = ([arrays[f"adam.{kind}.{name}"].astype(np.float32) for name in params] for kind in "mv")
+        adam = K.AdamState(meta["adam_step"], m, v)
     return Rewriter(model, vocab, conn, k, tokenization), meta, adam
 
 
@@ -319,7 +325,9 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
 
     if resume and Path(last_path).exists():
         rw, meta, adam = _load_run(last_path)
-        start_epoch = int(meta["epoch"]) + 1
+        if adam is None or "epoch" not in meta:
+            raise CheckpointError(f"{last_path}: resuming needs the epoch and adam_step metadata")
+        start_epoch = meta["epoch"] + 1
         best_em = float(meta.get("best_dev_em", -1.0))
         log(f"resuming from {last_path} at epoch {start_epoch}")
     else:

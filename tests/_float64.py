@@ -10,10 +10,7 @@ import numpy as np
 
 
 def to_float64(model):
-    """Cast every parameter and batch-norm buffer of ``model`` to float64 in place."""
-    for p in model.parameters().values():
-        p.data = p.data.astype(np.float64)
-    for bn in model.bns.values():
-        bn.running_mean = bn.running_mean.astype(np.float64)
-        bn.running_var = bn.running_var.astype(np.float64)
+    """Cast every array of ``model``, parameters and batch-norm statistics, to float64 in place."""
+    for t in model.tensors.values():
+        t.data = t.data.astype(np.float64)
     return model

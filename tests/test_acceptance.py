@@ -13,6 +13,7 @@ import pytest
 
 import _acceptance_registry
 from _float64 import to_float64
+from _weights import batch_norm, bilstm_weights
 
 from editseg import autodiff as ad
 from editseg import kernels as K
@@ -124,19 +125,19 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
         w = rng.normal(size=(3, 4))
         check(K.grad_check(lambda: ad.tsum(ad.mul(K.embedding_lookup(table, ids), w)), [table]))
 
-        p = K.bilstm_params_init(rng, 4, 5)
+        fwd, bwd = bilstm_weights(rng, 4, 5)
         x = Tensor(rng.normal(size=(3, 4))[None], requires_grad=True)
         probe = rng.normal(size=(3, 10))[None]
-        check(K.grad_check(lambda: ad.tsum(ad.mul(K.bilstm(x, p), probe)), [x] + p.tensors()))
+        check(K.grad_check(lambda: ad.tsum(ad.mul(K.bilstm(x, fwd, bwd), probe)), [x, *fwd, *bwd]))
 
         xc = Tensor(channels_last(rng.normal(size=(1, 2, 6, 6))), requires_grad=True)
         kc = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
-        bn = K.BatchNormParams.create(4)
+        bn = batch_norm(4)
         probe_c = channels_last(rng.normal(size=(1, 4, 6, 6)))
         check(
             K.grad_check(
-                lambda: ad.tsum(ad.mul(K.conv_bn_relu(xc, kc, bn, training=True), probe_c)),
-                [xc, kc, bn.gamma, bn.beta],
+                lambda: ad.tsum(ad.mul(K.conv_bn_relu(xc, kc, *bn, training=True), probe_c)),
+                [xc, kc, *bn[:2]],
             )
         )
 

@@ -18,6 +18,7 @@ from editseg.checkpoint import CheckpointError, load_checkpoint
 from editseg.cli import main
 from editseg.data import load_dataset
 from editseg.dialogue import texts
+from editseg.model import RewriteModel
 from editseg.training import load_model
 
 
@@ -119,6 +120,17 @@ def test_bench_schema(workspace, capsys):
     report = json.loads(capsys.readouterr().out)
     assert {"mean_ms", "median_ms", "p95_ms", "invocations"} <= set(report)
     assert report["invocations"] == 1
+
+
+def test_bench_on_empty_dataset_is_one_json_error_line(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code = run_cli(["bench", "--checkpoint", str(workspace / "model.run"), "--data", str(empty)])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "no examples" in json.loads(err[0])["error"]
+    assert not captured.out
 
 
 def test_config_file_with_flag_overrides(workspace, tmp_path, capsys):
@@ -313,6 +325,62 @@ def test_corrupted_checkpoint_loads_or_raises_checkpoint_error(workspace, tmp_pa
         pass
 
 
+def _train_argv(workspace, checkpoint, *extra):
+    """The workspace's training run, with its checkpoint at ``checkpoint``."""
+    return ["train", "--train-path", str(workspace / "train.jsonl"), "--dev-path", str(workspace / "dev.jsonl"),
+            "--checkpoint-path", str(checkpoint), "--embed-dim", "12", "--hidden-dim", "8",
+            "--base-channels", "4", "--batch-size", "8", "--seed", "3", *extra]
+
+
+# ".last" checkpoints that ``train --resume`` cannot continue from, as
+# (the workspace file copied to ".last", edit of its metadata). Each ended in
+# a raw traceback: ValueError, KeyError, or AttributeError for a file without
+# Adam state.
+BAD_RESUME = {
+    "epoch_not_integer": ("model.run.last", lambda meta: meta.update(epoch="x")),
+    "epoch_missing": ("model.run.last", lambda meta: meta.pop("epoch")),
+    "epoch_negative": ("model.run.last", lambda meta: meta.update(epoch=-1)),
+    "best_dev_em_not_number": ("model.run.last", lambda meta: meta.update(best_dev_em="high")),
+    "no_adam_state": ("model.run", lambda meta: None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RESUME))
+def test_resume_with_bad_metadata_is_one_json_error_line(workspace, tmp_path, capsys, case):
+    source, edit = BAD_RESUME[case]
+    ckpt = tmp_path / "model.run"
+    last = Path(str(ckpt) + ".last")
+    for suffix in ("", ".json"):
+        Path(str(last) + suffix).write_bytes(Path(str(workspace / source) + suffix).read_bytes())
+    last.write_bytes(_edit_header(last.read_bytes(), lambda header: edit(header["meta"])))
+    code = run_cli(_train_argv(workspace, ckpt, "--epochs", "2", "--resume"))
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and str(last) in json.loads(err[0])["error"]
+    assert not captured.out and not ckpt.exists()
+
+
+def test_diverged_training_is_one_json_line_with_diagnostics(workspace, tmp_path, monkeypatch, capsys):
+    forward_loss = RewriteModel.forward_loss
+    calls = []
+
+    def diverging_forward_loss(model, batch):
+        calls.append(batch)
+        return forward_loss(model, batch) if len(calls) < 3 else editseg.Tensor(np.float32(np.nan))
+
+    monkeypatch.setattr(RewriteModel, "forward_loss", diverging_forward_loss)
+    code = run_cli(_train_argv(workspace, tmp_path / "model.run", "--epochs", "1"))
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 3
+    assert len(err) == 1 and not captured.out
+    obj = json.loads(err[0])
+    assert obj["epoch"] == 0
+    assert len(obj["batch_ids"]) == len(calls[-1]) == 8
+    assert len(obj["recent_losses"]) == 2 and all(np.isfinite(obj["recent_losses"]))
+
+
 def test_train_writes_the_connection_words_it_used(tmp_path):
     for name, seed in (("train", "1"), ("dev", "2")):
         assert run_cli(["synth", "--out", str(tmp_path / f"{name}.jsonl"),
@@ -343,6 +411,8 @@ USAGE_ERRORS = {
     "invalid_int": ["synth", "--config", "{config}", "--out", "o.jsonl", "--num-examples", "x"],
     "missing_subcommand": ["--config", "{config}"],
     "unknown_flag": ["synth", "--out", "o.jsonl", "--bogus"],
+    # Only synth and train take a seed; the other subcommands draw nothing.
+    "seed_on_rewrite": ["rewrite", "--seed", "1", "--checkpoint", "m.run", "--data", "d.jsonl", "--out", "o.jsonl"],
 }
 
 

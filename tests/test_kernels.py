@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from _weights import batch_norm, bilstm_weights
 
 from editseg import autodiff as ad
 from editseg import kernels as K
@@ -72,55 +73,49 @@ def test_embedding_grad_matches_finite_differences(seed):
 
 
 def test_bilstm_zero_params_zero_output():
-    p = K.BiLSTMParams(
-        fwd=K.LSTMParams(Tensor(np.zeros((4, 20)), requires_grad=True),
-                         Tensor(np.zeros((5, 20)), requires_grad=True),
-                         Tensor(np.zeros(20), requires_grad=True)),
-        bwd=K.LSTMParams(Tensor(np.zeros((4, 20)), requires_grad=True),
-                         Tensor(np.zeros((5, 20)), requires_grad=True),
-                         Tensor(np.zeros(20), requires_grad=True)),
-    )
-    out = K.bilstm(Tensor(rng_for(1).normal(size=(3, 4))[None]), p)
+    def zeros():
+        return [Tensor(np.zeros(shape), requires_grad=True) for shape in ((4, 20), (5, 20), (20,))]
+
+    out = K.bilstm(Tensor(rng_for(1).normal(size=(3, 4))[None]), zeros(), zeros())
     assert np.array_equal(out.data, np.zeros((1, 3, 10)))
 
 
 def test_bilstm_single_step_directions_agree():
     rng = rng_for(2)
-    p = K.bilstm_params_init(rng, 4, 5)
+    fwd, bwd = bilstm_weights(rng, 4, 5)
     x = Tensor(rng.normal(size=(1, 4))[None])
-    out = K.bilstm(x, p)
+    out = K.bilstm(x, fwd, bwd)
     assert out.data.shape == (1, 1, 10)
     # With one step, both directions see the same input through their own
     # weights; feeding the same params to both must duplicate the halves.
-    p_same = K.BiLSTMParams(fwd=p.fwd, bwd=p.fwd)
-    out_same = K.bilstm(x, p_same)
+    out_same = K.bilstm(x, fwd, fwd)
     assert np.allclose(out_same.data[0, 0, :5], out_same.data[0, 0, 5:])
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_bilstm_grads_match_finite_differences(seed):
     rng = rng_for(100 + seed)
-    p = K.bilstm_params_init(rng, 4, 5)
+    fwd, bwd = bilstm_weights(rng, 4, 5)
     x = Tensor(rng.normal(size=(3, 4))[None], requires_grad=True)
     probe = rng.normal(size=(3, 10))[None]
 
     def f():
-        return ad.tsum(ad.mul(K.bilstm(x, p), probe))
+        return ad.tsum(ad.mul(K.bilstm(x, fwd, bwd), probe))
 
-    assert K.grad_check(f, [x] + p.tensors(), h=H_STEP) < TOL
+    assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
 
 
 def test_masked_batch_matches_per_example():
     rng = rng_for(3)
-    p = K.bilstm_params_init(rng, 3, 4)
+    p = bilstm_weights(rng, 3, 4)
     a = rng.normal(size=(5, 3))
     b = rng.normal(size=(2, 3))
     batch = np.zeros((2, 5, 3))
     batch[0] = a
     batch[1, :2] = b
-    out = K.bilstm(Tensor(batch), p, lengths=[5, 2])
-    out_a = K.bilstm(Tensor(a[None]), p)
-    out_b = K.bilstm(Tensor(b[None]), p)
+    out = K.bilstm(Tensor(batch), *p, lengths=[5, 2])
+    out_a = K.bilstm(Tensor(a[None]), *p)
+    out_b = K.bilstm(Tensor(b[None]), *p)
     assert np.allclose(out.data[0], out_a.data[0])
     assert np.allclose(out.data[1, :2], out_b.data[0])
     assert np.allclose(out.data[1, 2:], 0.0)
@@ -131,26 +126,26 @@ def test_bilstm_padded_batch_grads_match_finite_differences(seed):
     # Unequal lengths: the reverse direction reads each row backwards within
     # its own length, and padded positions must get exactly zero gradient.
     rng = rng_for(150 + seed)
-    p = K.bilstm_params_init(rng, 3, 4)
-    for t in p.tensors():
+    fwd, bwd = bilstm_weights(rng, 3, 4)
+    for t in (*fwd, *bwd):
         t.data += rng.normal(size=t.data.shape) * 0.3
     lengths = [5, 2, 4]
     x = Tensor(rng.normal(size=(3, 5, 3)), requires_grad=True)
     probe = rng.normal(size=(3, 5, 8))
 
     def f():
-        return ad.tsum(ad.mul(K.bilstm(x, p, lengths=lengths), probe))
+        return ad.tsum(ad.mul(K.bilstm(x, fwd, bwd, lengths=lengths), probe))
 
-    assert K.grad_check(f, [x] + p.tensors(), h=H_STEP) < TOL
+    assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
     x.zero_grad()
     f().backward()
     assert np.all(x.grad[1, 2:] == 0.0) and np.all(x.grad[2, 4:] == 0.0)
 
 
 def test_lstm_rejects_lengths_beyond_sequence():
-    p = K.lstm_params_init(rng_for(9), 3, 2)
+    fwd, _ = bilstm_weights(rng_for(9), 3, 2)
     with pytest.raises(ValueError, match="lengths"):
-        K.lstm(Tensor(np.zeros((2, 4, 3))), p, lengths=[4, 5])
+        K.lstm(Tensor(np.zeros((2, 4, 3))), *fwd, lengths=[4, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +164,7 @@ def test_conv_bn_relu_all_negative_is_zero():
     x = Tensor((-np.abs(rng_for(5).normal(size=(2, 4, 4))) - 0.1).transpose(1, 2, 0)[None])
     k = np.zeros((3, 2, 3, 3))
     k[:, :, 1, 1] = 1.0
-    out = K.conv_bn_relu(x, Tensor(k), K.BatchNormParams.create(3), training=False)
+    out = K.conv_bn_relu(x, Tensor(k), *batch_norm(3), training=False)
     assert np.array_equal(out.data, np.zeros((1, 4, 4, 3)))
 
 
@@ -262,34 +257,34 @@ def test_conv_bn_relu_grads_match_finite_differences(seed):
     rng = rng_for(200 + seed)
     x = Tensor(channels_last(rng.normal(size=(1, 2, 6, 6))), requires_grad=True)
     k = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
-    bn = K.BatchNormParams.create(4)
+    bn = batch_norm(4)
     probe = channels_last(rng.normal(size=(1, 4, 6, 6)))
 
     def f():
-        return ad.tsum(ad.mul(K.conv_bn_relu(x, k, bn, training=True), probe))
+        return ad.tsum(ad.mul(K.conv_bn_relu(x, k, *bn, training=True), probe))
 
-    assert K.grad_check(f, [x, k, bn.gamma, bn.beta], h=H_STEP) < TOL
+    assert K.grad_check(f, [x, k, *bn[:2]], h=H_STEP) < TOL
 
 
 def test_bn_relu_training_matches_numpy_reference():
     rng = rng_for(210)
     y = rng.normal(size=(3, 4, 5, 6)) * rng.uniform(0.5, 3.0, size=6) + rng.normal(size=6)
-    bn = K.BatchNormParams.create(6)
-    bn.gamma.data[:] = rng.uniform(0.5, 2.0, size=6)
-    bn.beta.data[:] = rng.normal(size=6)
-    bn.running_mean = rng.normal(size=6)
-    bn.running_var = rng.uniform(0.5, 2.0, size=6)
-    rm0, rv0 = bn.running_mean.copy(), bn.running_var.copy()
-    out = K.bn_relu(Tensor(y), bn, training=True)
+    gamma, beta, running_mean, running_var = bn = batch_norm(6)
+    gamma.data[:] = rng.uniform(0.5, 2.0, size=6)
+    beta.data[:] = rng.normal(size=6)
+    running_mean[:] = rng.normal(size=6)
+    running_var[:] = rng.uniform(0.5, 2.0, size=6)
+    rm0, rv0 = running_mean.copy(), running_var.copy()
+    out = K.bn_relu(Tensor(y), *bn, training=True)
 
     # Direct per-channel reference over the (B, H, W) cells of each channel.
     cells = y.reshape(-1, 6)
     mean = cells.sum(axis=0) / cells.shape[0]
     var = ((cells - mean) ** 2).sum(axis=0) / cells.shape[0]
-    want = np.maximum((y - mean) / np.sqrt(var + 1e-5) * bn.gamma.data + bn.beta.data, 0.0)
+    want = np.maximum((y - mean) / np.sqrt(var + 1e-5) * gamma.data + beta.data, 0.0)
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(bn.running_mean, 0.9 * rm0 + 0.1 * mean, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(bn.running_var, 0.9 * rv0 + 0.1 * var, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(running_mean, 0.9 * rm0 + 0.1 * mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(running_var, 0.9 * rv0 + 0.1 * var, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -299,17 +294,17 @@ def test_conv_bn_relu_eval_grads_match_finite_differences(seed):
     rng = rng_for(220 + seed)
     x = Tensor(channels_last(rng.normal(size=(2, 2, 4, 6))), requires_grad=True)
     k = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
-    bn = K.BatchNormParams.create(4)
-    bn.gamma.data[:] = rng.uniform(0.5, 2.0, size=4)
-    bn.beta.data[:] = rng.normal(size=4) * 0.3
-    bn.running_mean = rng.normal(size=4) * 0.5
-    bn.running_var = rng.uniform(0.3, 3.0, size=4)
+    gamma, beta, running_mean, running_var = bn = batch_norm(4)
+    gamma.data[:] = rng.uniform(0.5, 2.0, size=4)
+    beta.data[:] = rng.normal(size=4) * 0.3
+    running_mean[:] = rng.normal(size=4) * 0.5
+    running_var[:] = rng.uniform(0.3, 3.0, size=4)
     probe = channels_last(rng.normal(size=(2, 4, 4, 6)))
 
     def f():
-        return ad.tsum(ad.mul(K.conv_bn_relu(x, k, bn, training=False), probe))
+        return ad.tsum(ad.mul(K.conv_bn_relu(x, k, *bn, training=False), probe))
 
-    assert K.grad_check(f, [x, k, bn.gamma, bn.beta], h=H_STEP) < TOL
+    assert K.grad_check(f, [x, k, gamma, beta], h=H_STEP) < TOL
 
 
 def test_maxpool_tie_routes_gradient_to_first_cell():
@@ -530,8 +525,7 @@ def test_ops_bitwise_deterministic():
         rng = rng_for(77)
         x = Tensor(channels_last(rng.normal(size=(1, 2, 4, 4))), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
-        bn = K.BatchNormParams.create(2)
-        out = K.conv_bn_relu(x, k, bn, training=True)
+        out = K.conv_bn_relu(x, k, *batch_norm(2), training=True)
         loss = ad.tsum(ad.mul(out, rng.normal(size=out.data.shape)))
         loss.backward()
         return loss.item(), x.grad.copy(), k.grad.copy()

@@ -203,7 +203,7 @@ def test_feature_batch_pads_mixed_sizes_with_zero_cells():
         for enc in batch:
             states = model.context_layer([enc]).data
             u, hx = states[:, : enc.m], states[:, enc.m : enc.m + enc.nx]
-            feats = encoding_layer(Tensor(u), Tensor(hx), model.w_bilinear).data[0]
+            feats = encoding_layer(Tensor(u), Tensor(hx), model.tensors["bilinear.w"]).data[0]
             alone.append(feats)
     d = model.config.feature_channels
     assert features.data.shape == (4, 8, 8, d)  # M up to 8, N + 1 up to 5
@@ -250,7 +250,7 @@ def test_joint_encoding_gradient_reaches_context_embeddings():
     enc = model.context_layer(batch)
     hx = enc[0, batch[0].m : batch[0].m + batch[0].nx, :]
     ad.tsum(ad.mul(hx, np.random.default_rng(0).normal(size=hx.data.shape))).backward()
-    grad_rows = model.embedding.grad[batch[0].ids[: batch[0].m]]
+    grad_rows = model.tensors["embedding"].grad[batch[0].ids[: batch[0].m]]
     assert np.abs(grad_rows).sum() > 0, "loss on Hx must reach context embedding rows"
 
 
@@ -270,11 +270,11 @@ def test_segmentation_channel_trace():
     assert shapes["down2.conv2"] == (64, 64, 3, 3)
     assert shapes["up1.conv1"] == (128, 64, 3, 3)
     assert shapes["up1.conv2"] == (128, 128, 3, 3)
-    assert model.deconvs["up1.deconv"].data.shape == (128, 64, 2, 2)
+    assert model.tensors["up1.deconv.k"].data.shape == (128, 64, 2, 2)
     assert shapes["up2.conv1"] == (64, 128, 3, 3)  # 64 deconv + 64 skip in
     assert shapes["up2.conv2"] == (64, 64, 3, 3)
-    assert model.deconvs["up2.deconv"].data.shape == (64, 32, 2, 2)
-    assert model.head_w.data.shape == (64, 3)  # C0 + C0 skip -> 3
+    assert model.tensors["up2.deconv.k"].data.shape == (64, 32, 2, 2)
+    assert model.tensors["head.w"].data.shape == (64, 3)  # C0 + C0 skip -> 3
 
 
 def test_segmentation_preserves_spatial_dims():
@@ -321,8 +321,8 @@ def test_loss_uniform_logits_all_none_is_ln3():
     examples = toy_examples()
     vocab = Vocabulary.from_examples(examples)
     model = to_float64(RewriteModel(toy_config(vocab.size), seed=4))
-    model.head_w.data[:] = 0.0
-    model.head_b.data[:] = 0.0
+    model.tensors["head.w"].data[:] = 0.0
+    model.tensors["head.b"].data[:] = 0.0
     batch = [encode_example(e, vocab, with_gold=True) for e in examples]
     loss = model.forward_loss(batch)
     assert loss.item() == pytest.approx(math.log(3.0), rel=1e-9)

@@ -93,6 +93,19 @@ def test_checkpoint_round_trip_preserves_predictions(corpus):
         assert np.array_equal(rw.model.predict_encoded(enc), copy.model.predict_encoded(enc))
 
 
+def test_load_model_draws_no_random_numbers(corpus, monkeypatch):
+    train(small_config(corpus, epochs=1))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading a checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    rw = load_model(str(corpus / "model.run"))
+    _, meta, adam = training._load_run(str(corpus / "model.run.last"))
+    assert adam.step == meta["adam_step"] > 0
+    assert [m.shape for m in adam.m] == [p.data.shape for p in rw.model.parameters().values()]
+
+
 def test_bench_reports_schema_and_one_invocation(corpus):
     cfg = small_config(corpus, epochs=1)
     train(cfg)
