@@ -1,18 +1,21 @@
 """Reverse-mode automatic differentiation over dense float arrays.
 
-A ``Tensor`` wraps a numpy array plus an optional gradient. Operations build
-a computation graph of closures; ``Tensor.backward()`` runs reverse-mode
-accumulation in topological order. A tensor keeps the float dtype it is
-given, and every op computes in its operands' dtype, so the gradients come
-out in the dtype of the values. The model runs in float32; gradient checks
-against central finite differences build float64 tensors, which need the
-precision, and run through the same ops.
+A ``Tensor`` wraps a numpy array plus an optional gradient. Each operation
+returns a node that keeps its parents and a closure ``backward(grad)``,
+which takes the node's gradient and accumulates into the parents;
+``Tensor.backward()`` calls the closures in reverse topological order. A
+tensor keeps the float dtype it is given, and every op computes in its
+operands' dtype, so the gradients come out in the dtype of the values. The
+model runs in float32; gradient checks against central finite differences
+build float64 tensors, which need the precision, and run through the same
+ops.
 
 Graphs are single-threaded, single-use objects: build, call ``backward()``
-once, discard. ``backward()`` unlinks each node from its closure and parents
-as it goes, so when it ends the graph is freed by reference counting, with
-no wait for the cycle collector. Leaf tensors (parameters) keep accumulating
-into ``grad`` until ``zero_grad()``.
+once, discard. No closure refers to its own node, so a graph holds no
+reference cycle: one dropped without ``backward()`` is freed by reference
+counting alone. ``backward()`` also unlinks each node from its closure and
+parents as it goes, freeing intermediates before it ends. Leaf tensors
+(parameters) keep accumulating into ``grad`` until ``zero_grad()``.
 """
 
 from __future__ import annotations
@@ -80,22 +83,18 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        # Each closure holds its own node, so the graph is a reference cycle.
-        # Dropping the closure once it has run breaks the cycle, and dropping
-        # the parents too frees each intermediate node (data and grad) as soon
-        # as the loop has passed it, unless the caller still holds it.
+        # Dropping each closure and its parents once it has run frees every
+        # intermediate node (data and grad) as soon as the loop has passed
+        # it, unless the caller still holds it.
         while topo:
             node = topo.pop()
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
                 node._backward = None
                 node._parents = ()
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -114,17 +113,18 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = t.grad + g
 
 
-def _node(data, parents, backward_factory):
+def _node(data, parents, backward):
     """Create a graph node.
 
-    ``backward_factory(out)`` returns the closure stored on the node; it is
-    only called (and the closure only kept) when gradients are needed.
+    ``backward(grad)`` receives the node's gradient and accumulates into the
+    parents; it is only kept when gradients are needed. It never refers to
+    the node, so a graph holds no reference cycle.
     """
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward_factory(out)
+        out._backward = backward
     return out
 
 
@@ -142,136 +142,52 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def factory(out):
-        def backward():
-            g = out.grad
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g, b.data.shape))
-
-        return backward
-
-    return _node(a.data + b.data, (a, b), factory)
+# ops
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-        return backward
-
-    return _node(a.data * b.data, (a, b), factory)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra and reductions
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-
-    def factory(out):
-        def backward():
-            g = out.grad
-            if a.requires_grad:
-                _accumulate(a, g @ b.data.T)
-            if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
-
-        return backward
-
-    return _node(a.data @ b.data, (a, b), factory)
+    return _node(a.data * b.data, (a, b), backward)
 
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def factory(out):
-        def backward():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
-        return backward
-
-    return _node(data, (a,), factory)
-
-
-# ---------------------------------------------------------------------------
-# shape manipulation
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-
-    def factory(out):
-        def backward():
-            _accumulate(a, out.grad.reshape(a.data.shape))
-
-        return backward
-
-    return _node(a.data.reshape(shape), (a,), factory)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
-    def factory(out):
-        def backward():
-            pieces = np.split(out.grad, splits, axis=axis)
-            for t, g in zip(tensors, pieces):
-                if t.requires_grad:
-                    _accumulate(t, g)
+    def backward(g):
+        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+            if t.requires_grad:
+                _accumulate(t, piece)
 
-        return backward
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), factory)
-
-
-def _is_fancy(idx) -> bool:
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return any(isinstance(p, (np.ndarray, list)) for p in parts)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def getitem(a, idx):
-    """Indexing; supports basic slices and integer-array gathers.
-
-    Gathers with repeated indices scatter-add on the way back.
-    """
+    """Indexing, integer-array gathers included; repeated indices scatter-add
+    on the way back."""
     a = as_tensor(a)
-    fancy = _is_fancy(idx)
 
-    def factory(out):
-        def backward():
-            g = np.zeros_like(a.data)
-            if fancy:
-                np.add.at(g, idx, out.grad)
-            else:
-                g[idx] += out.grad
-            _accumulate(a, g)
+    def backward(g):
+        da = np.zeros_like(a.data)
+        np.add.at(da, idx, g)
+        _accumulate(a, da)
 
-        return backward
-
-    return _node(a.data[idx], (a,), factory)
+    return _node(a.data[idx], (a,), backward)

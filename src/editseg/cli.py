@@ -20,6 +20,7 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    read_jsonl_objects,
     save_dataset,
 )
 from .dialogue import (
@@ -120,11 +121,26 @@ def _emit(obj, out_path=None):
 
 
 def _connection_list(args) -> tuple[ConnectionWordList, int]:
-    if getattr(args, "conn_file", None):
-        conn = ConnectionWordList.load(args.conn_file)
+    if args.conn_k is not None and args.conn_k < 0:
+        _fail(f"--conn-k must be at least 0, got {args.conn_k}")
+    if args.conn_file:
+        try:
+            conn = ConnectionWordList.load(args.conn_file)
+        except ValueError as exc:  # a repeated word, or bytes that are not UTF-8
+            _fail(f"connection-word file {args.conn_file}: {exc}")
         k = args.conn_k if args.conn_k is not None else len(conn.words)
         return conn, min(k, len(conn.words))
     return EMPTY_CONNECTION_WORDS, 0
+
+
+def _load_predictions(path, mode: Tokenization) -> list[list[str]]:
+    """The tokens of each non-blank line's ``rewrite_pred`` string, in order."""
+    preds = []
+    for lineno, obj in read_jsonl_objects(path):
+        if not isinstance(obj.get("rewrite_pred"), str):
+            raise DatasetError('predictions: "rewrite_pred" must be a string', lineno)
+        preds.append(texts(tokenize(obj["rewrite_pred"], mode)))
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +148,26 @@ def _connection_list(args) -> tuple[ConnectionWordList, int]:
 
 
 def cmd_synth(args):
-    spec = SyntheticSpec(
-        vocab_size=args.vocab_size,
-        num_examples=args.num_examples,
-        context_turns=(args.min_turns, args.max_turns),
-        utterance_len=(args.min_len, args.max_len),
-        substitutes=(0, args.max_substitutes),
-        inserts=(0, args.max_inserts),
-        seed=args.seed,
-    )
+    try:
+        spec = SyntheticSpec(
+            vocab_size=args.vocab_size,
+            num_examples=args.num_examples,
+            context_turns=(args.min_turns, args.max_turns),
+            utterance_len=(args.min_len, args.max_len),
+            substitutes=(0, args.max_substitutes),
+            inserts=(0, args.max_inserts),
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        _fail(str(exc))
     examples = generate_synthetic(spec)
     save_dataset(examples, args.out, args.mode)
     _emit({"written": len(examples), "path": args.out})
 
 
 def cmd_derive_labels(args):
-    examples = load_dataset(args.data, args.mode, require_rewrite=True)
     conn, k = _connection_list(args)
+    examples = load_dataset(args.data, args.mode, require_rewrite=True)
     rows = []
     full = 0
     for ex in examples:
@@ -214,20 +233,11 @@ def cmd_rewrite(args):
 
 def cmd_eval(args):
     mode = Tokenization(args.mode)
+    conn, k = _connection_list(args)
     gold = load_dataset(args.gold, mode, require_rewrite=True)
-    preds = []
-    with open(args.pred, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                preds.append(texts(tokenize(obj["rewrite_pred"], mode)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                _fail(f"predictions line {lineno}: {exc}")
+    preds = _load_predictions(args.pred, mode)
     if len(preds) != len(gold):
         _fail(f"{len(preds)} predictions vs {len(gold)} gold examples")
-    conn, k = _connection_list(args)
     contexts = []
     incompletes = []
     refs = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,15 +42,9 @@ class DatasetError(ValueError):
         self.line = line
 
 
-def load_dataset(
-    path,
-    mode: Tokenization | str = Tokenization.WHITESPACE,
-    require_rewrite: bool = False,
-) -> list[DialogueExample]:
-    """Parse a JSONL dataset; each object needs "context" (list of strings)
-    and "current" (string), plus "rewrite" except at inference."""
-    mode = Tokenization(mode)
-    examples = []
+def read_jsonl_objects(path) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each non-blank line of a JSONL
+    file; a line that is not UTF-8, not JSON or not an object is a DatasetError."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -65,26 +59,39 @@ def load_dataset(
                 raise DatasetError(f"invalid JSON ({exc.msg})", lineno) from exc
             if not isinstance(obj, dict):
                 raise DatasetError("expected a JSON object", lineno)
-            if not isinstance(obj.get("current"), str):
-                raise DatasetError('"current" must be a string', lineno)
-            context = obj.get("context", [])
-            if not isinstance(context, list) or not all(isinstance(u, str) for u in context):
-                raise DatasetError('"context" must be a list of strings', lineno)
-            rewrite = obj.get("rewrite")
-            if require_rewrite and rewrite is None:
-                raise DatasetError('missing "rewrite" field', lineno)
-            if rewrite is not None and not isinstance(rewrite, str):
-                raise DatasetError('"rewrite" must be a string', lineno)
-            try:
-                examples.append(
-                    DialogueExample.create(
-                        [tokenize(u, mode) for u in context],
-                        tokenize(obj["current"], mode),
-                        tokenize(rewrite, mode) if rewrite is not None else None,
-                    )
+            yield lineno, obj
+
+
+def load_dataset(
+    path,
+    mode: Tokenization | str = Tokenization.WHITESPACE,
+    require_rewrite: bool = False,
+) -> list[DialogueExample]:
+    """Parse a JSONL dataset; each object needs "context" (list of strings)
+    and "current" (string), plus "rewrite" except at inference."""
+    mode = Tokenization(mode)
+    examples = []
+    for lineno, obj in read_jsonl_objects(path):
+        if not isinstance(obj.get("current"), str):
+            raise DatasetError('"current" must be a string', lineno)
+        context = obj.get("context", [])
+        if not isinstance(context, list) or not all(isinstance(u, str) for u in context):
+            raise DatasetError('"context" must be a list of strings', lineno)
+        rewrite = obj.get("rewrite")
+        if require_rewrite and rewrite is None:
+            raise DatasetError('missing "rewrite" field', lineno)
+        if rewrite is not None and not isinstance(rewrite, str):
+            raise DatasetError('"rewrite" must be a string', lineno)
+        try:
+            examples.append(
+                DialogueExample.create(
+                    [tokenize(u, mode) for u in context],
+                    tokenize(obj["current"], mode),
+                    tokenize(rewrite, mode) if rewrite is not None else None,
                 )
-            except ValueError as exc:
-                raise DatasetError(str(exc), lineno) from exc
+            )
+        except ValueError as exc:
+            raise DatasetError(str(exc), lineno) from exc
     return examples
 
 
@@ -125,6 +132,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.vocab_size < 30:
             raise ValueError("synthetic vocab needs at least 30 words")
+        if self.num_examples < 0:
+            raise ValueError(f"num_examples must be at least 0, got {self.num_examples}")
+        for name, least in (("context_turns", 1), ("utterance_len", 1), ("substitutes", 0), ("inserts", 0)):
+            lo, hi = getattr(self, name)
+            if not least <= lo <= hi:
+                raise ValueError(f"{name} must be a range min..max with {least} <= min <= max, got {lo}..{hi}")
 
     def pools(self) -> dict[str, list[str]]:
         n_sub = max(2, self.vocab_size // 10)

@@ -126,45 +126,42 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse
     out = hs[1:][order.T, rows[:, None]]  # (B, L, H), input order
     out[~valid.T] = 0.0
 
-    def factory(node):
-        def backward():
-            g4 = gates.reshape(L, B, 4, H)
-            i, f, g, o = g4[:, :, 0], g4[:, :, 1], g4[:, :, 2], g4[:, :, 3]
-            # Per-step factors turning (dc, dc, dc, dh) into the gate
-            # pre-activation gradients dz = (di, df, dg, do).
-            fac = np.empty((L, B, 4, H), dtype=dt)
-            fac[:, :, 0] = g * i * (1.0 - i)
-            fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
-            fac[:, :, 2] = i * (1.0 - g * g)
-            fac[:, :, 3] = tcs * o * (1.0 - o)
-            dc_from_h = o * (1.0 - tcs * tcs)
-            dout = node.grad[rows, order]  # (L, B, H), scan order
-            dout[~valid] = 0.0
-            dz = np.empty((L, B, 4, H), dtype=dt)
-            dh = np.zeros((B, H), dtype=dt)
-            dc = np.zeros((B, H), dtype=dt)
-            w_hh_t = w_hh.data.T
-            for t in range(L - 1, -1, -1):
-                dh += dout[t]
-                dc += dh * dc_from_h[t]
-                np.multiply(fac[t, :, :3], dc[:, None, :], out=dz[t, :, :3])
-                np.multiply(fac[t, :, 3], dh, out=dz[t, :, 3])
-                np.matmul(dz[t].reshape(B, 4 * H), w_hh_t, out=dh)
-                dc *= f[t]
-            dz = dz.reshape(L * B, 4 * H)
-            if x.requires_grad:
-                dx = (dz @ w_ih.data.T).reshape(L, B, E)
-                ad._accumulate(x, dx[order.T, rows[:, None]])
-            if w_ih.requires_grad:
-                ad._accumulate(w_ih, xs.reshape(L * B, E).T @ dz)
-            if w_hh.requires_grad:
-                ad._accumulate(w_hh, hs[:-1].reshape(L * B, H).T @ dz)
-            if b.requires_grad:
-                ad._accumulate(b, dz.sum(axis=0))
+    def backward(grad):
+        g4 = gates.reshape(L, B, 4, H)
+        i, f, g, o = g4[:, :, 0], g4[:, :, 1], g4[:, :, 2], g4[:, :, 3]
+        # Per-step factors turning (dc, dc, dc, dh) into the gate
+        # pre-activation gradients dz = (di, df, dg, do).
+        fac = np.empty((L, B, 4, H), dtype=dt)
+        fac[:, :, 0] = g * i * (1.0 - i)
+        fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
+        fac[:, :, 2] = i * (1.0 - g * g)
+        fac[:, :, 3] = tcs * o * (1.0 - o)
+        dc_from_h = o * (1.0 - tcs * tcs)
+        dout = grad[rows, order]  # (L, B, H), scan order
+        dout[~valid] = 0.0
+        dz = np.empty((L, B, 4, H), dtype=dt)
+        dh = np.zeros((B, H), dtype=dt)
+        dc = np.zeros((B, H), dtype=dt)
+        w_hh_t = w_hh.data.T
+        for t in range(L - 1, -1, -1):
+            dh += dout[t]
+            dc += dh * dc_from_h[t]
+            np.multiply(fac[t, :, :3], dc[:, None, :], out=dz[t, :, :3])
+            np.multiply(fac[t, :, 3], dh, out=dz[t, :, 3])
+            np.matmul(dz[t].reshape(B, 4 * H), w_hh_t, out=dh)
+            dc *= f[t]
+        dz = dz.reshape(L * B, 4 * H)
+        if x.requires_grad:
+            dx = (dz @ w_ih.data.T).reshape(L, B, E)
+            ad._accumulate(x, dx[order.T, rows[:, None]])
+        if w_ih.requires_grad:
+            ad._accumulate(w_ih, xs.reshape(L * B, E).T @ dz)
+        if w_hh.requires_grad:
+            ad._accumulate(w_hh, hs[:-1].reshape(L * B, H).T @ dz)
+        if b.requires_grad:
+            ad._accumulate(b, dz.sum(axis=0))
 
-        return backward
-
-    return ad._node(out, (x, w_ih, w_hh, b), factory)
+    return ad._node(out, (x, w_ih, w_hh, b), backward)
 
 
 def bilstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
@@ -255,19 +252,16 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
         k_rev = _reversed_taps(kernels.data)
         out = _col2im(xd.reshape(B * H * W, C) @ k_rev.T, B, H, W)
 
-    def factory(node):
-        def backward():
-            g9 = _stack9(node.grad)
-            if kernels.requires_grad:
-                dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
-                ad._accumulate(kernels, dk[:, ::-1, ::-1].transpose(3, 0, 1, 2))
-            if x.requires_grad:
-                k_r = _reversed_taps(kernels.data) if k_rev is None else k_rev
-                ad._accumulate(x, (g9 @ k_r).reshape(B, H, W, C))
+    def backward(grad):
+        g9 = _stack9(grad)
+        if kernels.requires_grad:
+            dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
+            ad._accumulate(kernels, dk[:, ::-1, ::-1].transpose(3, 0, 1, 2))
+        if x.requires_grad:
+            k_r = _reversed_taps(kernels.data) if k_rev is None else k_rev
+            ad._accumulate(x, (g9 @ k_r).reshape(B, H, W, C))
 
-        return backward
-
-    return ad._node(out, (x, kernels), factory)
+    return ad._node(out, (x, kernels), backward)
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -285,16 +279,13 @@ def maxpool2(x: Tensor) -> Tensor:
     idx = r.argmax(axis=4)
     out = np.take_along_axis(r, idx[..., None], axis=4)[..., 0]
 
-    def factory(node):
-        def backward():
-            dr = np.zeros((B, h, w, C, 4), dtype=x.data.dtype)
-            np.put_along_axis(dr, idx[..., None], node.grad[..., None], axis=4)
-            dx = dr.reshape(B, h, w, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
-            ad._accumulate(x, dx)
+    def backward(grad):
+        dr = np.zeros((B, h, w, C, 4), dtype=x.data.dtype)
+        np.put_along_axis(dr, idx[..., None], grad[..., None], axis=4)
+        dx = dr.reshape(B, h, w, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
+        ad._accumulate(x, dx)
 
-        return backward
-
-    return ad._node(out, (x,), factory)
+    return ad._node(out, (x,), backward)
 
 
 def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
@@ -312,17 +303,14 @@ def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
     out6 = np.einsum("bijc,cdkl->bikjld", x.data, kernels.data, optimize=True)
     out = out6.reshape(B, 2 * H, 2 * W, Co)
 
-    def factory(node):
-        def backward():
-            g6 = node.grad.reshape(B, H, 2, W, 2, Co)
-            if x.requires_grad:
-                ad._accumulate(x, np.einsum("bikjld,cdkl->bijc", g6, kernels.data, optimize=True))
-            if kernels.requires_grad:
-                ad._accumulate(kernels, np.einsum("bijc,bikjld->cdkl", x.data, g6, optimize=True))
+    def backward(grad):
+        g6 = grad.reshape(B, H, 2, W, 2, Co)
+        if x.requires_grad:
+            ad._accumulate(x, np.einsum("bikjld,cdkl->bijc", g6, kernels.data, optimize=True))
+        if kernels.requires_grad:
+            ad._accumulate(kernels, np.einsum("bijc,bikjld->cdkl", x.data, g6, optimize=True))
 
-        return backward
-
-    return ad._node(out, (x, kernels), factory)
+    return ad._node(out, (x, kernels), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -365,27 +353,24 @@ def bn_relu(y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, t
         xhat = None  # formed in the backward, which eval mode seldom runs
     np.maximum(out, 0.0, out=out)
 
-    def factory(node):
-        def backward():
-            g = node.grad * (node.data > 0.0)
-            xh = (yd - mu) * inv if xhat is None else xhat
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xh).sum(axis=axes)
-            if gamma.requires_grad:
-                ad._accumulate(gamma, dgamma)
-            if beta.requires_grad:
-                ad._accumulate(beta, dbeta)
-            if y.requires_grad:
-                if training:
-                    n = yd.size // yd.shape[-1]
-                    g -= dbeta / n
-                    g -= xh * (dgamma / n)
-                g *= gamma.data * inv
-                ad._accumulate(y, g)
+    def backward(grad):
+        g = grad * (out > 0.0)
+        xh = (yd - mu) * inv if xhat is None else xhat
+        dbeta = g.sum(axis=axes)
+        dgamma = (g * xh).sum(axis=axes)
+        if gamma.requires_grad:
+            ad._accumulate(gamma, dgamma)
+        if beta.requires_grad:
+            ad._accumulate(beta, dbeta)
+        if y.requires_grad:
+            if training:
+                n = yd.size // yd.shape[-1]
+                g -= dbeta / n
+                g -= xh * (dgamma / n)
+            g *= gamma.data * inv
+            ad._accumulate(y, g)
 
-        return backward
-
-    return ad._node(out, (y, gamma, beta), factory)
+    return ad._node(out, (y, gamma, beta), backward)
 
 
 def conv_bn_relu(
@@ -402,59 +387,65 @@ def conv_bn_relu(
 # affine / loss
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: (..., A) @ (A, B) + (B,)."""
-    in_dim = x.data.shape[-1]
-    if in_dim != w.data.shape[0]:
-        raise ValueError(f"linear inner dims differ: input {in_dim}, weight {w.data.shape}")
-    lead = x.data.shape[:-1]
-    flat = ad.reshape(x, (-1, in_dim)) if x.data.ndim != 2 else x
-    out = ad.matmul(flat, w)
-    if b is not None:
-        out = ad.add(out, b)
-    if x.data.ndim != 2:
-        out = ad.reshape(out, lead + (w.data.shape[1],))
-    return out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map over the last axis, one node: (..., A) @ (A, C) + (C,) -> (..., C)."""
+    xd = x.data
+    if xd.shape[-1] != w.data.shape[0]:
+        raise ValueError(f"linear inner dims differ: input {xd.shape[-1]}, weight {w.data.shape}")
+    flat = xd.reshape(-1, xd.shape[-1])
+    out = flat @ w.data + b.data
+
+    def backward(grad):
+        g = grad.reshape(-1, grad.shape[-1])
+        if x.requires_grad:
+            ad._accumulate(x, (g @ w.data.T).reshape(xd.shape))
+        if w.requires_grad:
+            ad._accumulate(w, flat.T @ g)
+        if b.requires_grad:
+            ad._accumulate(b, g.sum(axis=0))
+
+    return ad._node(out.reshape(xd.shape[:-1] + out.shape[1:]), (x, w, b), backward)
 
 
 def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tensor:
     """Mean over unmasked cells of ``weights[target] * -log softmax(logits)[target]``.
 
-    ``logits`` is (K, n_classes); ``targets`` integer class ids; ``mask`` an
-    optional boolean keep-flag per cell. The loss has the logits' dtype. The
-    log-sum-exp subtracts each row's maximum first, so ``exp`` only sees
-    values <= 0 and cannot overflow in float32.
+    ``logits`` is (..., n_classes), one row of class scores per cell;
+    ``targets`` holds integer class ids and ``mask`` an optional boolean
+    keep-flag, each of the logits' leading shape. The loss has the logits'
+    dtype. The log-sum-exp subtracts each row's maximum first, so ``exp``
+    only sees values <= 0 and cannot overflow in float32.
     """
+    lead = logits.data.shape[:-1]
     targets = np.asarray(targets, dtype=np.int64)
+    keep = np.ones(lead, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if targets.shape != lead or keep.shape != lead:
+        raise ValueError(f"targets {targets.shape} and mask {keep.shape} must have shape {lead}")
     weights = np.asarray(weights, dtype=logits.data.dtype)
     if np.any(weights <= 0):
         raise ValueError("class weights must be positive")
-    K = logits.data.shape[0]
-    keep = np.ones(K, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     sel = np.flatnonzero(keep)
     if sel.size == 0:
         raise ValueError("weighted_cross_entropy: all cells are masked")
 
-    z = logits.data[sel]
-    t = targets[sel]
+    rows = logits.data.reshape(-1, logits.data.shape[-1])
+    z = rows[sel]
+    t = targets.reshape(-1)[sel]
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     logp_t = z[np.arange(sel.size), t] - lse
     w_t = weights[t]
     loss = (-w_t * logp_t).mean()
 
-    def factory(node):
-        def backward():
-            p = np.exp(z - lse[:, None])
-            p[np.arange(sel.size), t] -= 1.0
-            p *= w_t[:, None] * (node.grad / sel.size)
-            g = np.zeros_like(logits.data)
-            g[sel] = p
-            ad._accumulate(logits, g)
+    def backward(grad):
+        p = np.exp(z - lse[:, None])
+        p[np.arange(sel.size), t] -= 1.0
+        p *= w_t[:, None] * (grad / sel.size)
+        g = np.zeros_like(rows)
+        g[sel] = p
+        ad._accumulate(logits, g.reshape(logits.data.shape))
 
-        return backward
-
-    return ad._node(loss, (logits,), factory)
+    return ad._node(loss, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

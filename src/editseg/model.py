@@ -187,29 +187,25 @@ def encoding_layer(u: Tensor, hx: Tensor, w_bilinear: Tensor) -> Tensor:
     hw = hd @ w  # (B, N, 2H)
     np.matmul(ud, hw.transpose(0, 2, 1), out=out[..., width + 1])
 
-    def factory(node):
-        def backward():
-            g = node.grad
-            g_elem, g_cos, g_bil = g[..., :width], g[..., width], g[..., width + 1]
-            g_dot = g_cos / denom
-            g_cos_cos = g_cos * cos
-            ub = g_bil.transpose(0, 2, 1) @ ud  # (B, N, 2H): sum_m g_bil[m, n] u_m
-            if u.requires_grad:
-                du = np.einsum("bmnd,bnd->bmd", g_elem, hd)
-                du += g_dot @ hd + g_bil @ hw
-                du -= ud * (g_cos_cos.sum(axis=2) / norm_u**2)[..., None]
-                ad._accumulate(u, du)
-            if hx.requires_grad:
-                dh = np.einsum("bmnd,bmd->bnd", g_elem, ud)
-                dh += g_dot.transpose(0, 2, 1) @ ud + ub @ w.T
-                dh -= hd * (g_cos_cos.sum(axis=1) / norm_h**2)[..., None]
-                ad._accumulate(hx, dh)
-            if w_bilinear.requires_grad:
-                ad._accumulate(w_bilinear, hd.reshape(-1, width).T @ ub.reshape(-1, width))
+    def backward(g):
+        g_elem, g_cos, g_bil = g[..., :width], g[..., width], g[..., width + 1]
+        g_dot = g_cos / denom
+        g_cos_cos = g_cos * cos
+        ub = g_bil.transpose(0, 2, 1) @ ud  # (B, N, 2H): sum_m g_bil[m, n] u_m
+        if u.requires_grad:
+            du = np.einsum("bmnd,bnd->bmd", g_elem, hd)
+            du += g_dot @ hd + g_bil @ hw
+            du -= ud * (g_cos_cos.sum(axis=2) / norm_u**2)[..., None]
+            ad._accumulate(u, du)
+        if hx.requires_grad:
+            dh = np.einsum("bmnd,bmd->bnd", g_elem, ud)
+            dh += g_dot.transpose(0, 2, 1) @ ud + ub @ w.T
+            dh -= hd * (g_cos_cos.sum(axis=1) / norm_h**2)[..., None]
+            ad._accumulate(hx, dh)
+        if w_bilinear.requires_grad:
+            ad._accumulate(w_bilinear, hd.reshape(-1, width).T @ ub.reshape(-1, width))
 
-        return backward
-
-    return ad._node(out, (u, hx, w_bilinear), factory)
+    return ad._node(out, (u, hx, w_bilinear), backward)
 
 
 def _pad4(n: int) -> int:
@@ -415,12 +411,7 @@ class RewriteModel:
             if ex.gold is None:
                 raise ValueError("forward_loss needs gold matrices")
             targets[i, : ex.m, : ex.nx] = ex.gold
-        return K.weighted_cross_entropy(
-            ad.reshape(logits, (-1, N_EDIT_TYPES)),
-            targets.reshape(-1),
-            self.config.class_weights,
-            mask=masks.reshape(-1),
-        )
+        return K.weighted_cross_entropy(logits, targets, self.config.class_weights, mask=masks)
 
     def predict_encoded(self, ex: EncodedExample) -> np.ndarray:
         """Single forward pass -> edit matrix; exactly one model invocation."""

@@ -69,6 +69,11 @@ _FIELD_TYPES = {
     "lr": numbers.Real,
     **dict.fromkeys(("target_dev_em", "target_dev_cell_acc"), (numbers.Real, type(None))),
 }
+# The least value each integer field can run with.
+_FIELD_MINIMA = {
+    **dict.fromkeys(("embed_dim", "hidden_dim", "base_channels", "batch_size", "epochs"), 1),
+    **dict.fromkeys(("patience", "connection_k"), 0),
+}
 
 
 @dataclass
@@ -111,6 +116,9 @@ class RunConfig:
             raise ValueError(f"class_weights must be a list of 3 numbers, got {cw!r}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        for name, least in _FIELD_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"config field {name} must be at least {least}, got {getattr(self, name)}")
         Tokenization(self.tokenization)  # ValueError on an unknown mode
         self.class_weights = tuple(float(w) for w in cw)
 

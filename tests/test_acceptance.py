@@ -195,10 +195,7 @@ def test_criterion_3b_full_model_gradient_spot_check():
         logits = model.segmentation_layer(features, training=False)
         targets = np.zeros((1, 4, 4), dtype=np.int64)
         targets[0] = gold
-        return K.weighted_cross_entropy(
-            ad.reshape(logits, (-1, 3)), targets.reshape(-1), cfg.class_weights,
-            mask=masks.reshape(-1),
-        )
+        return K.weighted_cross_entropy(logits, targets, cfg.class_weights, mask=masks)
 
     for p in params.values():
         p.zero_grad()

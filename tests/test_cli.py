@@ -439,7 +439,8 @@ def test_help_still_exits_zero(capsys):
 
 GOOD_LINE = '{"context": ["a b c"], "current": "b c", "rewrite": "a b c"}\n'
 
-# Each case ended in a raw traceback before datasets and configs were checked.
+# Each case ended in a raw traceback, or ran on a value no run can use, before
+# datasets, predictions and configs were checked.
 BAD_INPUT = {
     "current_not_string": ("data", b'{"context": ["a b c"], "current": 5, "rewrite": "a b c"}\n'),
     "rewrite_not_string": ("data", b'{"context": ["a b c"], "current": "b c", "rewrite": ["a"]}\n'),
@@ -454,6 +455,22 @@ BAD_INPUT = {
     "synth_config_unknown_key": ("synth_config", b'{"num_exampels": 7}'),
     "synth_config_not_integer": ("synth_config", b'{"num_examples": 7.5}'),
     "synth_config_unknown_mode": ("synth_config", b'{"mode": "morse"}'),
+    "synth_vocab_too_small": ("synth_config", b'{"vocab_size": 10}'),
+    "synth_min_len_zero": ("synth_config", b'{"min_len": 0}'),
+    "synth_min_len_above_max": ("synth_config", b'{"min_len": 5, "max_len": 3}'),
+    "synth_min_turns_zero": ("synth_config", b'{"min_turns": 0}'),
+    "synth_negative_substitutes": ("synth_config", b'{"max_substitutes": -1}'),
+    "synth_negative_examples": ("synth_config", b'{"num_examples": -1}'),
+    "pred_not_object": ("pred", b'[1, 2]\n'),
+    "pred_not_string": ("pred", b'{"rewrite_pred": 5}\n'),
+    "pred_not_utf8": ("pred", b'{"rewrite_pred": "a \xff"}\n'),
+    "batch_size_zero": ("config", b'{"batch_size": 0}'),
+    "epochs_zero": ("config", b'{"epochs": 0}'),
+    "embed_dim_zero": ("config", b'{"embed_dim": 0}'),
+    "hidden_dim_zero": ("config", b'{"hidden_dim": 0}'),
+    "base_channels_zero": ("config", b'{"base_channels": 0}'),
+    "patience_negative": ("config", b'{"patience": -1, "epochs": 1}'),
+    "connection_k_negative": ("config", b'{"connection_k": -1, "epochs": 1}'),
 }
 
 
@@ -462,10 +479,12 @@ def test_malformed_dataset_or_config_is_one_json_error_line(tmp_path, capsys, ca
     kind, raw = BAD_INPUT[case]
     good = tmp_path / "good.jsonl"
     good.write_text(GOOD_LINE, encoding="utf-8")
-    bad = tmp_path / ("bad.jsonl" if kind == "data" else "config.json")
+    bad = tmp_path / ("bad.jsonl" if kind in ("data", "pred") else "config.json")
     bad.write_bytes(raw)
     if kind == "data":
         argv = ["derive-labels", "--data", str(bad), "--out", str(tmp_path / "o.jsonl")]
+    elif kind == "pred":
+        argv = ["eval", "--pred", str(bad), "--gold", str(good), "--out", str(tmp_path / "o.jsonl")]
     elif kind == "synth_config":
         argv = ["synth", "--config", str(bad), "--out", str(tmp_path / "o.jsonl")]
     else:
@@ -477,9 +496,41 @@ def test_malformed_dataset_or_config_is_one_json_error_line(tmp_path, capsys, ca
     assert len(err) == 1
     obj = json.loads(err[0])
     assert obj["error"]
-    if kind == "data":
+    if kind in ("data", "pred"):
         assert obj["line"] == 1
     assert not (tmp_path / "o.jsonl").exists() and not (tmp_path / "model.run").exists()
+
+
+# A repeated word or a non-UTF-8 file ended in a raw traceback; a negative
+# --conn-k was read as 0.
+BAD_CONN = {
+    "repeated_word": (b"and\nof\nand\n", []),
+    "not_utf8": (b"and\n\xff\n", []),
+    "negative_k": (b"and\nof\n", ["--conn-k", "-1"]),
+}
+
+
+@pytest.mark.parametrize("command", ["derive-labels", "eval"])
+@pytest.mark.parametrize("case", sorted(BAD_CONN))
+def test_bad_connection_words_are_one_json_error_line(tmp_path, capsys, case, command):
+    raw, flags = BAD_CONN[case]
+    conn = tmp_path / "conn.txt"
+    conn.write_bytes(raw)
+    data = tmp_path / "data.jsonl"
+    data.write_text(GOOD_LINE, encoding="utf-8")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"rewrite_pred": "a b c"}\n', encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    if command == "eval":
+        argv = ["eval", "--pred", str(pred), "--gold", str(data), "--out", str(out)]
+    else:
+        argv = ["derive-labels", "--data", str(data), "--out", str(out)]
+    code = run_cli([*argv, "--conn-file", str(conn), *flags])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and json.loads(err[0])["error"]
+    assert not captured.out and not out.exists()
 
 
 def test_console_entry_point_runs():

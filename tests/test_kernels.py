@@ -42,7 +42,7 @@ def test_embedding_identity_rows():
 def test_embedding_grad_counts_occurrences():
     table = Tensor(rng_for(0).normal(size=(4, 3)), requires_grad=True)
     out = K.embedding_lookup(table, [1, 1, 3])
-    out.sum().backward()
+    ad.tsum(out).backward()
     counts = np.zeros((4, 1))
     counts[1] = 2
     counts[3] = 1
@@ -391,7 +391,7 @@ def test_linear_identity_and_bias():
 
 def test_linear_dim_mismatch_fails():
     with pytest.raises(ValueError, match="inner"):
-        K.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        K.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -434,6 +434,16 @@ def test_wce_weighted_single_cell():
 def test_wce_all_masked_fails():
     with pytest.raises(ValueError, match="masked"):
         K.weighted_cross_entropy(Tensor(np.zeros((2, 3))), [0, 0], [1, 1, 1], mask=[False, False])
+
+
+@pytest.mark.parametrize(
+    "targets, mask",
+    [([0, 0, 0], None), ([[0, 0]], None), ([0, 0], [True, True, True])],
+    ids=["targets_too_long", "targets_2d", "mask_too_long"],
+)
+def test_wce_shape_mismatch_fails(targets, mask):
+    with pytest.raises(ValueError, match="must have shape"):
+        K.weighted_cross_entropy(Tensor(np.zeros((2, 3))), targets, [1, 1, 1], mask=mask)
 
 
 def test_wce_mask_excludes_cells():
@@ -504,7 +514,7 @@ def test_graph_is_freed_after_backward_without_the_collector():
     gc.disable()
     try:
         w = Tensor(rng_for(5).normal(size=(3, 3)), requires_grad=True)
-        h = ad.matmul(w, w)
+        h = ad.mul(w, w)
         watch = weakref.ref(h.data)
         loss = ad.tsum(ad.mul(h, h))
         loss.backward()

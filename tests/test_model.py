@@ -2,7 +2,9 @@
 and padding, the segmentation channel trace, loss masking, prediction
 decoding, and the kernel calls one batch-1 rewrite makes."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +342,35 @@ def test_forward_loss_is_deterministic_per_seed():
     assert loss_a == loss_b
 
 
+def test_graph_dropped_without_backward_is_freed_without_the_collector(monkeypatch):
+    # A diverged batch drops its loss unused. No node may hold itself through
+    # its closure, or the graph, feature image included, would wait for the
+    # cycle collector.
+    examples = toy_examples()
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(toy_config(vocab.size), seed=4)
+    batch = [encode_example(e, vocab, with_gold=True) for e in examples]
+    watch = []
+    layer = model_module.encoding_layer
+
+    def watched_layer(*args):
+        out = layer(*args)
+        watch.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(model_module, "encoding_layer", watched_layer)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loss = model.forward_loss(batch)
+        assert loss.requires_grad and len(watch) == 1 and watch[0]() is not None
+        del loss
+        assert watch[0]() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def test_full_model_gradient_spot_check():
     """Finite-difference check on >= 20 random parameter coordinates."""
     rng = np.random.default_rng(9)
@@ -361,12 +392,7 @@ def test_full_model_gradient_spot_check():
         logits = model.segmentation_layer(features, training=False)
         targets = np.zeros((1, 4, 4), dtype=np.int64)
         targets[0] = gold
-        return K.weighted_cross_entropy(
-            ad.reshape(logits, (-1, 3)),
-            targets.reshape(-1),
-            cfg.class_weights,
-            mask=masks.reshape(-1),
-        )
+        return K.weighted_cross_entropy(logits, targets, cfg.class_weights, mask=masks)
 
     for p in params.values():
         p.zero_grad()
@@ -481,8 +507,8 @@ def test_float32_end_to_end(tmp_path, monkeypatch):
     seen = []
     node, accumulate = ad._node, ad._accumulate
 
-    def recording_node(data, parents, factory):
-        out = node(data, parents, factory)
+    def recording_node(data, parents, backward):
+        out = node(data, parents, backward)
         seen.append(("value", out.data.dtype))
         return out
 
