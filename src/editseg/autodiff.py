@@ -10,6 +10,11 @@ model runs in float32; gradient checks against central finite differences
 build float64 tensors, which need the precision, and run through the same
 ops.
 
+This module is only the core: ``Tensor``, ``no_grad``, ``_node`` (which
+builds a node), ``_accumulate`` (which adds a gradient into a parent) and
+one op, ``concat``, for the U-Net's skip connections. Every other op is a
+single node with a hand-written backward in ``kernels`` or ``model``.
+
 Graphs are single-threaded, single-use objects: build, call ``backward()``
 once, discard. No closure refers to its own node, so a graph holds no
 reference cycle: one dropped without ``backward()`` is freed by reference
@@ -93,15 +98,8 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -128,48 +126,12 @@ def _node(data, parents, backward):
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # ops
 
 
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along ``axis``; the gradient splits back into the pieces."""
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
@@ -178,16 +140,3 @@ def concat(tensors, axis=0):
                 _accumulate(t, piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
-
-
-def getitem(a, idx):
-    """Indexing, integer-array gathers included; repeated indices scatter-add
-    on the way back."""
-    a = as_tensor(a)
-
-    def backward(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
-        _accumulate(a, da)
-
-    return _node(a.data[idx], (a,), backward)

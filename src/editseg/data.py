@@ -138,6 +138,23 @@ class SyntheticSpec:
             lo, hi = getattr(self, name)
             if not least <= lo <= hi:
                 raise ValueError(f"{name} must be a range min..max with {least} <= min <= max, got {lo}..{hi}")
+        # The largest draws ``_generate_one`` makes without replacement: the
+        # utterance's distinct normal words, a marker per edit of each kind
+        # and up to 3 entities per edit, with edits capped at (n + 1) // 2 sites.
+        pools = {name: len(words) for name, words in self.pools().items()}
+        n = self.utterance_len[1]
+        sites = (n + 1) // 2
+        for need, pool in (
+            (n, "normals"),
+            (min(self.substitutes[1], sites), "sub_markers"),
+            (min(self.inserts[1], sites), "ins_markers"),
+            (3 * min(self.substitutes[1] + self.inserts[1], sites), "entities"),
+        ):
+            if need > pools[pool]:
+                raise ValueError(
+                    f"utterance_len, substitutes and inserts can draw {need} words from the {pool} pool, "
+                    f"but vocab_size {self.vocab_size} puts {pools[pool]} there"
+                )
 
     def pools(self) -> dict[str, list[str]]:
         n_sub = max(2, self.vocab_size // 10)

@@ -46,13 +46,23 @@ from .autodiff import Tensor
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer ids; grad scatter-adds into rows."""
+    """Gather rows of ``table`` by integer ids; grad scatter-adds into rows.
+
+    Ids repeat (a word, ``[S]``, the padding id), so the backward adds with
+    ``np.add.at``, which sums every occurrence into its row.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     vocab = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise IndexError(f"embedding id {int(bad)} out of range for vocab of {vocab}")
-    return table[ids]
+
+    def backward(g):
+        dt = np.zeros_like(table.data)
+        np.add.at(dt, ids, g)
+        ad._accumulate(table, dt)
+
+    return ad._node(table.data[ids], (table,), backward)
 
 
 # ---------------------------------------------------------------------------

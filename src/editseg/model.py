@@ -7,8 +7,9 @@ carries both to generation. They are encoded by one shared BiLSTM pass;
 every (context word, utterance word) pair then gets a relevance vector
 [h ⊙ u; cos(h, u); h W u], giving an M x N x D "image" that a small
 UNet-style encoder/decoder segments into None / Substitute / Insert cells.
-A batch's images are built at once, zero-padded to one grid, by a single
-``encoding_layer`` node. One forward pass yields the whole edit matrix, so
+A batch's images are built at once by a single ``encoding_layer`` node,
+which gathers each example's rows from the BiLSTM output onto one
+zero-padded grid. One forward pass yields the whole edit matrix, so
 inference cost does not grow with output length.
 
 ``array_table`` is the one place the model's arrays are listed, by
@@ -162,20 +163,33 @@ def encode_example(
 _SQ_NORM_FLOOR = 1e-24
 
 
-def encoding_layer(u: Tensor, hx: Tensor, w_bilinear: Tensor) -> Tensor:
+def encoding_layer(states: Tensor, sizes, grid: tuple[int, int], w_bilinear: Tensor) -> Tensor:
     """Pairwise relevance features for a padded batch, as one graph node.
 
-    For every (m, n) the concatenation of the elementwise product, the cosine
-    similarity, and the learned bilinear form: u (B, M, 2H) and hx (B, N, 2H)
-    -> (B, M, N, 2H + 2), written into one array. Padding rows of ``u`` and
-    ``hx`` are zero, and so are their cells. The squared norms are clamped
-    before the square root, so a zero row has cosine 0 and a finite gradient.
+    ``states`` is the (B, L, 2H) BiLSTM output over each example's
+    c ++ x_prepared, and ``sizes`` holds each example's (m, nx): rows
+    [0, m) are its context states u and rows [m, m + nx) its utterance
+    states hx. The node gathers them onto the (M, N) ``grid``, zero rows on
+    the padding, and gives every cell the concatenation of the elementwise
+    product, the cosine similarity and the learned bilinear form:
+    (B, M, N, 2H + 2), written into one array. Padding cells are zero. The
+    squared norms are clamped before the square root, so a zero row has
+    cosine 0 and a finite gradient.
+
+    The backward writes the gradients of u and hx into one zero (B, L, 2H)
+    array by assignment: an example's two row ranges are disjoint, so no
+    index repeats, and rows from m + nx on get exact zeros.
     """
-    ud, hd, w = u.data, hx.data, w_bilinear.data
-    B, M, width = ud.shape
-    N = hd.shape[1]
-    if hd.shape != (B, N, width):
-        raise ValueError(f"encodings must share batch and width: {ud.shape} vs {hd.shape}")
+    sd, w = states.data, w_bilinear.data
+    B, L, width = sd.shape
+    M, N = grid
+    if len(sizes) != B or any(not (0 <= m <= M and 0 <= nx <= N and m + nx <= L) for m, nx in sizes):
+        raise ValueError(f"sizes must be {B} pairs (m <= {M}, nx <= {N}, m + nx <= {L}), got {list(sizes)}")
+    ud = np.zeros((B, M, width), dtype=sd.dtype)
+    hd = np.zeros((B, N, width), dtype=sd.dtype)
+    for i, (m, nx) in enumerate(sizes):
+        ud[i, :m] = sd[i, :m]
+        hd[i, :nx] = sd[i, m : m + nx]
     out = np.empty((B, M, N, width + 2), dtype=ud.dtype)
     elem = out[..., :width]
     np.multiply(ud[:, :, None, :], hd[:, None, :, :], out=elem)
@@ -192,20 +206,22 @@ def encoding_layer(u: Tensor, hx: Tensor, w_bilinear: Tensor) -> Tensor:
         g_dot = g_cos / denom
         g_cos_cos = g_cos * cos
         ub = g_bil.transpose(0, 2, 1) @ ud  # (B, N, 2H): sum_m g_bil[m, n] u_m
-        if u.requires_grad:
+        if states.requires_grad:
             du = np.einsum("bmnd,bnd->bmd", g_elem, hd)
             du += g_dot @ hd + g_bil @ hw
             du -= ud * (g_cos_cos.sum(axis=2) / norm_u**2)[..., None]
-            ad._accumulate(u, du)
-        if hx.requires_grad:
             dh = np.einsum("bmnd,bmd->bnd", g_elem, ud)
             dh += g_dot.transpose(0, 2, 1) @ ud + ub @ w.T
             dh -= hd * (g_cos_cos.sum(axis=1) / norm_h**2)[..., None]
-            ad._accumulate(hx, dh)
+            ds = np.zeros_like(sd)
+            for i, (m, nx) in enumerate(sizes):
+                ds[i, :m] = du[i, :m]
+                ds[i, m : m + nx] = dh[i, :nx]
+            ad._accumulate(states, ds)
         if w_bilinear.requires_grad:
             ad._accumulate(w_bilinear, hd.reshape(-1, width).T @ ub.reshape(-1, width))
 
-    return ad._node(out, (u, hx, w_bilinear), backward)
+    return ad._node(out, (states, w_bilinear), backward)
 
 
 def _pad4(n: int) -> int:
@@ -354,26 +370,18 @@ class RewriteModel:
     def feature_batch(self, batch: list[EncodedExample]):
         """Encode a batch into one padded (B, H, W, D) feature image + mask.
 
-        Each example's context and utterance rows are gathered from the
-        BiLSTM output onto a grid whose sides divide by 4, zero rows on the
-        padding, and one ``encoding_layer`` call builds the whole image,
-        channels-last as the U-Net takes it. The (B, H, W) mask marks real cells.
-        The row masks multiply in the BiLSTM output's dtype: a bool or float64
-        mask would promote the whole float32 graph after it to float64.
+        One ``encoding_layer`` call gathers each example's context and
+        utterance rows from the BiLSTM output onto a grid whose sides divide
+        by 4 and builds the whole image, channels-last as the U-Net takes it;
+        padding cells are zero. The (B, H, W) mask marks real cells.
         """
-        enc = self.context_layer(batch)
-        m = np.array([ex.m for ex in batch])[:, None]
-        nx = np.array([ex.nx for ex in batch])[:, None]
-        rows = np.arange(_pad4(int(m.max())))
-        cols = np.arange(_pad4(int(nx.max())))
-        real_rows = rows < m  # (B, th)
-        real_cols = cols < nx  # (B, tw)
-        b = np.arange(len(batch))[:, None]
-        dt = enc.data.dtype
-        u = ad.mul(enc[b, np.where(real_rows, rows, 0)], real_rows[..., None].astype(dt))
-        hx = ad.mul(enc[b, np.where(real_cols, m + cols, 0)], real_cols[..., None].astype(dt))
+        states = self.context_layer(batch)
+        sizes = np.array([(ex.m, ex.nx) for ex in batch])
+        grid = (_pad4(int(sizes[:, 0].max())), _pad4(int(sizes[:, 1].max())))
+        real_rows = np.arange(grid[0]) < sizes[:, :1]  # (B, H)
+        real_cols = np.arange(grid[1]) < sizes[:, 1:]  # (B, W)
         masks = real_rows[:, :, None] & real_cols[:, None, :]
-        return encoding_layer(u, hx, self.tensors["bilinear.w"]), masks
+        return encoding_layer(states, sizes.tolist(), grid, self.tensors["bilinear.w"]), masks
 
     def segmentation_layer(self, features: Tensor, training: bool) -> Tensor:
         """U-shaped encoder/decoder over the feature image -> per-cell logits.

@@ -26,7 +26,6 @@ from .dialogue import (
     Token,
     TokenKind,
     join_context,
-    prepare_incomplete,
 )
 
 
@@ -237,8 +236,9 @@ def build_gold_matrix(
     if c is None:
         c = join_context(example, conn, k)
     x = list(example.incomplete)
-    x_prepared = prepare_incomplete(x)
-    matrix = new_edit_matrix(len(c), len(x_prepared))
+    # Columns are x plus the [E] sentinel (``prepare_incomplete``), which a
+    # DialogueExample's words never are.
+    matrix = new_edit_matrix(len(c), len(x) + 1)
 
     matches = lcs_align(x, list(example.gold_rewrite))
     del_spans, add_spans = mark_spans(x, list(example.gold_rewrite), matches)

@@ -1,9 +1,24 @@
-"""Kernel weights for tests, drawn the way the model draws its own."""
+"""Kernel weights for tests, drawn the way the model draws its own, and the
+scalar probe loss the gradient tests differentiate."""
 
 import numpy as np
 
+from editseg import autodiff as ad
 from editseg.autodiff import Tensor
 from editseg.model import initial_value
+
+
+def probe_loss(out: Tensor, probe) -> Tensor:
+    """The scalar sum of ``out * probe`` as one graph node; its gradient into
+    ``out`` is ``g * probe``. ``probe`` has the shape of ``out``."""
+    probe = np.asarray(probe)
+    if probe.shape != out.data.shape:
+        raise ValueError(f"probe shape {probe.shape} differs from output shape {out.data.shape}")
+
+    def backward(g):
+        ad._accumulate(out, g * probe)
+
+    return ad._node((out.data * probe).sum(), (out,), backward)
 
 
 def bilstm_weights(rng, input_dim: int, hidden_dim: int):

@@ -13,9 +13,8 @@ import pytest
 
 import _acceptance_registry
 from _float64 import to_float64
-from _weights import batch_norm, bilstm_weights
+from _weights import batch_norm, bilstm_weights, probe_loss
 
-from editseg import autodiff as ad
 from editseg import kernels as K
 from editseg.autodiff import Tensor
 from editseg.data import SyntheticSpec, benchmark_spec, generate_synthetic, save_dataset
@@ -123,12 +122,12 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
         table = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         ids = rng.integers(0, 5, size=3)
         w = rng.normal(size=(3, 4))
-        check(K.grad_check(lambda: ad.tsum(ad.mul(K.embedding_lookup(table, ids), w)), [table]))
+        check(K.grad_check(lambda: probe_loss(K.embedding_lookup(table, ids), w), [table]))
 
         fwd, bwd = bilstm_weights(rng, 4, 5)
         x = Tensor(rng.normal(size=(3, 4))[None], requires_grad=True)
         probe = rng.normal(size=(3, 10))[None]
-        check(K.grad_check(lambda: ad.tsum(ad.mul(K.bilstm(x, fwd, bwd), probe)), [x, *fwd, *bwd]))
+        check(K.grad_check(lambda: probe_loss(K.bilstm(x, fwd, bwd), probe), [x, *fwd, *bwd]))
 
         xc = Tensor(channels_last(rng.normal(size=(1, 2, 6, 6))), requires_grad=True)
         kc = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
@@ -136,25 +135,25 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
         probe_c = channels_last(rng.normal(size=(1, 4, 6, 6)))
         check(
             K.grad_check(
-                lambda: ad.tsum(ad.mul(K.conv_bn_relu(xc, kc, *bn, training=True), probe_c)),
+                lambda: probe_loss(K.conv_bn_relu(xc, kc, *bn, training=True), probe_c),
                 [xc, kc, *bn[:2]],
             )
         )
 
         xp = Tensor(channels_last(rng.normal(size=(1, 1, 4, 4))), requires_grad=True)
         probe_p = channels_last(rng.normal(size=(1, 1, 2, 2)))
-        check(K.grad_check(lambda: ad.tsum(ad.mul(K.maxpool2(xp), probe_p)), [xp]))
+        check(K.grad_check(lambda: probe_loss(K.maxpool2(xp), probe_p), [xp]))
 
         xd = Tensor(channels_last(rng.normal(size=(1, 2, 3, 3))), requires_grad=True)
         kd = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
         probe_d = channels_last(rng.normal(size=(1, 3, 6, 6)))
-        check(K.grad_check(lambda: ad.tsum(ad.mul(K.deconv2(xd, kd), probe_d)), [xd, kd]))
+        check(K.grad_check(lambda: probe_loss(K.deconv2(xd, kd), probe_d), [xd, kd]))
 
         xl = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         wl = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         bl = Tensor(rng.normal(size=2), requires_grad=True)
         probe_l = rng.normal(size=(3, 2))
-        check(K.grad_check(lambda: ad.tsum(ad.mul(K.linear(xl, wl, bl), probe_l)), [xl, wl, bl]))
+        check(K.grad_check(lambda: probe_loss(K.linear(xl, wl, bl), probe_l), [xl, wl, bl]))
 
         logits = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         targets = rng.integers(0, 3, size=6)

@@ -461,6 +461,16 @@ BAD_INPUT = {
     "synth_min_turns_zero": ("synth_config", b'{"min_turns": 0}'),
     "synth_negative_substitutes": ("synth_config", b'{"max_substitutes": -1}'),
     "synth_negative_examples": ("synth_config", b'{"num_examples": -1}'),
+    "synth_len_beyond_normal_words": ("synth_config", b'{"num_examples": 50, "max_len": 30}'),
+    "synth_substitutes_beyond_markers": (
+        "synth_config", b'{"num_examples": 50, "min_len": 12, "max_len": 12, "max_substitutes": 9}'
+    ),
+    "synth_inserts_beyond_markers": (
+        "synth_config", b'{"num_examples": 50, "min_len": 12, "max_len": 12, "max_inserts": 9}'
+    ),
+    "synth_edits_beyond_entities": (
+        "synth_config", b'{"num_examples": 50, "vocab_size": 30, "max_len": 9, "max_substitutes": 3, "max_inserts": 2}'
+    ),
     "pred_not_object": ("pred", b'[1, 2]\n'),
     "pred_not_string": ("pred", b'{"rewrite_pred": 5}\n'),
     "pred_not_utf8": ("pred", b'{"rewrite_pred": "a \xff"}\n'),

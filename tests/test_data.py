@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from editseg.data import (
     DatasetError,
@@ -157,3 +159,39 @@ def test_corpora_without_filler_replacement_are_unchanged(spec, digest):
     # existed: with the field off, the generator draws exactly as before.
     assert not spec.phrases_replace_filler
     assert _corpus_digest(spec) == digest
+
+
+@st.composite
+def synthetic_specs(draw):
+    """Spec fields whose ranges pass the range checks; ``SyntheticSpec``
+    alone decides whether its word pools are large enough."""
+
+    def span(least, most):
+        lo = draw(st.integers(least, most))
+        return lo, draw(st.integers(lo, most))
+
+    return dict(
+        vocab_size=draw(st.integers(30, 120)),
+        num_examples=draw(st.integers(0, 4)),
+        context_turns=span(1, 3),
+        utterance_len=span(1, 40),
+        substitutes=span(0, 12),
+        inserts=span(0, 12),
+        distractor_prob=draw(st.sampled_from([0.0, 0.4, 1.0])),
+        seed=draw(st.integers(0, 2**16)),
+        phrases_replace_filler=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthetic_specs())
+def test_every_accepted_spec_generates(fields):
+    # A spec that passes its own checks must not fail later in a numpy draw
+    # or on an empty word pool.
+    try:
+        spec = SyntheticSpec(**fields)
+    except ValueError:
+        assume(False)
+    examples = generate_synthetic(spec)
+    assert len(examples) == spec.num_examples
+    assert all(len(ex.incomplete) <= spec.utterance_len[1] for ex in examples)

@@ -10,9 +10,8 @@ import weakref
 
 import numpy as np
 import pytest
-from _weights import batch_norm, bilstm_weights
+from _weights import batch_norm, bilstm_weights, probe_loss
 
-from editseg import autodiff as ad
 from editseg import kernels as K
 from editseg.autodiff import Tensor
 
@@ -42,7 +41,7 @@ def test_embedding_identity_rows():
 def test_embedding_grad_counts_occurrences():
     table = Tensor(rng_for(0).normal(size=(4, 3)), requires_grad=True)
     out = K.embedding_lookup(table, [1, 1, 3])
-    ad.tsum(out).backward()
+    probe_loss(out, np.ones(out.data.shape)).backward()
     counts = np.zeros((4, 1))
     counts[1] = 2
     counts[3] = 1
@@ -63,7 +62,7 @@ def test_embedding_grad_matches_finite_differences(seed):
     w = rng.normal(size=(3, 4))
 
     def f():
-        return ad.tsum(ad.mul(K.embedding_lookup(table, ids), w))
+        return probe_loss(K.embedding_lookup(table, ids), w)
 
     assert K.grad_check(f, [table], h=H_STEP) < 1e-4
 
@@ -100,7 +99,7 @@ def test_bilstm_grads_match_finite_differences(seed):
     probe = rng.normal(size=(3, 10))[None]
 
     def f():
-        return ad.tsum(ad.mul(K.bilstm(x, fwd, bwd), probe))
+        return probe_loss(K.bilstm(x, fwd, bwd), probe)
 
     assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
 
@@ -134,7 +133,7 @@ def test_bilstm_padded_batch_grads_match_finite_differences(seed):
     probe = rng.normal(size=(3, 5, 8))
 
     def f():
-        return ad.tsum(ad.mul(K.bilstm(x, fwd, bwd, lengths=lengths), probe))
+        return probe_loss(K.bilstm(x, fwd, bwd, lengths=lengths), probe)
 
     assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
     x.zero_grad()
@@ -224,7 +223,7 @@ def test_conv_grads_match_finite_differences_batched_non_square(seed, shape, co)
     probe = channels_last(rng.normal(size=(shape[0], co) + shape[2:]))
 
     def f():
-        return ad.tsum(ad.mul(K.conv2d(x, k), probe))
+        return probe_loss(K.conv2d(x, k), probe)
 
     assert K.grad_check(f, [x, k], h=H_STEP) < TOL
 
@@ -241,7 +240,7 @@ def test_conv_same_result_for_channels_last_view_and_contiguous_copy(c, co):
     for xd in (np.ascontiguousarray(x_cl.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1), x_cl):
         x, kt = Tensor(xd, requires_grad=True), Tensor(k, requires_grad=True)
         out = K.conv2d(x, kt)
-        ad.tsum(ad.mul(out, probe)).backward()
+        probe_loss(out, probe).backward()
         results.append((out.data, x.grad, kt.grad))
     (view_out, view_dx, view_dk), (copy_out, copy_dx, copy_dk) = results
     np.testing.assert_allclose(view_out, copy_out, rtol=1e-13, atol=1e-13)
@@ -261,7 +260,7 @@ def test_conv_bn_relu_grads_match_finite_differences(seed):
     probe = channels_last(rng.normal(size=(1, 4, 6, 6)))
 
     def f():
-        return ad.tsum(ad.mul(K.conv_bn_relu(x, k, *bn, training=True), probe))
+        return probe_loss(K.conv_bn_relu(x, k, *bn, training=True), probe)
 
     assert K.grad_check(f, [x, k, *bn[:2]], h=H_STEP) < TOL
 
@@ -302,7 +301,7 @@ def test_conv_bn_relu_eval_grads_match_finite_differences(seed):
     probe = channels_last(rng.normal(size=(2, 4, 4, 6)))
 
     def f():
-        return ad.tsum(ad.mul(K.conv_bn_relu(x, k, *bn, training=False), probe))
+        return probe_loss(K.conv_bn_relu(x, k, *bn, training=False), probe)
 
     assert K.grad_check(f, [x, k, gamma, beta], h=H_STEP) < TOL
 
@@ -312,7 +311,7 @@ def test_maxpool_tie_routes_gradient_to_first_cell():
     # in row-major order, separately in every channel.
     x = Tensor(np.full((2, 4, 6, 3), 2.5), requires_grad=True)
     probe = rng_for(310).normal(size=(2, 2, 3, 3))
-    ad.tsum(ad.mul(K.maxpool2(x), probe)).backward()
+    probe_loss(K.maxpool2(x), probe).backward()
     want = np.zeros((2, 4, 6, 3))
     want[:, ::2, ::2] = probe
     assert np.array_equal(x.grad, want)
@@ -337,7 +336,7 @@ def test_maxpool_grad_is_one_hot_and_matches_fd(seed):
     probe = channels_last(rng.normal(size=(1, 1, 2, 2)))
 
     def f():
-        return ad.tsum(ad.mul(K.maxpool2(x), probe))
+        return probe_loss(K.maxpool2(x), probe)
 
     assert K.grad_check(f, [x], h=1e-5) < TOL
     x.zero_grad()
@@ -365,7 +364,7 @@ def test_deconv_grads_match_finite_differences(seed):
     probe = channels_last(rng.normal(size=(1, 3, 6, 6)))
 
     def f():
-        return ad.tsum(ad.mul(K.deconv2(x, k), probe))
+        return probe_loss(K.deconv2(x, k), probe)
 
     assert K.grad_check(f, [x, k], h=H_STEP) < TOL
 
@@ -403,7 +402,7 @@ def test_linear_grads_match_finite_differences(seed):
     probe = rng.normal(size=(2, 3, 2))
 
     def f():
-        return ad.tsum(ad.mul(K.linear(x, w, b), probe))
+        return probe_loss(K.linear(x, w, b), probe)
 
     assert K.grad_check(f, [x, w, b], h=H_STEP) < TOL
 
@@ -514,9 +513,10 @@ def test_graph_is_freed_after_backward_without_the_collector():
     gc.disable()
     try:
         w = Tensor(rng_for(5).normal(size=(3, 3)), requires_grad=True)
-        h = ad.mul(w, w)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        h = K.linear(w, w, b)
         watch = weakref.ref(h.data)
-        loss = ad.tsum(ad.mul(h, h))
+        loss = probe_loss(K.linear(h, w, b), rng_for(6).normal(size=(3, 3)))
         loss.backward()
         assert w.grad is not None
         del h, loss
@@ -536,7 +536,7 @@ def test_ops_bitwise_deterministic():
         x = Tensor(channels_last(rng.normal(size=(1, 2, 4, 4))), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
         out = K.conv_bn_relu(x, k, *batch_norm(2), training=True)
-        loss = ad.tsum(ad.mul(out, rng.normal(size=out.data.shape)))
+        loss = probe_loss(out, rng.normal(size=out.data.shape))
         loss.backward()
         return loss.item(), x.grad.copy(), k.grad.copy()
 
@@ -570,7 +570,7 @@ def test_grad_check_refuses_parameters_it_cannot_probe(layout, found):
     probe = rng.normal(size=(1, 4, 4, 3))
 
     def f():
-        return ad.tsum(ad.mul(K.conv2d(x, k), probe))
+        return probe_loss(K.conv2d(x, k), probe)
 
     with pytest.raises(ValueError, match=rf"parameter 1 of shape \(1, 4, 4, 2\) is {found}"):
         K.grad_check(f, [k, x])

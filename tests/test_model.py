@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 from _float64 import to_float64
+from _weights import probe_loss
 
 from editseg import autodiff as ad
 from editseg import generation
@@ -92,16 +93,23 @@ def test_encode_with_gold_joins_context_once(monkeypatch):
     examples = toy_examples()
     conn = ConnectionWordList(words=("and", "of"), frequencies=(5, 3))
     vocab = Vocabulary.from_examples(examples, conn)
-    joins = []
+    joins, prepares = [], []
 
     def counting_join(*args, **kwargs):
         joins.append(args[0])
         return join_context(*args, **kwargs)
 
-    monkeypatch.setattr(model_module, "join_context", counting_join)
-    monkeypatch.setattr(supervision, "join_context", counting_join)
+    def counting_prepare(x):
+        prepares.append(tuple(x))
+        return prepare_incomplete(x)
+
+    for module in (model_module, supervision):
+        monkeypatch.setattr(module, "join_context", counting_join)
+        # raising=False: supervision needs no prepared utterance and does not import the name.
+        monkeypatch.setattr(module, "prepare_incomplete", counting_prepare, raising=False)
     encoded = [encode_example(ex, vocab, conn, 2, with_gold=True) for ex in examples]
     assert joins == examples
+    assert prepares == [ex.incomplete for ex in examples]
     monkeypatch.undo()
     for ex, enc in zip(examples, encoded):
         gold, coverage = build_gold_matrix(ex, conn, 2)
@@ -113,12 +121,19 @@ def test_encode_with_gold_joins_context_once(monkeypatch):
 # encoding layer
 
 
+def pair_features(u, hx, w):
+    """``encoding_layer`` on unpadded rows: each example's u (M rows) then hx
+    (N rows) as one BiLSTM output, on an M x N grid."""
+    states = Tensor(np.concatenate([u, hx], axis=1))
+    return encoding_layer(states, [(u.shape[1], hx.shape[1])] * len(u), (u.shape[1], hx.shape[1]), w)
+
+
 def test_encoding_unit_vector_case():
     h = 3
     w = Tensor(np.arange(4 * h * h, dtype=float).reshape(2 * h, 2 * h) / 10)
     e1 = np.zeros((1, 1, 2 * h))
     e1[0, 0, 0] = 1.0
-    feats = encoding_layer(Tensor(e1), Tensor(e1), w)
+    feats = pair_features(e1, e1, w)
     assert feats.data.shape == (1, 1, 1, 2 * h + 2)
     elem = feats.data[0, 0, 0, : 2 * h]
     assert np.array_equal(elem, e1[0, 0])
@@ -129,7 +144,7 @@ def test_encoding_unit_vector_case():
 def test_encoding_orthogonal_vectors_zero_cosine():
     u = np.array([[[1.0, 0.0]]])
     hx = np.array([[[0.0, 1.0]]])
-    feats = encoding_layer(Tensor(u), Tensor(hx), Tensor(np.eye(2)))
+    feats = pair_features(u, hx, Tensor(np.eye(2)))
     assert feats.data[0, 0, 0, 2] == pytest.approx(0.0)
 
 
@@ -138,7 +153,7 @@ def test_encoding_matches_double_loop_oracle():
     u = rng.normal(size=(2, 3, 6))
     hx = rng.normal(size=(2, 2, 6))
     w = rng.normal(size=(6, 6))
-    feats = encoding_layer(Tensor(u), Tensor(hx), Tensor(w)).data
+    feats = pair_features(u, hx, Tensor(w)).data
     assert feats.shape == (2, 3, 2, 8)
     for b in range(2):
         for m in range(3):
@@ -151,36 +166,41 @@ def test_encoding_matches_double_loop_oracle():
 
 
 def test_encoding_grads_match_finite_differences():
-    # Rows as the BiLSTM gives them: real rows of mixed norm, then the zero
-    # rows that pad each example to the batch grid.
+    # A BiLSTM output as the batch gives it: example 0 has (m, nx) = (3, 3),
+    # example 1 (4, 2), real rows of mixed norm, and rows past m + nx that
+    # the gather must neither read nor send gradient to. On the 4 x 3 grid
+    # the node pads u of example 0 and hx of example 1 with zero rows.
     rng = np.random.default_rng(3)
-    u = rng.normal(size=(2, 4, 6)) * rng.uniform(0.2, 2.0, size=(2, 4, 1))
-    hx = rng.normal(size=(2, 3, 6))
-    u[0, 3:] = 0.0
-    hx[1, 2:] = 0.0
+    sizes = [(3, 3), (4, 2)]
+    states = rng.normal(size=(2, 8, 6)) * rng.uniform(0.2, 2.0, size=(2, 8, 1))
     w = rng.normal(size=(6, 6))
-    tensors = [Tensor(a, requires_grad=True) for a in (u, hx, w)]
+    tensors = [Tensor(a, requires_grad=True) for a in (states, w)]
     weights = rng.normal(size=(2, 4, 3, 8))
     weights[0, 3:] = 0.0  # padded cells are masked out of the loss
     weights[1, :, 2:] = 0.0
 
     def f():
-        return ad.tsum(ad.mul(encoding_layer(*tensors), weights))
+        return probe_loss(encoding_layer(tensors[0], sizes, (4, 3), tensors[1]), weights)
 
     assert K.grad_check(f, tensors) < 1e-5
+    tensors[0].zero_grad()
+    f().backward()
+    grad = tensors[0].grad
+    for i, (m, nx) in enumerate(sizes):
+        assert np.all(grad[i, m + nx :] == 0.0)
+        assert np.all(np.any(grad[i, : m + nx] != 0.0, axis=1))
 
 
 def test_encoding_backward_over_zero_rows_is_finite():
     rng = np.random.default_rng(4)
-    u = np.zeros((2, 4, 6))
-    u[0, :2] = rng.normal(size=(2, 6))
-    hx = np.zeros((2, 3, 6))
-    hx[0, :1] = rng.normal(size=(1, 6))
-    tensors = [Tensor(a, requires_grad=True) for a in (u, hx, rng.normal(size=(6, 6)))]
+    states = np.zeros((2, 7, 6))
+    states[0, :2] = rng.normal(size=(2, 6))  # example 0: (m, nx) = (4, 3)
+    states[0, 4] = rng.normal(size=6)
+    tensors = [Tensor(a, requires_grad=True) for a in (states, rng.normal(size=(6, 6)))]
     with np.errstate(all="raise"):
-        out = encoding_layer(*tensors)
+        out = encoding_layer(tensors[0], [(4, 3), (2, 1)], (4, 3), tensors[1])
         assert np.all(out.data[1] == 0.0)
-        ad.tsum(ad.mul(out, rng.normal(size=out.data.shape))).backward()
+        probe_loss(out, rng.normal(size=out.data.shape)).backward()
     for t in tensors:
         assert np.all(np.isfinite(t.grad))
 
@@ -203,10 +223,9 @@ def test_feature_batch_pads_mixed_sizes_with_zero_cells():
         features, masks = model.feature_batch(batch)
         alone = []  # each example alone, its rows sliced from its own BiLSTM pass
         for enc in batch:
-            states = model.context_layer([enc]).data
-            u, hx = states[:, : enc.m], states[:, enc.m : enc.m + enc.nx]
-            feats = encoding_layer(Tensor(u), Tensor(hx), model.tensors["bilinear.w"]).data[0]
-            alone.append(feats)
+            states = model.context_layer([enc])
+            sizes = [(enc.m, enc.nx)]
+            alone.append(encoding_layer(states, sizes, sizes[0], model.tensors["bilinear.w"]).data[0])
     d = model.config.feature_channels
     assert features.data.shape == (4, 8, 8, d)  # M up to 8, N + 1 up to 5
     for i, enc in enumerate(batch):
@@ -250,8 +269,10 @@ def test_joint_encoding_gradient_reaches_context_embeddings():
     model = RewriteModel(toy_config(vocab.size), seed=2)
     batch = [encode_example(examples[0], vocab)]
     enc = model.context_layer(batch)
-    hx = enc[0, batch[0].m : batch[0].m + batch[0].nx, :]
-    ad.tsum(ad.mul(hx, np.random.default_rng(0).normal(size=hx.data.shape))).backward()
+    probe = np.zeros(enc.data.shape)  # the loss reads the utterance rows Hx only
+    hx_rows = slice(batch[0].m, batch[0].m + batch[0].nx)
+    probe[0, hx_rows] = np.random.default_rng(0).normal(size=probe[0, hx_rows].shape)
+    probe_loss(enc, probe).backward()
     grad_rows = model.tensors["embedding"].grad[batch[0].ids[: batch[0].m]]
     assert np.abs(grad_rows).sum() > 0, "loss on Hx must reach context embedding rows"
 
@@ -372,26 +393,27 @@ def test_graph_dropped_without_backward_is_freed_without_the_collector(monkeypat
 
 
 def test_full_model_gradient_spot_check():
-    """Finite-difference check on >= 20 random parameter coordinates."""
+    """Finite-difference check on >= 20 random parameter coordinates, through
+    a batch padded in both directions: (m, nx) = (4, 4) and (3, 2) share one
+    4 x 4 grid, and the second example's BiLSTM rows stop at 5 of 8."""
     rng = np.random.default_rng(9)
     vocab = Vocabulary([f"w{i}" for i in range(8)])
     cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=3, base_channels=2)
     model = to_float64(RewriteModel(cfg, seed=7))  # finite differences need float64
-    gold = np.zeros((4, 4), dtype=np.int8)
-    gold[1:3, 1] = EditType.SUBSTITUTE
-    gold[0, 2] = EditType.INSERT
-    ids = rng.integers(3, vocab.size, size=8)
-    ex = EncodedExample(ids=ids, m=4, nx=4, gold=gold)
+    targets = np.zeros((2, 4, 4), dtype=np.int64)
+    targets[0, 1:3, 1] = EditType.SUBSTITUTE
+    targets[0, 0, 2] = EditType.INSERT
+    targets[1, 1, 0] = EditType.SUBSTITUTE
+    targets[1, 2, 1] = EditType.INSERT
+    batch = [EncodedExample(ids=rng.integers(3, vocab.size, size=m + nx), m=m, nx=nx) for m, nx in [(4, 4), (3, 2)]]
 
     params = model.parameters()
 
     def f():
         # BN in eval mode keeps the loss a fixed function of the parameters
         # (training mode would mutate running statistics between probes).
-        features, masks = model.feature_batch([ex])
+        features, masks = model.feature_batch(batch)
         logits = model.segmentation_layer(features, training=False)
-        targets = np.zeros((1, 4, 4), dtype=np.int64)
-        targets[0] = gold
         return K.weighted_cross_entropy(logits, targets, cfg.class_weights, mask=masks)
 
     for p in params.values():

@@ -8,6 +8,7 @@ from editseg.dialogue import (
     DialogueExample,
     Tokenization,
     join_context,
+    prepare_incomplete,
     tokenize,
     word_tokens,
 )
@@ -20,7 +21,6 @@ from editseg.supervision import (
     locate_in_context,
     mark_spans,
     pair_spans,
-    prepare_incomplete,
 )
 
 ctok = functools.partial(tokenize, mode=Tokenization.PER_CHARACTER)
