@@ -8,6 +8,8 @@ edit program to the incomplete utterance. Training labels are derived from
 rewrite pairs by LCS alignment (distant supervision).
 """
 
+import types as _types
+
 from .autodiff import Tensor, no_grad
 from .data import (
     DatasetError,
@@ -83,64 +85,8 @@ from .training import (
 
 __version__ = "0.1.0"
 
+# The public names are exactly those imported above; the submodules that the
+# imports bind in this namespace are not among them.
 __all__ = [
-    "Tensor",
-    "no_grad",
-    "DatasetError",
-    "SyntheticSpec",
-    "benchmark_spec",
-    "generate_synthetic",
-    "load_dataset",
-    "save_dataset",
-    "ConnectionWordList",
-    "DialogueExample",
-    "EMPTY_CONNECTION_WORDS",
-    "JoinedContext",
-    "Token",
-    "TokenKind",
-    "Tokenization",
-    "derive_connection_words",
-    "detokenize",
-    "join_context",
-    "prepare_incomplete",
-    "texts",
-    "tokenize",
-    "EditProgram",
-    "LabeledRegion",
-    "Rectangle",
-    "apply_edits",
-    "matrix_to_program",
-    "min_cover_rect",
-    "resolve_conflicts",
-    "rewrite_from_matrix",
-    "two_pass_label",
-    "EvalReport",
-    "bleu_n",
-    "evaluate_corpus",
-    "exact_match",
-    "rewriting_prf",
-    "rouge_l",
-    "rouge_n",
-    "EncodedExample",
-    "ModelConfig",
-    "RewriteModel",
-    "Vocabulary",
-    "encode_example",
-    "encoding_layer",
-    "Coverage",
-    "EditType",
-    "build_gold_matrix",
-    "lcs_align",
-    "locate_in_context",
-    "mark_spans",
-    "pair_spans",
-    "Rewriter",
-    "RunConfig",
-    "TrainingDiverged",
-    "TrainResult",
-    "bench_latency",
-    "evaluate_model",
-    "load_model",
-    "save_model",
-    "train",
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _types.ModuleType))
 ]

@@ -20,14 +20,22 @@ from the feature image to the per-cell head without a re-layout.
 
 The two hot kernels are shaped for BLAS. The LSTM projects every step's
 input in one GEMM before its time-major scan and runs each sequence in scan
-order within its own length, so padding trails and no step needs a mask.
-The 3x3 convolution is one GEMM per product (output, kernel gradient,
-input gradient) over the image's pixels as rows, with no padding-ring rows.
-The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
-neighbourhood of the input (rows × 9C) when C <= C', and otherwise
-multiplies the input by all nine taps at once (rows × 9C') and adds the
-blocks back at their offsets, so the forward builds nothing 9·max(C, C')
-wide. Batch norm and ReLU after it are one node with a closed-form backward.
+order within its own length, so padding trails and no step needs a mask;
+one ``tanh`` per step gives all four gates. The 3x3 convolution is one GEMM
+per product (output, kernel gradient, input gradient) over the image's
+pixels as rows, with no padding-ring rows. The nine taps go on the narrower
+side: a C -> C' conv stacks each pixel's neighbourhood of the input
+(rows × 9C) when C <= C', and otherwise multiplies the input by all nine
+taps at once (rows × 9C') and adds the blocks back at their offsets, so the
+forward builds nothing 9·max(C, C') wide. Batch norm and ReLU after it are
+one node with a closed-form backward.
+
+A model keeps each kernel in the layout its forward GEMM reads
+(``kernel_storage``), exposed as a view of the kernel's logical shape: a
+contiguous (3, 3, C, C') for an im2col conv, (C, 3, 3, C') with the taps
+reversed for a kn2row conv, and (C, 2, 2, C') for a deconv. Its GEMM operand
+is then a reshape, with no per-call re-layout, and its gradient comes back
+in the same memory order, so Adam's elementwise updates stay contiguous.
 """
 
 from __future__ import annotations
@@ -46,10 +54,12 @@ from .autodiff import Tensor
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer ids; grad scatter-adds into rows.
+    """Gather rows of ``table`` by integer ids; grad sums into rows.
 
-    Ids repeat (a word, ``[S]``, the padding id), so the backward adds with
-    ``np.add.at``, which sums every occurrence into its row.
+    Ids repeat (a word, ``[S]``, the padding id), so the backward sums every
+    occurrence of each of the U distinct ids with one (U × n) one-hot GEMM
+    over the n output rows, then assigns the U sums into a zero table
+    gradient. Its cost follows the batch, not the vocabulary.
     """
     ids = np.asarray(ids, dtype=np.int64)
     vocab = table.data.shape[0]
@@ -58,8 +68,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise IndexError(f"embedding id {int(bad)} out of range for vocab of {vocab}")
 
     def backward(g):
+        uniq, inv = np.unique(ids.reshape(-1), return_inverse=True)
+        onehot = np.zeros((uniq.size, inv.size), dtype=g.dtype)
+        onehot[inv, np.arange(inv.size)] = 1.0
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids, g)
+        dt[uniq] = onehot @ g.reshape(inv.size, -1)
         ad._accumulate(table, dt)
 
     return ad._node(table.data[ids], (table,), backward)
@@ -67,14 +80,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # LSTM
-
-
-def _sigmoid_(z):
-    """In-place logistic function, same arithmetic as ``1 / (1 + exp(-z))``."""
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    np.reciprocal(z, out=z)
 
 
 def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse: bool = False) -> Tensor:
@@ -88,7 +93,11 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse
     within its own length and padding always trails the real steps. The input
     projection of every step is one (B·L × E) @ (E × 4H) GEMM before the
     scan, leaving one (B × H) @ (H × 4H) GEMM plus the gate arithmetic per
-    step, with no mask blend.
+    step, with no mask blend. One ``tanh`` over all 4H pre-activations gives
+    every gate, through σ(z) = ½·tanh(z/2) + ½: with the per-gate scale s
+    (½ on i, f and o, 1 on g), the activations are s·tanh(s·z) + 1 - s.
+    Halving is exact, so the input projection and ``w_hh`` are scaled once
+    per call, not per step.
 
     Padding cannot leak: padded steps come after every real step of their
     sequence, so they never feed a real output; their outputs are zeroed
@@ -118,16 +127,21 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse
     xs = xd[rows, order]  # (L, B, E), scan order
     gates = (xs.reshape(L * B, E) @ w_ih.data + b.data).reshape(L, B, 4 * H)
     dt = gates.dtype
+    scale = np.full(4 * H, 0.5, dtype=dt)
+    scale[2 * H : 3 * H] = 1.0
+    shift = 1.0 - scale
+    gates *= scale
+    w_hh_scaled = w_hh.data * scale
     hs = np.zeros((L + 1, B, H), dtype=dt)  # hs[t] is the state entering step t
     cs = np.zeros((L + 1, B, H), dtype=dt)
     tcs = np.empty((L, B, H), dtype=dt)
     ig = np.empty((B, H), dtype=dt)
     for t in range(L):
         z = gates[t]  # becomes the step's activations i, f, g, o in place
-        z += hs[t] @ w_hh.data
-        _sigmoid_(z[:, : 2 * H])
-        _sigmoid_(z[:, 3 * H :])
-        np.tanh(z[:, 2 * H : 3 * H], out=z[:, 2 * H : 3 * H])
+        z += hs[t] @ w_hh_scaled
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
         np.multiply(z[:, H : 2 * H], cs[t], out=cs[t + 1])
         np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=ig)
         cs[t + 1] += ig
@@ -215,9 +229,36 @@ def _col2im(blocks: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
     return p[:, 1:-1, 1:-1]
 
 
-def _reversed_taps(k: np.ndarray) -> np.ndarray:
-    """(C', C, 3, 3) -> (9C', C): row block u is tap 8 - u, as (C' × C)."""
-    return k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * k.shape[0], k.shape[1])
+def kernel_storage(k: np.ndarray) -> np.ndarray:
+    """``k`` copied into the buffer its forward GEMM reads, as a view of k's shape.
+
+    - A conv kernel (C', C, 3, 3) with C <= C' (im2col) is stored as a
+      contiguous (3, 3, C, C'): ``_im2col_operand`` is then a reshape.
+    - One with C > C' (kn2row) is stored as a contiguous (C, 3, 3, C') with
+      the taps reversed: ``_kn2row_operand`` is then a reshape.
+    - A deconv kernel (C, C', 2, 2) is stored as a contiguous (C, 2, 2, C'):
+      ``_deconv_operand`` is then a reshape.
+
+    The shape, ``k.shape[:2]`` and the C-order bytes (what a checkpoint
+    writes) are unchanged. The kernels take any layout: for another one,
+    numpy copies where the reshape needs it.
+    """
+    if k.shape[2:] == (2, 2):
+        return np.ascontiguousarray(k.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    if k.shape[1] <= k.shape[0]:
+        return np.ascontiguousarray(k.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
+    rev = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(1, 2, 3, 0))
+    return rev.transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]
+
+
+def _im2col_operand(k: np.ndarray) -> np.ndarray:
+    """(C', C, 3, 3) -> k9 (9C × C'): row block 3a + c is tap (a, c), as (C × C')."""
+    return k.transpose(2, 3, 1, 0).reshape(9 * k.shape[1], k.shape[0])
+
+
+def _kn2row_operand(k: np.ndarray) -> np.ndarray:
+    """(C', C, 3, 3) -> (C × 9C'): column block u is tap 8 - u, as (C × C')."""
+    return k[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(k.shape[1], 9 * k.shape[0])
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -228,21 +269,23 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     side:
 
     - C <= C' (im2col): out = ``_stack9(x) @ k9``, (rows × 9C) @ (9C × C').
-    - C > C' (kn2row): ``x_rows @ k_revᵀ``, (rows × C) @ (C × 9C'), gives
-      each pixel's contribution to its nine neighbours, and ``_col2im`` adds
-      them at their offsets.
+    - C > C' (kn2row): ``x_rows @ k_rev``, (rows × C) @ (C × 9C') with the
+      taps reversed, gives each pixel's contribution to its nine neighbours,
+      and ``_col2im`` adds them at their offsets.
 
     The rule follows the kernel's shape. Stacking the narrower side keeps
     the forward's stacked array and GEMM dimension at 9·min(C, C'): the
     first U-Net conv (402 -> 32) reads the pair-feature image in place instead
     of copying it nine times over, and the convs that widen the channels
-    copy their narrow input rather than add up a wide output.
+    copy their narrow input rather than add up a wide output. A kernel held
+    in ``kernel_storage`` hands its GEMM operand over without a copy.
 
     The backward is the same on both sides. The output gradient is stacked,
     ``g9 = _stack9(dOut)`` (rows × 9C'); block u of a pixel's row is the
     neighbour whose tap 8 - u reads that pixel, so the kernel gradient
-    ``x_rowsᵀ @ g9`` comes out with its taps reversed and the input gradient
-    is ``g9 @ k_rev``.
+    ``x_rowsᵀ @ g9`` comes out in the kn2row order (C × 9C') and the input
+    gradient is ``g9 @ k_revᵀ``. The kernel gradient is handed back in
+    ``kernel_storage``, the memory order of the model's own kernels.
     """
     xd = x.data
     B, H, W, C = xd.shape
@@ -252,73 +295,84 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     if Ck != C:
         raise ValueError(f"conv2d channel mismatch: input has {C}, kernels expect {Ck}")
 
-    k_rev = None  # built only where a product uses it
     if C <= Co:
-        # k9ᵀ (C' × 9C) transposes each output channel's contiguous (C, 9)
-        # block, a cache-friendlier copy than building k9 (9C × C') itself.
-        k9t = kernels.data.reshape(Co, C, 9).transpose(0, 2, 1).reshape(Co, 9 * C)
-        out = (_stack9(xd) @ k9t.T).reshape(B, H, W, Co)
+        out = (_stack9(xd) @ _im2col_operand(kernels.data)).reshape(B, H, W, Co)
     else:
-        k_rev = _reversed_taps(kernels.data)
-        out = _col2im(xd.reshape(B * H * W, C) @ k_rev.T, B, H, W)
+        out = _col2im(xd.reshape(B * H * W, C) @ _kn2row_operand(kernels.data), B, H, W)
 
     def backward(grad):
         g9 = _stack9(grad)
         if kernels.requires_grad:
             dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
-            ad._accumulate(kernels, dk[:, ::-1, ::-1].transpose(3, 0, 1, 2))
+            ad._accumulate(kernels, kernel_storage(dk[:, ::-1, ::-1].transpose(3, 0, 1, 2)))
         if x.requires_grad:
-            k_r = _reversed_taps(kernels.data) if k_rev is None else k_rev
-            ad._accumulate(x, (g9 @ k_r).reshape(B, H, W, C))
+            ad._accumulate(x, (g9 @ _kn2row_operand(kernels.data).T).reshape(B, H, W, C))
 
     return ad._node(out, (x, kernels), backward)
+
+
+# The four cells of a 2x2 window, in row-major order.
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2, (B, H, W, C) -> (B, H/2, W/2, C).
 
-    Gradient routes to the first argmax per window, in row-major window order.
+    The forward is ``np.maximum`` over the four strided views of the window
+    cells. Gradient routes to the first cell per window, in row-major window
+    order, that equals the window's maximum.
     """
-    B, H, W, C = x.data.shape
+    xd = x.data
+    B, H, W, C = xd.shape
     if H % 2 or W % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {H}x{W}")
-    h, w = H // 2, W // 2
-    # The window goes on the last axis, (B, h, w, C, 4), so argmax reads it
-    # contiguously.
-    r = x.data.reshape(B, h, 2, w, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, h, w, C, 4)
-    idx = r.argmax(axis=4)
-    out = np.take_along_axis(r, idx[..., None], axis=4)[..., 0]
+    cells = [xd[:, a::2, c::2] for a, c in _WINDOW]
+    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
 
     def backward(grad):
-        dr = np.zeros((B, h, w, C, 4), dtype=x.data.dtype)
-        np.put_along_axis(dr, idx[..., None], grad[..., None], axis=4)
-        dx = dr.reshape(B, h, w, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
+        dx = np.zeros_like(xd)
+        free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet routed
+        for (a, c), cell in zip(_WINDOW, cells):
+            hit = (cell == out) & free
+            dx[:, a::2, c::2] = np.where(hit, grad, 0.0)
+            free &= ~hit
         ad._accumulate(x, dx)
 
     return ad._node(out, (x,), backward)
 
 
+def _deconv_operand(k: np.ndarray) -> np.ndarray:
+    """(C, C', 2, 2) -> (C × 4C'): column block 2a + c is tap (a, c), as (C × C')."""
+    return k.transpose(0, 2, 3, 1).reshape(k.shape[0], 4 * k.shape[1])
+
+
 def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
     """Transposed convolution, 2x2 kernel, stride 2; (B, H, W, C) -> (B, 2H, 2W, C').
 
-    ``kernels`` has shape (C, C', 2, 2).
+    ``kernels`` has shape (C, C', 2, 2). Input pixel (i, j) writes output
+    pixel (2i + a, 2j + c) through tap (a, c) alone, so the forward is one
+    GEMM, (rows × C) @ (C × 4C'), whose column block 2a + c is moved to its
+    offset by one reshape and transpose. The backward is two GEMMs over the
+    output gradient gathered back into that (rows × 4C') order.
     """
-    B, H, W, C = x.data.shape
+    xd = x.data
+    B, H, W, C = xd.shape
     Ci, Co, kh, kw = kernels.data.shape
     if (kh, kw) != (2, 2):
         raise ValueError("deconv2 kernels must be 2x2")
     if Ci != C:
         raise ValueError(f"deconv2 channel mismatch: input has {C}, kernels expect {Ci}")
 
-    out6 = np.einsum("bijc,cdkl->bikjld", x.data, kernels.data, optimize=True)
-    out = out6.reshape(B, 2 * H, 2 * W, Co)
+    x_rows = xd.reshape(B * H * W, C)
+    k4 = _deconv_operand(kernels.data)
+    out = (x_rows @ k4).reshape(B, H, W, 2, 2, Co).transpose(0, 1, 3, 2, 4, 5).reshape(B, 2 * H, 2 * W, Co)
 
     def backward(grad):
-        g6 = grad.reshape(B, H, 2, W, 2, Co)
+        g4 = grad.reshape(B, H, 2, W, 2, Co).transpose(0, 1, 3, 2, 4, 5).reshape(B * H * W, 4 * Co)
         if x.requires_grad:
-            ad._accumulate(x, np.einsum("bikjld,cdkl->bijc", g6, kernels.data, optimize=True))
+            ad._accumulate(x, (g4 @ k4.T).reshape(B, H, W, C))
         if kernels.requires_grad:
-            ad._accumulate(kernels, np.einsum("bijc,bikjld->cdkl", x.data, g6, optimize=True))
+            ad._accumulate(kernels, (x_rows.T @ g4).reshape(C, 2, 2, Co).transpose(0, 3, 1, 2))
 
     return ad._node(out, (x, kernels), backward)
 

@@ -324,12 +324,16 @@ class RewriteModel:
         return model
 
     def _adopt(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
+        """Hold float32 copies of ``arrays``, each conv and deconv kernel in
+        ``kernels.kernel_storage``, the layout its forward GEMM reads."""
         self.config = config
         self.invocations = 0  # one per predicted example, by construction
-        self.tensors = {
-            name: Tensor(arrays[name].astype(np.float32), requires_grad=is_parameter(name))
-            for name in array_table(config)
-        }
+        self.tensors = {}
+        for name in array_table(config):
+            data = arrays[name].astype(np.float32)
+            if name.endswith(".k"):
+                data = K.kernel_storage(data)
+            self.tensors[name] = Tensor(data, requires_grad=is_parameter(name))
 
     # -- parameter bookkeeping ------------------------------------------------
 

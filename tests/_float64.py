@@ -10,7 +10,9 @@ import numpy as np
 
 
 def to_float64(model):
-    """Cast every array of ``model``, parameters and batch-norm statistics, to float64 in place."""
+    """Cast every array of ``model``, parameters and batch-norm statistics, to
+    C-contiguous float64 in place; ``grad_check`` probes only C-contiguous arrays,
+    and the model keeps its kernels in ``kernels.kernel_storage``."""
     for t in model.tensors.values():
-        t.data = t.data.astype(np.float64)
+        t.data = t.data.astype(np.float64, order="C")
     return model

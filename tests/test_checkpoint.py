@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from editseg.checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
+from editseg.dialogue import EMPTY_CONNECTION_WORDS
 from editseg.generation import Rectangle
+from editseg.model import ModelConfig, RewriteModel, Vocabulary
+from editseg.training import Rewriter, load_model, save_model
 from editseg.supervision import EditType
 
 
@@ -54,6 +57,25 @@ def test_float32_round_trip_keeps_dtype_and_gives_identical_bytes(tmp_path):
     for name, arr in arrays.items():
         assert loaded[name].dtype == arr.dtype
         assert np.array_equal(loaded[name], arr)
+
+
+def test_model_checkpoint_holds_c_order_bytes_and_reloads_byte_identically(tmp_path):
+    # The model keeps its conv and deconv kernels in the layout their GEMMs
+    # read, not in C order; the file still holds every array's C-order bytes,
+    # and a model loaded from it saves the same file again.
+    vocab = Vocabulary([f"w{i}" for i in range(8)])
+    config = ModelConfig(vocab_size=vocab.size, embed_dim=6, hidden_dim=5, base_channels=3)
+    model = RewriteModel(config, seed=7)
+    for name in ("down1.conv1.k", "down1.conv2.k", "up1.deconv.k"):  # kn2row, im2col, deconv
+        assert not model.tensors[name].data.flags.c_contiguous, name
+    save_model(tmp_path / "a.run", Rewriter(model, vocab, EMPTY_CONNECTION_WORDS, 0, "whitespace"))
+    save_model(tmp_path / "b.run", load_model(tmp_path / "a.run"))
+    raw = (tmp_path / "a.run").read_bytes()
+    assert raw == (tmp_path / "b.run").read_bytes()
+    state = model.state()
+    payload = b"".join(np.ascontiguousarray(state[name]).tobytes() for name in sorted(state))
+    (n,) = struct.unpack_from("<I", raw)
+    assert raw[4 + n :] == payload
 
 
 def test_unknown_format_tag_rejected(tmp_path):

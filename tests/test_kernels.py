@@ -147,6 +147,40 @@ def test_lstm_rejects_lengths_beyond_sequence():
         K.lstm(Tensor(np.zeros((2, 4, 3))), *fwd, lengths=[4, 5])
 
 
+def lstm_reference(x, w_ih, w_hh, b, lengths, reverse):
+    """Step-by-step LSTM in float64, one sequence at a time, with the logistic
+    function written as 1 / (1 + exp(-z))."""
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    B, L, _ = x.shape
+    H = w_hh.shape[0]
+    out = np.zeros((B, L, H))
+    for i in range(B):
+        h, c = np.zeros(H), np.zeros(H)
+        for t in range(lengths[i] - 1, -1, -1) if reverse else range(lengths[i]):
+            z = x[i, t] @ w_ih + b + h @ w_hh
+            c = sigmoid(z[H : 2 * H]) * c + sigmoid(z[:H]) * np.tanh(z[2 * H : 3 * H])
+            h = out[i, t] = sigmoid(z[3 * H :]) * np.tanh(c)
+    return out
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_matches_logistic_reference_in_float32(reverse):
+    # The kernel forms every gate from one tanh, sigma(z) = tanh(z/2)/2 + 1/2;
+    # a float32 run matches the textbook float64 scan to float32 rounding.
+    rng = rng_for(740)
+    weights = [t.data + rng.normal(size=t.data.shape) for t in bilstm_weights(rng, 6, 5)[0]]
+    x = rng.normal(size=(3, 7, 6)) * 2.0
+    lengths = [7, 3, 5]
+    tensors = [Tensor(a.astype(np.float32)) for a in (x, *weights)]
+    out = K.lstm(*tensors, lengths=lengths, reverse=reverse)
+    assert out.data.dtype == np.float32
+    want = lstm_reference(*(t.data.astype(np.float64) for t in tensors), lengths, reverse)
+    np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # conv / pool / deconv
 
@@ -251,6 +285,30 @@ def test_conv_same_result_for_channels_last_view_and_contiguous_copy(c, co):
     )
 
 
+@pytest.mark.parametrize("c, co", [(3, 5), (4, 4), (6, 2)], ids=["im2col", "im2col_equal", "kn2row"])
+def test_conv_stored_kernel_bitwise_equals_contiguous_copy(c, co):
+    # kernel_storage hands conv2d its GEMM operand without a copy; a
+    # C-contiguous kernel is copied into the same operand, so both give the
+    # same bits, and the kernel gradient comes out in the stored memory order.
+    rng = rng_for(700 + c)
+    xd = rng.normal(size=(2, 4, 5, c)).astype(np.float32)
+    k = rng.normal(size=(co, c, 3, 3)).astype(np.float32)
+    probe = rng.normal(size=(2, 4, 5, co)).astype(np.float32)
+    stored = K.kernel_storage(k)
+    assert np.array_equal(stored, k) and not stored.flags.c_contiguous
+    operand = K._im2col_operand if c <= co else K._kn2row_operand
+    assert np.shares_memory(operand(stored), stored)
+    results = []
+    for kd in (stored, k):
+        x, kt = Tensor(xd, requires_grad=True), Tensor(kd, requires_grad=True)
+        out = K.conv2d(x, kt)
+        probe_loss(out, probe).backward()
+        results.append((out.data, x.grad, kt.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    assert results[0][2].strides == stored.strides
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_bn_relu_grads_match_finite_differences(seed):
     rng = rng_for(200 + seed)
@@ -345,6 +403,35 @@ def test_maxpool_grad_is_one_hot_and_matches_fd(seed):
     assert all(np.count_nonzero(windows[i, :, j, :]) == 1 for i in range(2) for j in range(2))
 
 
+def maxpool_reference(x, g):
+    """Max pooling with the window on its own axis: the output and the
+    gradient ``g`` routed to each window's first argmax."""
+    B, H, W, C = x.shape
+    r = x.reshape(B, H // 2, 2, W // 2, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, H // 2, W // 2, C, 4)
+    idx = r.argmax(axis=4)[..., None]
+    dr = np.zeros_like(r)
+    np.put_along_axis(dr, idx, g[..., None], axis=4)
+    dx = dr.reshape(B, H // 2, W // 2, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
+    return np.take_along_axis(r, idx, axis=4)[..., 0], dx
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+def test_maxpool_matches_argmax_reference(ties):
+    rng = rng_for(730)
+    xd = rng.normal(size=(2, 6, 8, 3))
+    if ties:
+        xd = np.round(xd)  # integers: many windows hold their maximum twice
+    x = Tensor(xd, requires_grad=True)
+    probe = rng.normal(size=(2, 3, 4, 3))
+    out = K.maxpool2(x)
+    probe_loss(out, probe).backward()
+    want_out, want_dx = maxpool_reference(xd, probe)
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(x.grad, want_dx)
+    tied = (xd.reshape(2, 3, 2, 4, 2, 3) == want_out[:, :, None, :, None]).sum(axis=(2, 4))
+    assert np.any(tied > 1) == ties
+
+
 def test_deconv_broadcasts_single_value():
     x = Tensor(np.array([[[[3.0]]]]))
     k = Tensor(np.ones((1, 1, 2, 2)))
@@ -367,6 +454,26 @@ def test_deconv_grads_match_finite_differences(seed):
         return probe_loss(K.deconv2(x, k), probe)
 
     assert K.grad_check(f, [x, k], h=H_STEP) < TOL
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "c_order"])
+def test_deconv_matches_einsum_oracle(stored):
+    # out[b, 2i + a, 2j + c, d] = sum over channels of x[b, i, j, :] k[:, d, a, c].
+    rng = rng_for(720)
+    k = rng.normal(size=(5, 3, 2, 2))
+    if stored:
+        k = K.kernel_storage(k)
+        assert np.shares_memory(K._deconv_operand(k), k)
+    x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    kt = Tensor(k, requires_grad=True)
+    probe = rng.normal(size=(2, 6, 8, 3))
+    out = K.deconv2(x, kt)
+    probe_loss(out, probe).backward()
+    g6 = probe.reshape(2, 3, 2, 4, 2, 3)
+    want = np.einsum("bijc,cdkl->bikjld", x.data, k).reshape(2, 6, 8, 3)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x.grad, np.einsum("bikjld,cdkl->bijc", g6, k), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(kt.grad, np.einsum("bijc,bikjld->cdkl", x.data, g6), rtol=1e-12, atol=1e-12)
 
 
 def test_pool_deconv_shape_round_trip():
