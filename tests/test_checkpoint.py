@@ -10,8 +10,8 @@ from editseg.checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from editseg.dialogue import EMPTY_CONNECTION_WORDS
 from editseg.generation import Rectangle
 from editseg.model import ModelConfig, RewriteModel, Vocabulary
-from editseg.training import Rewriter, load_model, save_model
 from editseg.supervision import EditType
+from editseg.training import Rewriter, load_model, save_model
 
 
 def test_round_trip_preserves_arrays_and_meta(tmp_path):
