@@ -20,22 +20,22 @@ from the feature image to the per-cell head without a re-layout.
 
 The two hot kernels are shaped for BLAS. The LSTM projects every step's
 input in one GEMM before its time-major scan and runs each sequence in scan
-order within its own length, so padding trails and no step needs a mask;
-one ``tanh`` per step gives all four gates. The 3x3 convolution is one GEMM
-per product (output, kernel gradient, input gradient) over the image's
-pixels as rows, with no padding-ring rows. The nine taps go on the narrower
-side: a C -> C' conv stacks each pixel's neighbourhood of the input
-(rows × 9C) when C <= C', and otherwise multiplies the input by all nine
-taps at once (rows × 9C') and adds the blocks back at their offsets, so the
-forward builds nothing 9·max(C, C') wide. Batch norm and ReLU after it are
-one node with a closed-form backward.
+order within its own length, so padding trails and no step needs a mask.
+The 3x3 convolution is one GEMM per product (output, kernel gradient,
+input gradient) over the image's pixels as rows, with no padding-ring rows.
+The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
+neighbourhood of the input (rows × 9C) when C <= C', and otherwise
+multiplies the input by all nine taps at once (rows × 9C') and adds the
+blocks back at their offsets, so the forward builds nothing 9·max(C, C')
+wide. Batch norm and ReLU after it are one node with a closed-form backward.
 
-A model keeps each kernel in the layout its forward GEMM reads
+A model keeps each conv kernel in the layout its GEMMs read
 (``kernel_storage``), exposed as a view of the kernel's logical shape: a
-contiguous (3, 3, C, C') for an im2col conv, (C, 3, 3, C') with the taps
-reversed for a kn2row conv, and (C, 2, 2, C') for a deconv. Its GEMM operand
-is then a reshape, with no per-call re-layout, and its gradient comes back
-in the same memory order, so Adam's elementwise updates stay contiguous.
+contiguous (C', 3, 3, C) for an im2col conv and a (3, 3, C', C) with the
+taps reversed for a kn2row conv; a deconv kernel's own C order is already
+its operand's. A forward then takes its operand with a reshape, with no
+per-call re-layout, and a conv kernel's gradient comes back in its kernel's
+memory order, so Adam's elementwise updates on it stay contiguous.
 """
 
 from __future__ import annotations
@@ -54,12 +54,10 @@ from .autodiff import Tensor
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer ids; grad sums into rows.
+    """Gather rows of ``table`` by integer ids; grad scatter-adds into rows.
 
-    Ids repeat (a word, ``[S]``, the padding id), so the backward sums every
-    occurrence of each of the U distinct ids with one (U × n) one-hot GEMM
-    over the n output rows, then assigns the U sums into a zero table
-    gradient. Its cost follows the batch, not the vocabulary.
+    Ids repeat (a word, ``[S]``, the padding id), so the backward adds with
+    ``np.add.at``, which sums every occurrence into its row.
     """
     ids = np.asarray(ids, dtype=np.int64)
     vocab = table.data.shape[0]
@@ -68,11 +66,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise IndexError(f"embedding id {int(bad)} out of range for vocab of {vocab}")
 
     def backward(g):
-        uniq, inv = np.unique(ids.reshape(-1), return_inverse=True)
-        onehot = np.zeros((uniq.size, inv.size), dtype=g.dtype)
-        onehot[inv, np.arange(inv.size)] = 1.0
         dt = np.zeros_like(table.data)
-        dt[uniq] = onehot @ g.reshape(inv.size, -1)
+        np.add.at(dt, ids, g)
         ad._accumulate(table, dt)
 
     return ad._node(table.data[ids], (table,), backward)
@@ -80,6 +75,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # LSTM
+
+
+def _sigmoid_(z):
+    """In-place logistic function, same arithmetic as ``1 / (1 + exp(-z))``."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
 
 
 def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse: bool = False) -> Tensor:
@@ -93,11 +96,7 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse
     within its own length and padding always trails the real steps. The input
     projection of every step is one (B·L × E) @ (E × 4H) GEMM before the
     scan, leaving one (B × H) @ (H × 4H) GEMM plus the gate arithmetic per
-    step, with no mask blend. One ``tanh`` over all 4H pre-activations gives
-    every gate, through σ(z) = ½·tanh(z/2) + ½: with the per-gate scale s
-    (½ on i, f and o, 1 on g), the activations are s·tanh(s·z) + 1 - s.
-    Halving is exact, so the input projection and ``w_hh`` are scaled once
-    per call, not per step.
+    step, with no mask blend.
 
     Padding cannot leak: padded steps come after every real step of their
     sequence, so they never feed a real output; their outputs are zeroed
@@ -127,21 +126,16 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse
     xs = xd[rows, order]  # (L, B, E), scan order
     gates = (xs.reshape(L * B, E) @ w_ih.data + b.data).reshape(L, B, 4 * H)
     dt = gates.dtype
-    scale = np.full(4 * H, 0.5, dtype=dt)
-    scale[2 * H : 3 * H] = 1.0
-    shift = 1.0 - scale
-    gates *= scale
-    w_hh_scaled = w_hh.data * scale
     hs = np.zeros((L + 1, B, H), dtype=dt)  # hs[t] is the state entering step t
     cs = np.zeros((L + 1, B, H), dtype=dt)
     tcs = np.empty((L, B, H), dtype=dt)
     ig = np.empty((B, H), dtype=dt)
     for t in range(L):
         z = gates[t]  # becomes the step's activations i, f, g, o in place
-        z += hs[t] @ w_hh_scaled
-        np.tanh(z, out=z)
-        z *= scale
-        z += shift
+        z += hs[t] @ w_hh.data
+        _sigmoid_(z[:, : 2 * H])
+        _sigmoid_(z[:, 3 * H :])
+        np.tanh(z[:, 2 * H : 3 * H], out=z[:, 2 * H : 3 * H])
         np.multiply(z[:, H : 2 * H], cs[t], out=cs[t + 1])
         np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=ig)
         cs[t + 1] += ig
@@ -229,36 +223,43 @@ def _col2im(blocks: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
     return p[:, 1:-1, 1:-1]
 
 
-def kernel_storage(k: np.ndarray) -> np.ndarray:
-    """``k`` copied into the buffer its forward GEMM reads, as a view of k's shape.
+def _uses_im2col(k: np.ndarray) -> bool:
+    """Whether a (C', C, 3, 3) conv stacks its input's taps (C <= C') or its output's."""
+    return k.shape[1] <= k.shape[0]
 
-    - A conv kernel (C', C, 3, 3) with C <= C' (im2col) is stored as a
-      contiguous (3, 3, C, C'): ``_im2col_operand`` is then a reshape.
-    - One with C > C' (kn2row) is stored as a contiguous (C, 3, 3, C') with
-      the taps reversed: ``_kn2row_operand`` is then a reshape.
-    - A deconv kernel (C, C', 2, 2) is stored as a contiguous (C, 2, 2, C'):
-      ``_deconv_operand`` is then a reshape.
+
+def kernel_storage(k: np.ndarray) -> np.ndarray:
+    """``k`` copied into the buffer its GEMMs read, as a view of k's shape.
+
+    - A conv kernel (C', C, 3, 3) that uses im2col is stored as a contiguous
+      (C', 3, 3, C): ``_im2col_rows``, its forward operand transposed, is
+      then a reshape.
+    - One that uses kn2row is stored as a contiguous (3, 3, C', C) with the
+      taps reversed: ``_reversed_taps``, its forward operand transposed and
+      its input gradient's operand, is then a reshape.
+    - A deconv kernel (C, C', 2, 2) keeps its C order: ``deconv2``'s forward
+      operand (C × 4C') is its reshape.
 
     The shape, ``k.shape[:2]`` and the C-order bytes (what a checkpoint
     writes) are unchanged. The kernels take any layout: for another one,
     numpy copies where the reshape needs it.
     """
     if k.shape[2:] == (2, 2):
+        return np.ascontiguousarray(k)
+    if _uses_im2col(k):
         return np.ascontiguousarray(k.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    if k.shape[1] <= k.shape[0]:
-        return np.ascontiguousarray(k.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
-    rev = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(1, 2, 3, 0))
-    return rev.transpose(3, 0, 1, 2)[:, :, ::-1, ::-1]
+    rev = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1))
+    return rev.transpose(2, 3, 0, 1)[:, :, ::-1, ::-1]
 
 
-def _im2col_operand(k: np.ndarray) -> np.ndarray:
-    """(C', C, 3, 3) -> k9 (9C × C'): row block 3a + c is tap (a, c), as (C × C')."""
-    return k.transpose(2, 3, 1, 0).reshape(9 * k.shape[1], k.shape[0])
+def _im2col_rows(k: np.ndarray) -> np.ndarray:
+    """(C', C, 3, 3) -> k9ᵀ (C' × 9C): column block 3a + c is tap (a, c), as (C' × C)."""
+    return k.transpose(0, 2, 3, 1).reshape(k.shape[0], 9 * k.shape[1])
 
 
-def _kn2row_operand(k: np.ndarray) -> np.ndarray:
-    """(C', C, 3, 3) -> (C × 9C'): column block u is tap 8 - u, as (C × C')."""
-    return k[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(k.shape[1], 9 * k.shape[0])
+def _reversed_taps(k: np.ndarray) -> np.ndarray:
+    """(C', C, 3, 3) -> (9C' × C): row block u is tap 8 - u, as (C' × C)."""
+    return k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * k.shape[0], k.shape[1])
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -269,22 +270,30 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     side:
 
     - C <= C' (im2col): out = ``_stack9(x) @ k9``, (rows × 9C) @ (9C × C').
-    - C > C' (kn2row): ``x_rows @ k_rev``, (rows × C) @ (C × 9C') with the
+    - C > C' (kn2row): ``x_rows @ k_revᵀ``, (rows × C) @ (C × 9C') with the
       taps reversed, gives each pixel's contribution to its nine neighbours,
       and ``_col2im`` adds them at their offsets.
 
-    The rule follows the kernel's shape. Stacking the narrower side keeps
-    the forward's stacked array and GEMM dimension at 9·min(C, C'): the
-    first U-Net conv (402 -> 32) reads the pair-feature image in place instead
-    of copying it nine times over, and the convs that widen the channels
-    copy their narrow input rather than add up a wide output. A kernel held
-    in ``kernel_storage`` hands its GEMM operand over without a copy.
+    The rule follows the kernel's shape (``_uses_im2col``). Stacking the
+    narrower side keeps the forward's stacked array and GEMM dimension at
+    9·min(C, C'): the first U-Net conv (402 -> 32) reads the pair-feature
+    image in place instead of copying it nine times over, and the convs that
+    widen the channels copy their narrow input rather than add up a wide
+    output.
+
+    Both forward operands, k9 and k_revᵀ, are transposed views of
+    (C' × 9C) and (9C' × C) arrays, which a kernel held in
+    ``kernel_storage`` hands over without a copy. That orientation is the
+    faster one at training's row counts. At batch 1 a contiguous (9C × C')
+    operand is a little faster, but OpenBLAS sums the two orientations in
+    different orders on some small shapes, so switching would change a
+    trained model's float32 outputs.
 
     The backward is the same on both sides. The output gradient is stacked,
     ``g9 = _stack9(dOut)`` (rows × 9C'); block u of a pixel's row is the
     neighbour whose tap 8 - u reads that pixel, so the kernel gradient
-    ``x_rowsᵀ @ g9`` comes out in the kn2row order (C × 9C') and the input
-    gradient is ``g9 @ k_revᵀ``. The kernel gradient is handed back in
+    ``x_rowsᵀ @ g9`` comes out with its taps reversed and the input gradient
+    is ``g9 @ _reversed_taps(k)``. The kernel gradient is handed back in
     ``kernel_storage``, the memory order of the model's own kernels.
     """
     xd = x.data
@@ -295,10 +304,10 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     if Ck != C:
         raise ValueError(f"conv2d channel mismatch: input has {C}, kernels expect {Ck}")
 
-    if C <= Co:
-        out = (_stack9(xd) @ _im2col_operand(kernels.data)).reshape(B, H, W, Co)
+    if _uses_im2col(kernels.data):
+        out = (_stack9(xd) @ _im2col_rows(kernels.data).T).reshape(B, H, W, Co)
     else:
-        out = _col2im(xd.reshape(B * H * W, C) @ _kn2row_operand(kernels.data), B, H, W)
+        out = _col2im(xd.reshape(B * H * W, C) @ _reversed_taps(kernels.data).T, B, H, W)
 
     def backward(grad):
         g9 = _stack9(grad)
@@ -306,7 +315,7 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
             dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
             ad._accumulate(kernels, kernel_storage(dk[:, ::-1, ::-1].transpose(3, 0, 1, 2)))
         if x.requires_grad:
-            ad._accumulate(x, (g9 @ _kn2row_operand(kernels.data).T).reshape(B, H, W, C))
+            ad._accumulate(x, (g9 @ _reversed_taps(kernels.data)).reshape(B, H, W, C))
 
     return ad._node(out, (x, kernels), backward)
 
@@ -341,19 +350,19 @@ def maxpool2(x: Tensor) -> Tensor:
     return ad._node(out, (x,), backward)
 
 
-def _deconv_operand(k: np.ndarray) -> np.ndarray:
-    """(C, C', 2, 2) -> (C × 4C'): column block 2a + c is tap (a, c), as (C × C')."""
-    return k.transpose(0, 2, 3, 1).reshape(k.shape[0], 4 * k.shape[1])
-
-
 def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
     """Transposed convolution, 2x2 kernel, stride 2; (B, H, W, C) -> (B, 2H, 2W, C').
 
     ``kernels`` has shape (C, C', 2, 2). Input pixel (i, j) writes output
     pixel (2i + a, 2j + c) through tap (a, c) alone, so the forward is one
-    GEMM, (rows × C) @ (C × 4C'), whose column block 2a + c is moved to its
-    offset by one reshape and transpose. The backward is two GEMMs over the
-    output gradient gathered back into that (rows × 4C') order.
+    GEMM, (rows × C) @ (C × 4C') with the kernel's C-order reshape as the
+    operand, whose columns (d, a, c) are moved to their output pixels by one
+    reshape and transpose. The backward is two GEMMs, each over the output
+    gradient gathered into a contiguous (4C' × rows): ``k4 @ gt`` for the
+    input and ``gt @ x_rows`` for the kernel. Each product keeps the operand
+    order and orientation ``np.einsum(..., optimize=True)`` (numpy 2.4) uses
+    for the same sum, so the float32 results equal einsum's bit for bit;
+    OpenBLAS rounds the other orientations differently on some shapes.
     """
     xd = x.data
     B, H, W, C = xd.shape
@@ -364,15 +373,17 @@ def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
         raise ValueError(f"deconv2 channel mismatch: input has {C}, kernels expect {Ci}")
 
     x_rows = xd.reshape(B * H * W, C)
-    k4 = _deconv_operand(kernels.data)
-    out = (x_rows @ k4).reshape(B, H, W, 2, 2, Co).transpose(0, 1, 3, 2, 4, 5).reshape(B, 2 * H, 2 * W, Co)
+    k4 = kernels.data.reshape(C, 4 * Co)
+    out = (x_rows @ k4).reshape(B, H, W, Co, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, 2 * H, 2 * W, Co)
 
     def backward(grad):
-        g4 = grad.reshape(B, H, 2, W, 2, Co).transpose(0, 1, 3, 2, 4, 5).reshape(B * H * W, 4 * Co)
+        g6 = grad.reshape(B, H, 2, W, 2, Co)
         if x.requires_grad:
-            ad._accumulate(x, (g4 @ k4.T).reshape(B, H, W, C))
+            gt = g6.transpose(5, 2, 4, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (d, a, c)
+            ad._accumulate(x, (k4 @ gt).reshape(C, B, H, W).transpose(1, 2, 3, 0))
         if kernels.requires_grad:
-            ad._accumulate(kernels, (x_rows.T @ g4).reshape(C, 2, 2, Co).transpose(0, 3, 1, 2))
+            gt = g6.transpose(2, 4, 5, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (a, c, d)
+            ad._accumulate(kernels, (gt @ x_rows).reshape(2, 2, Co, C).transpose(3, 2, 0, 1))
 
     return ad._node(out, (x, kernels), backward)
 

@@ -299,12 +299,8 @@ def _load_run(path) -> tuple[Rewriter, dict, K.AdamState | None]:
     model = RewriteModel.from_arrays(config, arrays)
     adam = None
     if "adam_step" in meta:
-        # Moments in their parameters' memory order, as a fresh run has them.
-        adam = K.AdamState.for_params(list(model.parameters().values()))
-        adam.step = meta["adam_step"]
-        for kind, moments in (("m", adam.m), ("v", adam.v)):
-            for name, moment in zip(params, moments):
-                moment[...] = arrays[f"adam.{kind}.{name}"]
+        m, v = ([arrays[f"adam.{kind}.{name}"].astype(np.float32) for name in params] for kind in "mv")
+        adam = K.AdamState(meta["adam_step"], m, v)
     return Rewriter(model, vocab, conn, k, tokenization), meta, adam
 
 

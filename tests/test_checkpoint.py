@@ -60,13 +60,13 @@ def test_float32_round_trip_keeps_dtype_and_gives_identical_bytes(tmp_path):
 
 
 def test_model_checkpoint_holds_c_order_bytes_and_reloads_byte_identically(tmp_path):
-    # The model keeps its conv and deconv kernels in the layout their GEMMs
-    # read, not in C order; the file still holds every array's C-order bytes,
-    # and a model loaded from it saves the same file again.
+    # The model keeps its conv kernels in the layout their GEMMs read, not in
+    # C order; the file still holds every array's C-order bytes, and a model
+    # loaded from it saves the same file again.
     vocab = Vocabulary([f"w{i}" for i in range(8)])
     config = ModelConfig(vocab_size=vocab.size, embed_dim=6, hidden_dim=5, base_channels=3)
     model = RewriteModel(config, seed=7)
-    for name in ("down1.conv1.k", "down1.conv2.k", "up1.deconv.k"):  # kn2row, im2col, deconv
+    for name in ("down1.conv1.k", "down1.conv2.k"):  # kn2row, im2col
         assert not model.tensors[name].data.flags.c_contiguous, name
     save_model(tmp_path / "a.run", Rewriter(model, vocab, EMPTY_CONNECTION_WORDS, 0, "whitespace"))
     save_model(tmp_path / "b.run", load_model(tmp_path / "a.run"))

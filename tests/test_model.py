@@ -300,6 +300,25 @@ def test_segmentation_channel_trace():
     assert model.tensors["head.w"].data.shape == (64, 3)  # C0 + C0 skip -> 3
 
 
+def test_every_kernel_of_a_model_is_stored_as_its_gemm_operand():
+    # conv2d and deconv2 copy a kernel held in any other layout on every call
+    # and give the same result, so only this check sees the stored layout
+    # drift from the operand the kernels read.
+    seeded = RewriteModel(toy_config(), seed=0)
+    loaded = RewriteModel.from_arrays(seeded.config, seeded.state())
+    for model in (seeded, loaded):
+        kernels = {name: t.data for name, t in model.tensors.items() if name.endswith(".k")}
+        assert len(kernels) == 10
+        for name, k in kernels.items():
+            if k.shape[2:] == (2, 2):
+                operand = k.reshape(k.shape[0], -1)
+            elif K._uses_im2col(k):
+                operand = K._im2col_rows(k)
+            else:
+                operand = K._reversed_taps(k)
+            assert np.shares_memory(operand, k), name
+
+
 def test_segmentation_preserves_spatial_dims():
     cfg = toy_config()
     model = RewriteModel(cfg, seed=0)
