@@ -245,7 +245,7 @@ def kernel_storage(k: np.ndarray) -> np.ndarray:
     numpy copies where the reshape needs it.
     """
     if k.shape[2:] == (2, 2):
-        return np.ascontiguousarray(k)
+        return k.copy(order="C")
     if _uses_im2col(k):
         return np.ascontiguousarray(k.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     rev = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1))

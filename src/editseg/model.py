@@ -330,9 +330,12 @@ class RewriteModel:
         self.invocations = 0  # one per predicted example, by construction
         self.tensors = {}
         for name in array_table(config):
-            data = arrays[name].astype(np.float32)
             if name.endswith(".k"):
-                data = K.kernel_storage(data)
+                # kernel_storage makes the copy; a cast copy before it, made
+                # and freed per kernel, made load_model ~3x slower.
+                data = K.kernel_storage(arrays[name].astype(np.float32, copy=False))
+            else:
+                data = arrays[name].astype(np.float32)
             self.tensors[name] = Tensor(data, requires_grad=is_parameter(name))
 
     # -- parameter bookkeeping ------------------------------------------------

@@ -168,8 +168,8 @@ def lstm_reference(x, w_ih, w_hh, b, lengths, reverse):
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_lstm_matches_logistic_reference_in_float32(reverse):
-    # The kernel forms every gate from one tanh, sigma(z) = tanh(z/2)/2 + 1/2;
-    # a float32 run matches the textbook float64 scan to float32 rounding.
+    # The kernel's in-place gate arithmetic in float32 matches the textbook
+    # float64 scan to float32 rounding.
     rng = rng_for(740)
     weights = [t.data + rng.normal(size=t.data.shape) for t in bilstm_weights(rng, 6, 5)[0]]
     x = rng.normal(size=(3, 7, 6)) * 2.0
