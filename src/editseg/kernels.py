@@ -229,7 +229,7 @@ def _uses_im2col(k: np.ndarray) -> bool:
 
 
 def kernel_storage(k: np.ndarray) -> np.ndarray:
-    """``k`` copied into the buffer its GEMMs read, as a view of k's shape.
+    """A copy of ``k`` in the buffer its GEMMs read, as a view of k's shape.
 
     - A conv kernel (C', C, 3, 3) that uses im2col is stored as a contiguous
       (C', 3, 3, C): ``_im2col_rows``, its forward operand transposed, is
@@ -245,10 +245,10 @@ def kernel_storage(k: np.ndarray) -> np.ndarray:
     numpy copies where the reshape needs it.
     """
     if k.shape[2:] == (2, 2):
-        return k.copy(order="C")
+        return k.copy()
     if _uses_im2col(k):
-        return np.ascontiguousarray(k.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    rev = np.ascontiguousarray(k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1))
+        return k.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+    rev = k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).copy()
     return rev.transpose(2, 3, 0, 1)[:, :, ::-1, ::-1]
 
 

@@ -306,6 +306,8 @@ def test_every_kernel_of_a_model_is_stored_as_its_gemm_operand():
     # drift from the operand the kernels read.
     seeded = RewriteModel(toy_config(), seed=0)
     loaded = RewriteModel.from_arrays(seeded.config, seeded.state())
+    for name, t in loaded.tensors.items():
+        assert not np.shares_memory(t.data, seeded.tensors[name].data), name
     for model in (seeded, loaded):
         kernels = {name: t.data for name, t in model.tensors.items() if name.endswith(".k")}
         assert len(kernels) == 10
