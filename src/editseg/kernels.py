@@ -16,7 +16,11 @@ their names, shapes and initial values, is listed in one place only:
 
 Every op takes a batch. Sequences are (B, L, E); images are channels-last
 (B, H, W, C), the layout the pair-feature layer writes, so the U-Net runs
-from the feature image to the per-cell head without a re-layout.
+from the feature image to the per-cell head without a re-layout. Images
+have any size: pooling gives an odd side a partial last window, and a
+transposed convolution crops its output to the grid it joins. A padded
+batch passes its (B, H, W) real-cell mask to batch norm, which takes its
+statistics over the real cells and zeroes the others.
 
 The two hot kernels are shaped for BLAS. The LSTM projects every step's
 input in one GEMM before its time-major scan and runs each sequence in scan
@@ -215,7 +219,7 @@ def _col2im(blocks: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
     Adds column block 3a + c of each pixel's row to the pixel at offset
     (a-1, c-1); what falls on the ring is dropped.
     """
-    z = blocks.reshape(B, H, W, 3, 3, -1)
+    z = blocks.reshape(B, H, W, 3, 3, blocks.shape[1] // 9)
     p = np.zeros((B, H + 2, W + 2, z.shape[-1]), dtype=blocks.dtype)
     for a in range(3):
         for c in range(3):
@@ -324,34 +328,51 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2, (B, H, W, C) -> (B, H/2, W/2, C).
+def window_max(a: np.ndarray) -> np.ndarray:
+    """Max over 2x2 windows, stride 2, on axes 1 and 2: (B, H, W, ...) ->
+    (B, ceil(H/2), ceil(W/2), ...).
 
-    The forward is ``np.maximum`` over the four strided views of the window
-    cells. Gradient routes to the first cell per window, in row-major window
-    order, that equals the window's maximum.
+    On an odd side the last window holds one row or column only, and its
+    maximum is over the cells that exist. Window cell (a, c) is the strided
+    view ``a[:, a::2, c::2]``, which covers the first ``(H - a + 1) // 2``
+    window rows and ``(W - c + 1) // 2`` window columns. Bool arrays pool to
+    "any cell set".
+    """
+    out = a[:, ::2, ::2].copy()
+    for r, c in _WINDOW[1:]:
+        cell = a[:, r::2, c::2]
+        part = out[:, : cell.shape[1], : cell.shape[2]]
+        np.maximum(part, cell, out=part)
+    return out
+
+
+def maxpool2(x: Tensor) -> Tensor:
+    """2x2 max pooling, stride 2, (B, H, W, C) -> (B, ceil(H/2), ceil(W/2), C).
+
+    The forward is ``window_max``: ``np.maximum`` over the strided views of
+    the window cells, with a partial window on an odd side. Gradient routes
+    to the first cell per window, in row-major window order, that equals the
+    window's maximum.
     """
     xd = x.data
-    B, H, W, C = xd.shape
-    if H % 2 or W % 2:
-        raise ValueError(f"maxpool2 needs even spatial dims, got {H}x{W}")
-    cells = [xd[:, a::2, c::2] for a, c in _WINDOW]
-    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    out = window_max(xd)
 
     def backward(grad):
         dx = np.zeros_like(xd)
         free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet routed
-        for (a, c), cell in zip(_WINDOW, cells):
-            hit = (cell == out) & free
-            dx[:, a::2, c::2] = np.where(hit, grad, 0.0)
-            free &= ~hit
+        for a, c in _WINDOW:
+            cell = xd[:, a::2, c::2]
+            win = np.s_[:, : cell.shape[1], : cell.shape[2]]
+            hit = (cell == out[win]) & free[win]
+            dx[:, a::2, c::2] = np.where(hit, grad[win], 0.0)
+            free[win] &= ~hit
         ad._accumulate(x, dx)
 
     return ad._node(out, (x,), backward)
 
 
-def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
-    """Transposed convolution, 2x2 kernel, stride 2; (B, H, W, C) -> (B, 2H, 2W, C').
+def deconv2(x: Tensor, kernels: Tensor, size=None, mask=None) -> Tensor:
+    """Transposed convolution, 2x2 kernel, stride 2; (B, H, W, C) -> (B, H', W', C').
 
     ``kernels`` has shape (C, C', 2, 2). Input pixel (i, j) writes output
     pixel (2i + a, 2j + c) through tap (a, c) alone, so the forward is one
@@ -363,6 +384,12 @@ def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
     order and orientation ``np.einsum(..., optimize=True)`` (numpy 2.4) uses
     for the same sum, so the float32 results equal einsum's bit for bit;
     OpenBLAS rounds the other orientations differently on some shapes.
+
+    The output is (2H, 2W), or cropped to ``size`` = (H', W'), at most that:
+    the grid of the skip it joins, whose odd side was pooled to a partial
+    window. The cropped cells get zero gradient. An optional (B, H', W')
+    bool ``mask`` zeroes the output on the cells it leaves unset, and their
+    gradient with it.
     """
     xd = x.data
     B, H, W, C = xd.shape
@@ -371,12 +398,25 @@ def deconv2(x: Tensor, kernels: Tensor) -> Tensor:
         raise ValueError("deconv2 kernels must be 2x2")
     if Ci != C:
         raise ValueError(f"deconv2 channel mismatch: input has {C}, kernels expect {Ci}")
+    Ho, Wo = (2 * H, 2 * W) if size is None else size
+    if not (0 <= Ho <= 2 * H and 0 <= Wo <= 2 * W):
+        raise ValueError(f"deconv2 crop {(Ho, Wo)} exceeds the {2 * H}x{2 * W} output")
+    keep = None if mask is None else mask[..., None]
 
     x_rows = xd.reshape(B * H * W, C)
     k4 = kernels.data.reshape(C, 4 * Co)
     out = (x_rows @ k4).reshape(B, H, W, Co, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, 2 * H, 2 * W, Co)
+    out = out[:, :Ho, :Wo]
+    if keep is not None:
+        out = out * keep
 
     def backward(grad):
+        if keep is not None:
+            grad = grad * keep
+        if (Ho, Wo) != (2 * H, 2 * W):
+            full = np.zeros((B, 2 * H, 2 * W, Co), dtype=grad.dtype)
+            full[:, :Ho, :Wo] = grad
+            grad = full
         g6 = grad.reshape(B, H, 2, W, 2, Co)
         if x.requires_grad:
             gt = g6.transpose(5, 2, 4, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (d, a, c)
@@ -395,23 +435,41 @@ BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
 BN_EPS = 1e-5
 
 
-def bn_relu(y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool) -> Tensor:
+def bn_relu(
+    y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool, mask=None
+) -> Tensor:
     """ReLU(batch norm(y)) over the channels (last axis) of (B, H, W, C), one node.
 
     Training normalizes by the batch's mean and biased variance over
     (B, H, W) and moves the running statistics toward them, in place. Eval
     folds the running statistics into one per-channel scale and shift. The
     backward is the closed form of Ioffe & Szegedy (2015): with g the output
-    gradient passed through the ReLU, x̂ the normalized input and n = B·H·W,
-    dy = γ/σ · (g - Σg/n - x̂ · Σ(g·x̂)/n) in training, and dy = γ/σ · g in
-    eval, where the statistics are constants.
+    gradient passed through the ReLU, x̂ the normalized input and n the
+    number of cells, dy = γ/σ · (g - Σg/n - x̂ · Σ(g·x̂)/n) in training, and
+    dy = γ/σ · g in eval, where the statistics are constants.
+
+    An optional (B, H, W) bool ``mask`` marks the real cells of a padded
+    batch. The statistics are then taken over those n cells only, each as
+    one GEMV of the mask's 0/1 row with the (B·H·W × C) cells, and the other
+    cells come out zero and get zero gradient: to the next 3x3 conv they
+    read like its zero ring, and to a max-pool window of ReLU outputs like a
+    cell that is not there.
     """
     yd = y.data
     axes = (0, 1, 2)
+    keep = None if mask is None else mask[..., None]
     if training:
-        mu = yd.mean(axis=axes)
-        xhat = yd - mu
-        var = np.mean(xhat * xhat, axis=axes)
+        if mask is None:
+            n = yd.size // yd.shape[-1]
+            mu = yd.mean(axis=axes)
+            xhat = yd - mu
+            var = np.mean(xhat * xhat, axis=axes)
+        else:
+            w, C = mask.reshape(-1).astype(yd.dtype), yd.shape[-1]
+            n = int(np.count_nonzero(w))
+            mu = (w @ yd.reshape(-1, C)) / n
+            xhat = yd - mu
+            var = (w @ (xhat * xhat).reshape(-1, C)) / n
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv
         out = xhat * gamma.data
@@ -427,9 +485,11 @@ def bn_relu(y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, t
         out += beta.data - mu * scale
         xhat = None  # formed in the backward, which eval mode seldom runs
     np.maximum(out, 0.0, out=out)
+    if keep is not None:
+        out *= keep
 
     def backward(grad):
-        g = grad * (out > 0.0)
+        g = grad * (out > 0.0)  # zero on masked cells, whose output is zero
         xh = (yd - mu) * inv if xhat is None else xhat
         dbeta = g.sum(axis=axes)
         dgamma = (g * xh).sum(axis=axes)
@@ -439,9 +499,10 @@ def bn_relu(y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, t
             ad._accumulate(beta, dbeta)
         if y.requires_grad:
             if training:
-                n = yd.size // yd.shape[-1]
                 g -= dbeta / n
                 g -= xh * (dgamma / n)
+                if keep is not None:
+                    g *= keep
             g *= gamma.data * inv
             ad._accumulate(y, g)
 
@@ -449,13 +510,14 @@ def bn_relu(y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, t
 
 
 def conv_bn_relu(
-    x: Tensor, kernels: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool
+    x: Tensor, kernels: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool, mask=None
 ) -> Tensor:
     """Conv module of the segmentation net: 3x3 ``conv2d``, then ``bn_relu``.
 
-    Channels-last (B, H, W, C) -> (B, H, W, C'); ``kernels`` is (C', C, 3, 3).
+    Channels-last (B, H, W, C) -> (B, H, W, C'); ``kernels`` is (C', C, 3, 3)
+    and ``mask`` the optional (B, H, W) real-cell flags ``bn_relu`` takes.
     """
-    return bn_relu(conv2d(x, kernels), gamma, beta, running_mean, running_var, training)
+    return bn_relu(conv2d(x, kernels), gamma, beta, running_mean, running_var, training, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ every (context word, utterance word) pair then gets a relevance vector
 UNet-style encoder/decoder segments into None / Substitute / Insert cells.
 A batch's images are built at once by a single ``encoding_layer`` node,
 which gathers each example's rows from the BiLSTM output onto one
-zero-padded grid. One forward pass yields the whole edit matrix, so
-inference cost does not grow with output length.
+zero-padded grid, the batch's largest (M, N); the U-Net runs on that grid
+and masks the padding out. One forward pass yields the whole edit matrix,
+so inference cost does not grow with output length.
 
 ``array_table`` is the one place the model's arrays are listed, by
 checkpoint name and shape. ``RewriteModel`` keeps them in one store under
@@ -224,11 +225,6 @@ def encoding_layer(states: Tensor, sizes, grid: tuple[int, int], w_bilinear: Ten
     return ad._node(out, (states, w_bilinear), backward)
 
 
-def _pad4(n: int) -> int:
-    """Next multiple of 4, minimum 4 (two 2x poolings need divisibility)."""
-    return max(4, -(-n // 4) * 4)
-
-
 def decode_matrix(logits: np.ndarray, m: int, nx: int) -> np.ndarray:
     """Per-cell argmax over the unpadded region; ties break toward None."""
     return logits[:m, :nx].argmax(axis=2).astype(np.int8)
@@ -378,13 +374,14 @@ class RewriteModel:
         """Encode a batch into one padded (B, H, W, D) feature image + mask.
 
         One ``encoding_layer`` call gathers each example's context and
-        utterance rows from the BiLSTM output onto a grid whose sides divide
-        by 4 and builds the whole image, channels-last as the U-Net takes it;
-        padding cells are zero. The (B, H, W) mask marks real cells.
+        utterance rows from the BiLSTM output onto the batch's own grid, its
+        largest (m, nx), and builds the whole image, channels-last as the
+        U-Net takes it; padding cells are zero. The (B, H, W) mask marks real
+        cells.
         """
         states = self.context_layer(batch)
         sizes = np.array([(ex.m, ex.nx) for ex in batch])
-        grid = (_pad4(int(sizes[:, 0].max())), _pad4(int(sizes[:, 1].max())))
+        grid = (int(sizes[:, 0].max()), int(sizes[:, 1].max()))
         real_rows = np.arange(grid[0]) < sizes[:, :1]  # (B, H)
         real_cols = np.arange(grid[1]) < sizes[:, 1:]  # (B, W)
         masks = real_rows[:, :, None] & real_cols[:, None, :]
@@ -393,26 +390,47 @@ class RewriteModel:
     def segmentation_layer(self, features: Tensor, training: bool) -> Tensor:
         """U-shaped encoder/decoder over the feature image -> per-cell logits.
 
-        Channels-last throughout: (B, H, W, D) in, (B, H, W, 3) out. Two
-        down-sampling blocks (conv, conv, pool; channels double), two
-        up-sampling blocks (conv, conv, deconv; channels halve) with skip
-        concatenation of the matching pre-pool features on the channel axis,
-        then a per-cell affine head to the three edit types.
+        Channels-last throughout: (B, H, W, D) in, (B, H, W, 3) out, on any
+        grid size. Two down-sampling blocks (conv, conv, pool; channels
+        double; an odd side pools to a partial last window), two up-sampling
+        blocks (conv, conv, deconv; channels halve) with skip concatenation
+        of the matching pre-pool features on the channel axis, each deconv
+        output cropped to its skip's grid, then a per-cell affine head to the
+        three edit types.
+
+        Padding is masked out. A padded cell is exactly zero in all D
+        feature channels (``encoding_layer``), and no real cell is, so the
+        features give the (B, H, W) real-cell mask; it is max-pooled to the
+        lower levels. Every BN-ReLU takes its statistics over real cells and
+        zeroes the rest, and each deconv output is re-zeroed on them. Real
+        cells then get the function they get on their example's own grid:
+        a zeroed neighbour reads like the conv's zero ring, a zero in a
+        window of ReLU outputs leaves its maximum alone, and each deconv
+        output cell reads one input cell. Only float summation order
+        differs. When no cell is padded (every batch of one), the mask is
+        ``None`` and nothing is masked.
         """
 
         t = self.tensors
+        m1 = features.data.any(axis=3)
+        m1 = None if m1.all() else m1
+        m2 = None if m1 is None else K.window_max(m1)
+        m3 = None if m1 is None else K.window_max(m2)
 
-        def block(x, name):
+        def block(x, name, mask):
             gamma, beta, mean, var = (t[f"{name}.bn.{a}"] for a in ("gamma", "beta", *BN_STATS))
-            return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training)
+            # Positional, as the benchmark's wrappers forward the arguments
+            # (tests/test_package.py makes its calls).
+            return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training, mask)
 
-        d1 = block(block(features, "down1.conv1"), "down1.conv2")
-        d2 = block(block(K.maxpool2(d1), "down2.conv1"), "down2.conv2")
-        bottom = block(block(K.maxpool2(d2), "up1.conv1"), "up1.conv2")
-        u1 = ad.concat([K.deconv2(bottom, t["up1.deconv.k"]), d2], axis=3)
-        u2 = block(block(u1, "up2.conv1"), "up2.conv2")
-        u2 = ad.concat([K.deconv2(u2, t["up2.deconv.k"]), d1], axis=3)
-        return K.linear(u2, t["head.w"], t["head.b"])
+        def up(x, name, skip, mask):
+            return ad.concat([K.deconv2(x, t[f"{name}.deconv.k"], skip.data.shape[1:3], mask), skip], axis=3)
+
+        d1 = block(block(features, "down1.conv1", m1), "down1.conv2", m1)
+        d2 = block(block(K.maxpool2(d1), "down2.conv1", m2), "down2.conv2", m2)
+        bottom = block(block(K.maxpool2(d2), "up1.conv1", m3), "up1.conv2", m3)
+        u2 = block(block(up(bottom, "up1", d2, m2), "up2.conv1", m2), "up2.conv2", m2)
+        return K.linear(up(u2, "up2", d1, m1), t["head.w"], t["head.b"])
 
     # -- objectives -------------------------------------------------------------
 

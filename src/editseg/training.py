@@ -2,9 +2,9 @@
 
 Training is deterministic end to end: parameter init draws from the run
 seed, each epoch's shuffle comes from a (seed, epoch) derived generator, and
-batches group examples with similar padded grid sizes to limit padding
-waste. The best-dev-EM checkpoint is kept alongside a resumable "last"
-checkpoint carrying the optimizer state.
+batches group examples of similar grid sizes to limit padding waste and run
+in a shuffled order. The best-dev-EM checkpoint is kept alongside a
+resumable "last" checkpoint carrying the optimizer state.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .model import (
     ModelConfig,
     RewriteModel,
     Vocabulary,
-    _pad4,
     array_table,
     encode_example,
     is_parameter,
@@ -182,10 +181,30 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, 7919, epoch)))
 
 
-def _batches_by_size(encoded: list[EncodedExample], order: np.ndarray, batch_size: int):
-    """Chunk a shuffled order into batches of similar padded grid sizes."""
-    ranked = sorted(order, key=lambda i: (_pad4(encoded[i].m), _pad4(encoded[i].nx)))
-    return [ranked[i : i + batch_size] for i in range(0, len(ranked), batch_size)]
+def _batches_by_size(encoded: list[EncodedExample], rng: np.random.Generator, batch_size: int):
+    """One epoch's batches: runs of examples of similar grid size, in a random order.
+
+    The examples are shuffled and then sorted by exact (m, nx), so the
+    shuffle only breaks ties. The sorted list is cut into runs of
+    ``batch_size`` from a random phase: the first run takes ``first``
+    examples, drawn no shorter than the short last run of a plain cut, so
+    there are still ceil(n / batch_size) runs and no extra optimizer step.
+    When ``batch_size`` divides n the phase is fixed. The runs are visited
+    in a shuffled order.
+
+    Padding is masked out of batch norm, so a batch's members are the only
+    noise in its statistics. Cut at a fixed phase, the sorted list would put
+    the same examples together in every epoch, and an unshuffled order would
+    sweep from the smallest grids to the largest.
+    """
+    n = len(encoded)
+    order = rng.permutation(n)
+    ranked = sorted(order, key=lambda i: (encoded[i].m, encoded[i].nx))
+    short = (n - 1) % batch_size + 1
+    first = int(rng.integers(short, batch_size + 1))
+    cuts = [0, *range(first, n, batch_size), n]
+    batches = [ranked[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [batches[i] for i in rng.permutation(len(batches))]
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +383,7 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.perf_counter()
-        rng = _epoch_rng(config.seed, epoch)
-        order = rng.permutation(len(train_enc))
-        batches = _batches_by_size(train_enc, order, config.batch_size)
+        batches = _batches_by_size(train_enc, _epoch_rng(config.seed, epoch), config.batch_size)
         epoch_loss = 0.0
         for batch_ids in batches:
             batch = [train_enc[i] for i in batch_ids]

@@ -344,6 +344,59 @@ def test_bn_relu_training_matches_numpy_reference():
     np.testing.assert_allclose(running_var, 0.9 * rv0 + 0.1 * var, rtol=1e-12, atol=1e-12)
 
 
+def padded_mask():
+    """(3, 4, 5) real-cell flags of three examples padded differently: the
+    whole grid, a 2 x 3 region and a 3 x 1 one."""
+    mask = np.zeros((3, 4, 5), dtype=bool)
+    mask[0] = True
+    mask[1, :2, :3] = True
+    mask[2, :3, :1] = True
+    return mask
+
+
+def test_masked_bn_relu_takes_statistics_over_real_cells_only():
+    rng = rng_for(211)
+    mask = padded_mask()
+    y = rng.normal(size=(3, 4, 5, 6)) * rng.uniform(0.5, 3.0, size=6) + rng.normal(size=6)
+    y[~mask] = 1e3  # padding that would swamp every statistic it entered
+    gamma, beta, running_mean, running_var = bn = batch_norm(6)
+    gamma.data[:] = rng.uniform(0.5, 2.0, size=6)
+    beta.data[:] = rng.normal(size=6)
+    out = K.bn_relu(Tensor(y), *bn, training=True, mask=mask)
+
+    cells = y[mask]
+    mean = cells.mean(axis=0)
+    var = ((cells - mean) ** 2).mean(axis=0)
+    want = np.maximum((y - mean) / np.sqrt(var + 1e-5) * gamma.data + beta.data, 0.0)
+    np.testing.assert_allclose(out.data[mask], want[mask], rtol=1e-12, atol=1e-12)
+    assert not out.data[~mask].any()
+    np.testing.assert_allclose(running_mean, 0.1 * mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(running_var, 0.9 + 0.1 * var, rtol=1e-12, atol=1e-12)
+    evaluated = K.bn_relu(Tensor(y), *bn, training=False, mask=mask)
+    assert not evaluated.data[~mask].any() and evaluated.data[mask].any()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_masked_bn_relu_training_grads_match_finite_differences(seed):
+    rng = rng_for(230 + seed)
+    mask = padded_mask()
+    y = Tensor(rng.normal(size=(3, 4, 5, 4)), requires_grad=True)
+    gamma, beta, _, _ = bn = batch_norm(4)
+    gamma.data[:] = rng.uniform(0.5, 2.0, size=4)
+    beta.data[:] = rng.normal(size=4) * 0.3
+    probe = rng.normal(size=(3, 4, 5, 4))
+
+    def f():
+        return probe_loss(K.bn_relu(y, *bn, training=True, mask=mask), probe)
+
+    assert y.data.dtype == np.float64
+    assert K.grad_check(f, [y, gamma, beta], h=H_STEP) < TOL
+    y.zero_grad()
+    f().backward()
+    assert np.all(y.grad[~mask] == 0.0)
+    assert np.all(np.abs(y.grad[mask]).sum(axis=1) > 0)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_bn_relu_eval_grads_match_finite_differences(seed):
     # Eval mode with running statistics far from (0, 1), so the folded
@@ -382,11 +435,6 @@ def test_maxpool_constant_and_single_window():
     assert K.maxpool2(y).data.reshape(()) == 4.0
 
 
-def test_maxpool_odd_dims_fail():
-    with pytest.raises(ValueError, match="even"):
-        K.maxpool2(Tensor(np.zeros((1, 3, 4, 1))))
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_maxpool_grad_is_one_hot_and_matches_fd(seed):
     rng = rng_for(300 + seed)
@@ -405,14 +453,18 @@ def test_maxpool_grad_is_one_hot_and_matches_fd(seed):
 
 def maxpool_reference(x, g):
     """Max pooling with the window on its own axis: the output and the
-    gradient ``g`` routed to each window's first argmax."""
+    gradient ``g`` routed to each window's first argmax. An odd side is
+    padded with -inf, which no window takes as its maximum."""
     B, H, W, C = x.shape
-    r = x.reshape(B, H // 2, 2, W // 2, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, H // 2, W // 2, C, 4)
+    h, w = -(-H // 2), -(-W // 2)
+    p = np.full((B, 2 * h, 2 * w, C), -np.inf)
+    p[:, :H, :W] = x
+    r = p.reshape(B, h, 2, w, 2, C).transpose(0, 1, 3, 5, 2, 4).reshape(B, h, w, C, 4)
     idx = r.argmax(axis=4)[..., None]
     dr = np.zeros_like(r)
     np.put_along_axis(dr, idx, g[..., None], axis=4)
-    dx = dr.reshape(B, H // 2, W // 2, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, H, W, C)
-    return np.take_along_axis(r, idx, axis=4)[..., 0], dx
+    dx = dr.reshape(B, h, w, C, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, 2 * h, 2 * w, C)
+    return np.take_along_axis(r, idx, axis=4)[..., 0], dx[:, :H, :W]
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
@@ -430,6 +482,68 @@ def test_maxpool_matches_argmax_reference(ties):
     assert np.array_equal(x.grad, want_dx)
     tied = (xd.reshape(2, 3, 2, 4, 2, 3) == want_out[:, :, None, :, None]).sum(axis=(2, 4))
     assert np.any(tied > 1) == ties
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 8, 3), (2, 6, 7, 3), (1, 7, 5, 2), (1, 1, 1, 2), (1, 0, 3, 2)])
+def test_maxpool_odd_sides_match_argmax_reference(shape):
+    # An odd side ends in a window of one row or column: ceil(H/2) x ceil(W/2)
+    # windows, each the maximum of the cells it has.
+    rng = rng_for(731)
+    xd = np.round(rng.normal(size=shape) * 2)  # ties in full and partial windows
+    x = Tensor(xd, requires_grad=True)
+    out = K.maxpool2(x)
+    probe = rng.normal(size=out.data.shape)
+    probe_loss(out, probe).backward()
+    want_out, want_dx = maxpool_reference(xd, probe)
+    assert out.data.shape == (shape[0], -(-shape[1] // 2), -(-shape[2] // 2), shape[3])
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(x.grad, want_dx)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_maxpool_odd_sides_grads_match_finite_differences(seed):
+    rng = rng_for(320 + seed)
+    x = Tensor(rng.normal(size=(1, 5, 3, 2)), requires_grad=True)
+    probe = rng.normal(size=(1, 3, 2, 2))
+
+    def f():
+        return probe_loss(K.maxpool2(x), probe)
+
+    assert K.grad_check(f, [x], h=1e-5) < TOL
+
+
+def test_maxpool_partial_window_routes_gradient_to_first_maximum():
+    # On a 5 x 3 image, row 4 pools in windows of one row (two cells, then
+    # the corner alone) and column 2 in windows of one column. The partial
+    # windows but the corner hold their maximum twice; the gradient goes to
+    # the first in row-major order.
+    xd = np.zeros((1, 5, 3, 1))
+    xd[0, 4, :2, 0] = 7.0  # bottom windows: (4, 0) and (4, 1) tie
+    xd[0, :2, 2, 0] = 5.0  # right window of rows 0-1: (0, 2) and (1, 2) tie
+    xd[0, 4, 2, 0] = -1.0  # the corner window, a single cell
+    x = Tensor(xd, requires_grad=True)
+    out = K.maxpool2(x)
+    assert out.data[0, :, :, 0].tolist() == [[0.0, 5.0], [0.0, 0.0], [7.0, -1.0]]
+    probe = np.arange(1.0, 7.0).reshape(1, 3, 2, 1)
+    probe_loss(out, probe).backward()
+    want = np.zeros((1, 5, 3, 1))
+    want[0, 0, 0] = 1.0  # full windows of zeros: their first cell
+    want[0, 2, 0] = 3.0
+    want[0, 2, 2] = 4.0  # rows 2-3 of the last column: a tie of zeros
+    want[0, 0, 2] = 2.0
+    want[0, 4, 0] = 5.0
+    want[0, 4, 2] = 6.0
+    assert np.array_equal(x.grad, want)
+
+
+def test_window_max_of_a_mask_flags_windows_with_a_set_cell():
+    mask = np.zeros((2, 5, 3), dtype=bool)
+    mask[0, :3, :1] = True  # a 3 x 1 real region
+    mask[1, :5, :3] = True
+    pooled = K.window_max(mask)
+    assert pooled.dtype == np.bool_
+    assert pooled[0].tolist() == [[True, False], [True, False], [False, False]]
+    assert pooled[1].all()
 
 
 def test_deconv_broadcasts_single_value():
@@ -456,6 +570,37 @@ def test_deconv_grads_match_finite_differences(seed):
     assert K.grad_check(f, [x, k], h=H_STEP) < TOL
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_cropped_masked_deconv_grads_match_finite_differences(seed):
+    # Cropped to a 5 x 3 skip grid from a 3 x 2 input (6 x 4 uncropped), with
+    # one example's real region 3 x 2 and the other's all of it.
+    rng = rng_for(410 + seed)
+    x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    k = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    mask = np.zeros((2, 5, 3), dtype=bool)
+    mask[0, :3, :2] = True
+    mask[1] = True
+    probe = rng.normal(size=(2, 5, 3, 3))
+
+    def f():
+        return probe_loss(K.deconv2(x, k, (5, 3), mask), probe)
+
+    assert K.grad_check(f, [x, k], h=H_STEP) < TOL
+    full = K.deconv2(x, k).data
+    out = K.deconv2(x, k, (5, 3), mask).data
+    assert np.array_equal(out, np.where(mask[..., None], full[:, :5, :3], 0.0))
+    # Input cells whose outputs are all cropped or masked get no gradient.
+    x.zero_grad()
+    f().backward()
+    assert not x.grad[0, 2:].any() and not x.grad[0, :, 1:].any()
+    assert np.all(np.abs(x.grad[1]).sum(axis=2) > 0)
+
+
+def test_deconv_crop_beyond_output_fails():
+    with pytest.raises(ValueError, match="crop"):
+        K.deconv2(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.ones((1, 1, 2, 2))), (5, 4))
+
+
 def test_deconv_matches_einsum_oracle():
     # out[b, 2i + a, 2j + c, d] = sum over channels of x[b, i, j, :] k[:, d, a, c].
     rng = rng_for(720)
@@ -477,6 +622,14 @@ def test_pool_deconv_shape_round_trip():
     x = Tensor(channels_last(rng.normal(size=(1, 2, 8, 6))))
     k = Tensor(rng.normal(size=(2, 2, 2, 2)))
     assert K.deconv2(K.maxpool2(x), k).data.shape == (1, 8, 6, 2)
+
+
+@pytest.mark.parametrize("hw", [(7, 5), (6, 3), (1, 1)])
+def test_pool_then_cropped_deconv_restores_odd_sides(hw):
+    rng = rng_for(8)
+    x = Tensor(rng.normal(size=(1, *hw, 2)))
+    k = Tensor(rng.normal(size=(2, 2, 2, 2)))
+    assert K.deconv2(K.maxpool2(x), k, hw).data.shape == (1, *hw, 2)
 
 
 # ---------------------------------------------------------------------------

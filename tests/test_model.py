@@ -3,8 +3,11 @@ and padding, the segmentation channel trace, loss masking, prediction
 decoding, and the kernel calls one batch-1 rewrite makes."""
 
 import gc
+import importlib.util
 import math
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from editseg import kernels as K
 from editseg import model as model_module
 from editseg import supervision
 from editseg.autodiff import Tensor
+from editseg.data import SyntheticSpec, generate_synthetic
 from editseg.dialogue import (
     EMPTY_CONNECTION_WORDS,
     ConnectionWordList,
@@ -227,7 +231,7 @@ def test_feature_batch_pads_mixed_sizes_with_zero_cells():
             sizes = [(enc.m, enc.nx)]
             alone.append(encoding_layer(states, sizes, sizes[0], model.tensors["bilinear.w"]).data[0])
     d = model.config.feature_channels
-    assert features.data.shape == (4, 8, 8, d)  # M up to 8, N + 1 up to 5
+    assert features.data.shape == (4, 8, 5, d)  # M up to 8, N + 1 up to 5
     for i, enc in enumerate(batch):
         assert masks[i].sum() == enc.m * enc.nx
         assert masks[i, : enc.m, : enc.nx].all()
@@ -235,6 +239,35 @@ def test_feature_batch_pads_mixed_sizes_with_zero_cells():
         assert not feats[enc.m :].any() and not feats[:, enc.nx :].any()
         real = np.s_[: enc.m, : enc.nx]
         assert np.max(np.abs(feats[real] - alone[i]), initial=0.0) < 1e-12
+
+
+def benchmark_workloads():
+    """The benchmark's workload definitions (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("corpus", ["default", "long"])
+def test_no_real_cell_has_an_all_zero_feature_vector(corpus):
+    # segmentation_layer takes the real-cell mask from the features: a cell
+    # is padding exactly when all D of its channels are zero. Checked at the
+    # benchmark's paper and toy dims, with seeded models, on the corpora it
+    # serves at seed 1.
+    w = benchmark_workloads()
+    spec = {"default": {}, "long": w.LONG_SPEC}[corpus]
+    examples = generate_synthetic(SyntheticSpec(num_examples=256, seed=1, **spec))
+    vocab = Vocabulary.from_examples(examples)
+    batch = sorted((encode_example(ex, vocab) for ex in examples), key=lambda e: (e.m, e.nx))
+    for dims in (w.PAPER_DIMS, w.TOY_DIMS):
+        model = RewriteModel(ModelConfig(vocab_size=vocab.size, **dims), seed=1)
+        with ad.no_grad():
+            for i in range(0, len(batch), 16):
+                features, masks = model.feature_batch(batch[i : i + 16])
+                assert np.array_equal(features.data.any(axis=3), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +284,20 @@ def test_context_layer_shapes_and_slices():
     assert enc.data.shape == (2, max(b.m + b.nx for b in batch), 2 * model.config.hidden_dim)
     # M = 3 + 1 + 2 = 6 for the first example; Nx = 3 + 1.
     assert (batch[0].m, batch[0].nx) == (6, 4)
+
+
+def test_edge_grids_predict_without_float_errors():
+    # Grids with no rows (an empty context) or one column (an empty
+    # utterance, by hand: examples refuse one) run the whole U-Net on their
+    # own size, pooled and cropped back.
+    e = DialogueExample.create([], word_tokens(["a", "b"]), word_tokens(["a", "b"]))
+    vocab = Vocabulary.from_examples([e] + toy_examples())
+    model = RewriteModel(toy_config(vocab.size), seed=0)
+    one_column = [EncodedExample(ids=np.arange(m + 1) % vocab.size, m=m, nx=1) for m in (1, 2, 5)]
+    with np.errstate(all="raise"):
+        assert model.predict_encoded(encode_example(e, vocab)).shape == (0, 3)
+        for enc in one_column:
+            assert model.predict_encoded(enc).shape == (enc.m, 1)
 
 
 def test_empty_context_gives_empty_u():
@@ -382,6 +429,76 @@ def test_forward_loss_is_deterministic_per_seed():
     model2 = RewriteModel(toy_config(vocab.size), seed=6)
     loss_b = model2.forward_loss(single).item()
     assert loss_a == loss_b
+
+
+def trained_toy_model(examples, vocab, steps=10):
+    """A toy model after ``steps`` Adam steps at lr 1e-2 on ``examples``, so
+    that its batch-norm running statistics are far from (0, 1)."""
+    model = RewriteModel(ModelConfig(vocab_size=vocab.size, embed_dim=12, hidden_dim=8, base_channels=4), seed=1)
+    batch = [encode_example(ex, vocab, with_gold=True) for ex in examples]
+    params = list(model.parameters().values())
+    adam = K.AdamState.for_params(params)
+    for _ in range(steps):
+        model.zero_grad()
+        model.forward_loss(batch).backward()
+        K.adam_step(params, [p.grad for p in params], adam, lr=1e-2)
+    return model
+
+
+def padded_logits(model, batch, grid, training):
+    """Logits of ``batch`` on ``grid``, which may exceed its largest (m, nx)."""
+    states = model.context_layer(batch)
+    features = encoding_layer(states, [(e.m, e.nx) for e in batch], grid, model.tensors["bilinear.w"])
+    return model.segmentation_layer(features, training)
+
+
+def test_eval_logits_do_not_depend_on_batch_or_padding():
+    examples = generate_synthetic(SyntheticSpec(num_examples=40, seed=11))
+    vocab = Vocabulary.from_examples(examples)
+    model = trained_toy_model(examples[:16], vocab)
+    small = min(examples, key=lambda e: len(join_context(e)) * len(e.incomplete))
+    large = max(examples, key=lambda e: len(join_context(e)) * len(e.incomplete))
+    batch = [encode_example(ex, vocab) for ex in (small, large, examples[20], examples[21])]
+    with ad.no_grad():
+        together = model.segmentation_layer(model.feature_batch(batch)[0], training=False).data
+        for i, enc in enumerate(batch):
+            alone = model.segmentation_layer(model.feature_batch([enc])[0], training=False).data[0]
+            bigger = padded_logits(model, [enc], (enc.m + 5, enc.nx + 3), training=False).data[0]
+            real = np.s_[: enc.m, : enc.nx]
+            assert alone.shape[:2] == (enc.m, enc.nx)
+            np.testing.assert_allclose(together[i][real], alone, rtol=1e-4, atol=1e-5)
+            np.testing.assert_allclose(bigger[real], alone, rtol=1e-4, atol=1e-5)
+    assert batch[0].m * batch[0].nx < batch[1].m * batch[1].nx
+
+
+def test_training_loss_and_gradients_do_not_depend_on_the_grid():
+    # The same batch on its own grid and on a larger one, in float64: the
+    # loss, every parameter gradient and the batch-norm statistics agree.
+    examples = toy_examples()
+    vocab = Vocabulary.from_examples(examples)
+    batch = [encode_example(e, vocab, with_gold=True) for e in examples]
+    results = []
+    for grid in (None, (9, 7)):
+        model = to_float64(RewriteModel(toy_config(vocab.size, base_channels=3), seed=6))
+        if grid is None:
+            loss = model.forward_loss(batch)
+        else:
+            logits = padded_logits(model, batch, grid, training=True)
+            targets = np.zeros(grid, dtype=np.int64)[None].repeat(len(batch), axis=0)
+            masks = np.zeros(targets.shape, dtype=bool)
+            for i, e in enumerate(batch):
+                targets[i, : e.m, : e.nx] = e.gold
+                masks[i, : e.m, : e.nx] = True
+            loss = K.weighted_cross_entropy(logits, targets, model.config.class_weights, mask=masks)
+        loss.backward()
+        grads = {name: p.grad for name, p in model.parameters().items()}
+        results.append((loss.item(), grads, model.state()))
+    (loss_a, grads_a, state_a), (loss_b, grads_b, state_b) = results
+    assert loss_b == pytest.approx(loss_a, rel=1e-12)
+    for name in grads_a:
+        np.testing.assert_allclose(grads_b[name], grads_a[name], rtol=1e-9, atol=1e-12, err_msg=name)
+    for name in state_a:
+        np.testing.assert_allclose(state_b[name], state_a[name], rtol=1e-12, atol=1e-14, err_msg=name)
 
 
 def test_graph_dropped_without_backward_is_freed_without_the_collector(monkeypatch):

@@ -12,7 +12,7 @@ from editseg.training import (
     save_model,
     train,
 )
-from editseg.model import encode_example
+from editseg.model import Vocabulary, encode_example
 
 
 def small_config(tmp_path, name="model.run", **kw):
@@ -195,3 +195,25 @@ def test_training_stops_at_first_epoch_meeting_every_set_target(corpus, monkeypa
     )
     result = train(cfg)
     assert [(h.dev_cell_acc, h.dev_em) for h in result.history] == DEV_METRICS[:epochs_run]
+
+
+
+def test_batches_are_runs_of_the_size_order_cut_afresh_each_epoch():
+    examples = generate_synthetic(SyntheticSpec(num_examples=200, seed=3))
+    vocab = Vocabulary.from_examples(examples)
+    encoded = [encode_example(ex, vocab) for ex in examples]
+
+    def size(i):
+        return encoded[i].m, encoded[i].nx
+
+    epochs = [training._batches_by_size(encoded, training._epoch_rng(5, e), 16) for e in range(4)]
+    for batches in epochs:
+        assert sorted(i for b in batches for i in b) == list(range(len(encoded)))
+        assert len(batches) == 13 and sum(len(b) != 16 for b in batches) <= 2  # ceil(200 / 16)
+        # Runs of one list sorted by (m, nx): put in order, each ends at or
+        # below the size the next one starts with.
+        spans = sorted((min(map(size, b)), max(map(size, b))) for b in batches)
+        assert all(hi <= next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
+    assert epochs[0] == training._batches_by_size(encoded, training._epoch_rng(5, 0), 16)
+    members = [{frozenset(b) for b in batches} for batches in epochs]
+    assert all(a != b for a, b in zip(members, members[1:]))
