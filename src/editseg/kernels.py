@@ -1,6 +1,6 @@
 """Differentiable neural-network kernels built on the autodiff core.
 
-Covers everything the segmentation model needs: embedding lookup, a (bi)LSTM
+Covers everything the segmentation model needs: embedding lookup, a BiLSTM
 over right-padded batches with hand-rolled backprop-through-time, 3x3
 same-padded convolution fused with batch norm and ReLU, 2x2 max pooling,
 2x2 stride-2 transposed convolution, affine layers, weighted cross-entropy,
@@ -22,9 +22,9 @@ transposed convolution crops its output to the grid it joins. A padded
 batch passes its (B, H, W) real-cell mask to batch norm, which takes its
 statistics over the real cells and zeroes the others.
 
-The two hot kernels are shaped for BLAS. The LSTM projects every step's
-input in one GEMM before its time-major scan and runs each sequence in scan
-order within its own length, so padding trails and no step needs a mask.
+The two hot kernels are shaped for BLAS. The LSTM is one time-major scan
+that advances both directions, which share each step's numpy calls; every
+step's input is projected in one GEMM per direction before the scan.
 The 3x3 convolution is one GEMM per product (output, kernel gradient,
 input gradient) over the image's pixels as rows, with no padding-ring rows.
 The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
@@ -89,109 +89,108 @@ def _sigmoid_(z):
     np.reciprocal(z, out=z)
 
 
-def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, b: Tensor, lengths=None, reverse: bool = False) -> Tensor:
-    """Unidirectional LSTM over right-padded ``x`` (B, L, E) -> (B, L, H).
+def lstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
+    """Bidirectional LSTM, right-padded (B, L, E) -> (B, L, 2H), forward states first.
 
-    ``w_ih`` is (E, 4H), ``w_hh`` (H, 4H) and ``b`` (4H,), gate order i, f, g, o.
+    ``fwd`` and ``bwd`` are each direction's ``(w_ih, w_hh, b)``: (E, 4H),
+    (H, 4H) and (4H,), gate order i, f, g, o.
 
-    The scan runs time-major. Each sequence is first gathered into scan
-    order: position t for the forward direction, ``length - 1 - t`` for the
-    reverse one, so the reverse direction reads each sequence backwards
-    within its own length and padding always trails the real steps. The input
-    projection of every step is one (B·L × E) @ (E × 4H) GEMM before the
-    scan, leaving one (B × H) @ (H × 4H) GEMM plus the gate arithmetic per
-    step, with no mask blend.
+    One time-major scan advances both directions. Each sequence is gathered
+    into scan order, position t forward and ``length - 1 - t`` backward, so
+    padding trails the real steps in both. Each direction projects every
+    step's input in one (B·L × E) @ (E × 4H) GEMM before the scan. A step
+    runs one (B × H) @ (H × 4H) GEMM per direction into one (2, B, 4H)
+    buffer, then the gate arithmetic once for both: tanh of the g slot into
+    its own array, then the logistic function over the whole gate row. A
+    float32 preactivation below about -88 overflows ``exp`` to inf, whose
+    logistic value 1 / (1 + inf) = 0 is the exact limit.
 
-    Padding cannot leak: padded steps come after every real step of their
-    sequence, so they never feed a real output; their outputs are zeroed
-    once after the scan, and in BPTT their gradients are exact zeros. A
-    right-padded batch therefore gives exactly the per-example results. The
-    scan is one graph node: BPTT stores each step's ``dz`` and forms ``dx``,
-    ``dW_ih``, ``dW_hh`` and ``db`` as single GEMMs after the loop.
+    Padded steps never feed a real output; their outputs are zeroed after
+    the scan and their BPTT gradients are exact zeros, so a padded batch
+    gives exactly the per-example results. The scan is one graph node: BPTT
+    runs the shared loop backwards, storing each step's ``dz``, and forms
+    each direction's ``dx``, ``dW_ih``, ``dW_hh`` and ``db`` as single GEMMs
+    after it.
     """
     xd = x.data
     B, L, E = xd.shape
-    H = w_hh.data.shape[0]
+    H = fwd[1].data.shape[0]
     if lengths is None:
         lengths = np.full(B, L, dtype=np.int64)
     else:
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > L):
             raise ValueError(f"lstm lengths must be {B} values in [0, {L}], got {lengths.tolist()}")
-    steps = np.arange(L)
-    valid = steps[:, None] < lengths[None, :]  # (L, B); same in scan and input order
-    # order[t, b]: input position that scan step t of sequence b reads. It is
-    # its own inverse, so the same gather maps scan outputs back.
-    order = np.broadcast_to(steps[:, None], (L, B))
-    if reverse:
-        order = np.where(valid, lengths - 1 - steps[:, None], order)
-    rows = np.arange(B)
+    valid = np.arange(L)[:, None] < lengths  # (L, B); same in scan and input order
+    # order[d, t, b]: input position that scan step t of sequence b reads in
+    # direction d; its own inverse, so the same gather maps outputs back.
+    ahead = np.broadcast_to(np.arange(L)[:, None], (L, B))
+    order = np.stack([ahead, np.where(valid, lengths - 1 - ahead, ahead)])
+    rows, dirs, weights = np.arange(B), np.arange(2), (fwd, bwd)
 
-    xs = xd[rows, order]  # (L, B, E), scan order
-    gates = (xs.reshape(L * B, E) @ w_ih.data + b.data).reshape(L, B, 4 * H)
-    dt = gates.dtype
-    hs = np.zeros((L + 1, B, H), dtype=dt)  # hs[t] is the state entering step t
-    cs = np.zeros((L + 1, B, H), dtype=dt)
-    tcs = np.empty((L, B, H), dtype=dt)
-    ig = np.empty((B, H), dtype=dt)
-    for t in range(L):
-        z = gates[t]  # becomes the step's activations i, f, g, o in place
-        z += hs[t] @ w_hh.data
-        _sigmoid_(z[:, : 2 * H])
-        _sigmoid_(z[:, 3 * H :])
-        np.tanh(z[:, 2 * H : 3 * H], out=z[:, 2 * H : 3 * H])
-        np.multiply(z[:, H : 2 * H], cs[t], out=cs[t + 1])
-        np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=ig)
-        cs[t + 1] += ig
-        np.tanh(cs[t + 1], out=tcs[t])
-        np.multiply(z[:, 3 * H :], tcs[t], out=hs[t + 1])
-    out = hs[1:][order.T, rows[:, None]]  # (B, L, H), input order
+    xs = xd[rows, order]  # (2, L, B, E), each direction in its scan order
+    dt = xs.dtype
+    gates = np.empty((L, 2, B, 4 * H), dtype=dt)  # step t's gates, both directions
+    for d, (w_ih, _, b) in enumerate(weights):
+        np.add((xs[d].reshape(L * B, E) @ w_ih.data).reshape(L, B, 4 * H), b.data, out=gates[:, d])
+    hs, cs = np.zeros((2, L + 1, 2, B, H), dtype=dt)  # hs[t], cs[t]: the states entering step t
+    tgs, tcs = np.empty((2, L, 2, B, H), dtype=dt)  # tanh of the g slot and of the cell
+    rec, ig = np.empty((2, B, 4 * H), dtype=dt), np.empty((2, B, H), dtype=dt)
+    with np.errstate(over="ignore"):
+        for t in range(L):
+            z = gates[t]  # becomes i, f, σ(g), o in place
+            for d, (_, w_hh, _) in enumerate(weights):
+                np.matmul(hs[t, d], w_hh.data, out=rec[d])
+            z += rec
+            np.tanh(z[..., 2 * H : 3 * H], out=tgs[t])
+            _sigmoid_(z)
+            np.multiply(z[..., H : 2 * H], cs[t], out=cs[t + 1])
+            np.multiply(z[..., :H], tgs[t], out=ig)
+            cs[t + 1] += ig
+            np.tanh(cs[t + 1], out=tcs[t])
+            np.multiply(z[..., 3 * H :], tcs[t], out=hs[t + 1])
+    # out[b, p, d] = hs[1 + order[d, p, b], d, b]
+    out = hs[1:][order.transpose(2, 1, 0), dirs, rows[:, None, None]].reshape(B, L, 2 * H)
     out[~valid.T] = 0.0
 
     def backward(grad):
-        g4 = gates.reshape(L, B, 4, H)
-        i, f, g, o = g4[:, :, 0], g4[:, :, 1], g4[:, :, 2], g4[:, :, 3]
+        i, f, _, o = np.moveaxis(gates.reshape(L, 2, B, 4, H), 3, 0)
         # Per-step factors turning (dc, dc, dc, dh) into the gate
         # pre-activation gradients dz = (di, df, dg, do).
-        fac = np.empty((L, B, 4, H), dtype=dt)
-        fac[:, :, 0] = g * i * (1.0 - i)
-        fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
-        fac[:, :, 2] = i * (1.0 - g * g)
-        fac[:, :, 3] = tcs * o * (1.0 - o)
+        fac = np.empty((L, 2, B, 4, H), dtype=dt)
+        fac[..., 0, :] = tgs * i * (1.0 - i)
+        fac[..., 1, :] = cs[:-1] * f * (1.0 - f)
+        fac[..., 2, :] = i * (1.0 - tgs * tgs)
+        fac[..., 3, :] = tcs * o * (1.0 - o)
         dc_from_h = o * (1.0 - tcs * tcs)
-        dout = grad[rows, order]  # (L, B, H), scan order
-        dout[~valid] = 0.0
-        dz = np.empty((L, B, 4, H), dtype=dt)
-        dh = np.zeros((B, H), dtype=dt)
-        dc = np.zeros((B, H), dtype=dt)
-        w_hh_t = w_hh.data.T
+        dout = grad.reshape(B, L, 2, H)[rows, order.transpose(1, 0, 2), dirs[:, None]]  # (L, 2, B, H)
+        dout.transpose(0, 2, 1, 3)[~valid] = 0.0
+        dz = np.empty((2, L, B, 4, H), dtype=dt)  # each direction's dz contiguous
+        dh, dc = np.zeros((2, 2, B, H), dtype=dt)
         for t in range(L - 1, -1, -1):
             dh += dout[t]
             dc += dh * dc_from_h[t]
-            np.multiply(fac[t, :, :3], dc[:, None, :], out=dz[t, :, :3])
-            np.multiply(fac[t, :, 3], dh, out=dz[t, :, 3])
-            np.matmul(dz[t].reshape(B, 4 * H), w_hh_t, out=dh)
+            np.multiply(fac[t, ..., :3, :], dc[:, :, None], out=dz[:, t, :, :3])
+            np.multiply(fac[t, ..., 3, :], dh, out=dz[:, t, :, 3])
+            for d, (_, w_hh, _) in enumerate(weights):
+                np.matmul(dz[d, t].reshape(B, 4 * H), w_hh.data.T, out=dh[d])
             dc *= f[t]
-        dz = dz.reshape(L * B, 4 * H)
+        dx = np.empty((2, L, B, E), dtype=dt)
+        for d, (w_ih, w_hh, b) in enumerate(weights):
+            dzd = dz[d].reshape(L * B, 4 * H)
+            if x.requires_grad:
+                np.matmul(dzd, w_ih.data.T, out=dx[d].reshape(L * B, E))
+            if w_ih.requires_grad:
+                ad._accumulate(w_ih, xs[d].reshape(L * B, E).T @ dzd)
+            if w_hh.requires_grad:
+                ad._accumulate(w_hh, hs[:-1, d].reshape(L * B, H).T @ dzd)
+            if b.requires_grad:
+                ad._accumulate(b, dzd.sum(axis=0))
         if x.requires_grad:
-            dx = (dz @ w_ih.data.T).reshape(L, B, E)
-            ad._accumulate(x, dx[order.T, rows[:, None]])
-        if w_ih.requires_grad:
-            ad._accumulate(w_ih, xs.reshape(L * B, E).T @ dz)
-        if w_hh.requires_grad:
-            ad._accumulate(w_hh, hs[:-1].reshape(L * B, H).T @ dz)
-        if b.requires_grad:
-            ad._accumulate(b, dz.sum(axis=0))
+            both = dx[dirs[:, None, None], order.transpose(0, 2, 1), rows[:, None]]  # (2, B, L, E)
+            ad._accumulate(x, both[0] + both[1])
 
-    return ad._node(out, (x, w_ih, w_hh, b), backward)
-
-
-def bilstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
-    """Bidirectional LSTM, (B, L, E) -> (B, L, 2H); forward states first.
-
-    ``fwd`` and ``bwd`` are each direction's ``(w_ih, w_hh, b)``.
-    """
-    return ad.concat([lstm(x, *fwd, lengths=lengths), lstm(x, *bwd, lengths=lengths, reverse=True)], axis=2)
+    return ad._node(out, (x, *fwd, *bwd), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,7 @@ class RewriteModel:
     # -- layers ----------------------------------------------------------------
 
     def context_layer(self, batch: list[EncodedExample]):
-        """One joint BiLSTM pass over c ++ x_prepared for each example.
+        """One joint BiLSTM scan, both directions at once, over c ++ x_prepared.
 
         Returns the (B, Lmax, 2H) encoder output; slice rows [0, M) for the
         context states and [M, M + N) for the utterance states.
@@ -368,7 +368,7 @@ class RewriteModel:
         t = self.tensors
         emb = K.embedding_lookup(t["embedding"], ids)
         fwd, bwd = ([t[f"lstm.{d}.{w}"] for w in ("w_ih", "w_hh", "b")] for d in ("fwd", "bwd"))
-        return K.bilstm(emb, fwd, bwd, lengths=lengths)
+        return K.lstm(emb, fwd, bwd, lengths=lengths)
 
     def feature_batch(self, batch: list[EncodedExample]):
         """Encode a batch into one padded (B, H, W, D) feature image + mask.

@@ -6,6 +6,7 @@ Every differentiable op is validated against central finite differences
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -68,14 +69,14 @@ def test_embedding_grad_matches_finite_differences(seed):
 
 
 # ---------------------------------------------------------------------------
-# bilstm
+# bidirectional LSTM
 
 
 def test_bilstm_zero_params_zero_output():
     def zeros():
         return [Tensor(np.zeros(shape), requires_grad=True) for shape in ((4, 20), (5, 20), (20,))]
 
-    out = K.bilstm(Tensor(rng_for(1).normal(size=(3, 4))[None]), zeros(), zeros())
+    out = K.lstm(Tensor(rng_for(1).normal(size=(3, 4))[None]), zeros(), zeros())
     assert np.array_equal(out.data, np.zeros((1, 3, 10)))
 
 
@@ -83,11 +84,11 @@ def test_bilstm_single_step_directions_agree():
     rng = rng_for(2)
     fwd, bwd = bilstm_weights(rng, 4, 5)
     x = Tensor(rng.normal(size=(1, 4))[None])
-    out = K.bilstm(x, fwd, bwd)
+    out = K.lstm(x, fwd, bwd)
     assert out.data.shape == (1, 1, 10)
     # With one step, both directions see the same input through their own
     # weights; feeding the same params to both must duplicate the halves.
-    out_same = K.bilstm(x, fwd, fwd)
+    out_same = K.lstm(x, fwd, fwd)
     assert np.allclose(out_same.data[0, 0, :5], out_same.data[0, 0, 5:])
 
 
@@ -99,7 +100,7 @@ def test_bilstm_grads_match_finite_differences(seed):
     probe = rng.normal(size=(3, 10))[None]
 
     def f():
-        return probe_loss(K.bilstm(x, fwd, bwd), probe)
+        return probe_loss(K.lstm(x, fwd, bwd), probe)
 
     assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
 
@@ -112,9 +113,9 @@ def test_masked_batch_matches_per_example():
     batch = np.zeros((2, 5, 3))
     batch[0] = a
     batch[1, :2] = b
-    out = K.bilstm(Tensor(batch), *p, lengths=[5, 2])
-    out_a = K.bilstm(Tensor(a[None]), *p)
-    out_b = K.bilstm(Tensor(b[None]), *p)
+    out = K.lstm(Tensor(batch), *p, lengths=[5, 2])
+    out_a = K.lstm(Tensor(a[None]), *p)
+    out_b = K.lstm(Tensor(b[None]), *p)
     assert np.allclose(out.data[0], out_a.data[0])
     assert np.allclose(out.data[1, :2], out_b.data[0])
     assert np.allclose(out.data[1, 2:], 0.0)
@@ -133,7 +134,7 @@ def test_bilstm_padded_batch_grads_match_finite_differences(seed):
     probe = rng.normal(size=(3, 5, 8))
 
     def f():
-        return probe_loss(K.bilstm(x, fwd, bwd, lengths=lengths), probe)
+        return probe_loss(K.lstm(x, fwd, bwd, lengths=lengths), probe)
 
     assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
     x.zero_grad()
@@ -142,9 +143,9 @@ def test_bilstm_padded_batch_grads_match_finite_differences(seed):
 
 
 def test_lstm_rejects_lengths_beyond_sequence():
-    fwd, _ = bilstm_weights(rng_for(9), 3, 2)
+    fwd, bwd = bilstm_weights(rng_for(9), 3, 2)
     with pytest.raises(ValueError, match="lengths"):
-        K.lstm(Tensor(np.zeros((2, 4, 3))), *fwd, lengths=[4, 5])
+        K.lstm(Tensor(np.zeros((2, 4, 3))), fwd, bwd, lengths=[4, 5])
 
 
 def lstm_reference(x, w_ih, w_hh, b, lengths, reverse):
@@ -166,19 +167,67 @@ def lstm_reference(x, w_ih, w_hh, b, lengths, reverse):
     return out
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-def test_lstm_matches_logistic_reference_in_float32(reverse):
+def test_lstm_matches_logistic_reference_in_float32():
     # The kernel's in-place gate arithmetic in float32 matches the textbook
-    # float64 scan to float32 rounding.
+    # float64 scan to float32 rounding, in both directions.
     rng = rng_for(740)
-    weights = [t.data + rng.normal(size=t.data.shape) for t in bilstm_weights(rng, 6, 5)[0]]
+    fwd, bwd = ([t.data + rng.normal(size=t.data.shape) for t in d] for d in bilstm_weights(rng, 6, 5))
     x = rng.normal(size=(3, 7, 6)) * 2.0
     lengths = [7, 3, 5]
-    tensors = [Tensor(a.astype(np.float32)) for a in (x, *weights)]
-    out = K.lstm(*tensors, lengths=lengths, reverse=reverse)
+    x32 = Tensor(x.astype(np.float32))
+    fwd32, bwd32 = ([Tensor(a.astype(np.float32)) for a in d] for d in (fwd, bwd))
+    out = K.lstm(x32, fwd32, bwd32, lengths=lengths)
     assert out.data.dtype == np.float32
-    want = lstm_reference(*(t.data.astype(np.float64) for t in tensors), lengths, reverse)
-    np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+    for half, weights, reverse in ((out.data[..., :5], fwd32, False), (out.data[..., 5:], bwd32, True)):
+        want = lstm_reference(*(t.data.astype(np.float64) for t in (x32, *weights)), lengths, reverse)
+        np.testing.assert_allclose(half, want, rtol=1e-5, atol=1e-6)
+
+
+def test_lstm_backward_half_is_forward_half_of_reversed_rows():
+    # Both directions get the same weights, so the backward half must be the
+    # forward half computed on each row reversed within its own length: a
+    # wrong index in the stacked scan order shows here, on padded rows.
+    rng = rng_for(760)
+    fwd, _ = bilstm_weights(rng, 3, 4)
+    for t in fwd:
+        t.data += rng.normal(size=t.data.shape) * 0.3
+    lengths = [5, 2, 4]
+    xd = rng.normal(size=(3, 5, 3))
+    rev = np.zeros_like(xd)
+    for i, n in enumerate(lengths):
+        xd[i, n:] = 0.0
+        rev[i, :n] = xd[i, n - 1 :: -1]
+    x = Tensor(xd, requires_grad=True)
+    out = K.lstm(x, fwd, fwd, lengths=lengths)
+    out_rev = K.lstm(Tensor(rev), fwd, fwd, lengths=lengths)
+    for i, n in enumerate(lengths):
+        assert np.allclose(out.data[i, :n, 4:], out_rev.data[i, n - 1 :: -1, :4], rtol=0, atol=1e-12)
+        assert np.all(out.data[i, n:] == 0.0)
+    probe_loss(out, rng.normal(size=out.data.shape)).backward()
+    for i, n in enumerate(lengths):
+        assert np.all(x.grad[i, n:] == 0.0)
+
+
+def test_lstm_saturated_gates_stay_finite_without_warning():
+    # A float32 preactivation of -150 overflows exp(-z) in the logistic
+    # function; its limit 1 / (1 + inf) = 0 is exact, and no warning (an
+    # error under the test settings) escapes the scan.
+    E, H = 3, 2
+
+    def saturated():
+        return [
+            Tensor(np.full((E, 4 * H), -50.0, dtype=np.float32), requires_grad=True),
+            Tensor(np.zeros((H, 4 * H), dtype=np.float32), requires_grad=True),
+            Tensor(np.zeros(4 * H, dtype=np.float32), requires_grad=True),
+        ]
+
+    x = Tensor(np.ones((2, 4, E), dtype=np.float32), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = K.lstm(x, saturated(), saturated(), lengths=[4, 3])
+        probe_loss(out, np.ones(out.data.shape, dtype=np.float32)).backward()
+    assert np.all(np.isfinite(out.data)) and np.all(out.data == 0.0)
+    assert np.all(np.isfinite(x.grad))
 
 
 # ---------------------------------------------------------------------------
