@@ -15,6 +15,11 @@ builds a node), ``_accumulate`` (which adds a gradient into a parent) and
 one op, ``concat``, for the U-Net's skip connections. Every other op is a
 single node with a hand-written backward in ``kernels`` or ``model``.
 
+``_accumulate`` alone decides which tensors keep a gradient: it drops any
+handed to a tensor that does not require one, so a backward closure hands
+it every input's gradient untested. ``_node`` only decides whether a node
+keeps a closure at all (not under ``no_grad`` or on constant inputs).
+
 Graphs are single-threaded, single-use objects: build, call ``backward()``
 once, discard. No closure refers to its own node, so a graph holds no
 reference cycle: one dropped without ``backward()`` is freed by reference
@@ -103,8 +108,13 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    # Accumulation always rebinds (never mutates in place), so holding a view
-    # or a shared reference on the first contribution is safe.
+    """Add ``g`` into ``t.grad``, or drop it if ``t`` does not require one.
+
+    Accumulation always rebinds (never mutates in place), so holding a view
+    or a shared reference on the first contribution is safe.
+    """
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = g
     else:
@@ -136,7 +146,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                _accumulate(t, piece)
+            _accumulate(t, piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)

@@ -238,6 +238,8 @@ def cmd_eval(args):
     preds = _load_predictions(args.pred, mode)
     if len(preds) != len(gold):
         _fail(f"{len(preds)} predictions vs {len(gold)} gold examples")
+    if not gold:
+        _fail(f"{args.gold}: no examples to score")
     contexts = []
     incompletes = []
     refs = []

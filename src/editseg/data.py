@@ -35,7 +35,7 @@ from .dialogue import (
 
 
 class DatasetError(ValueError):
-    """Malformed dataset line; carries the 1-based line number."""
+    """Malformed or unusable dataset; carries the 1-based line number of a bad line."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")

@@ -178,17 +178,12 @@ def lstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
         dx = np.empty((2, L, B, E), dtype=dt)
         for d, (w_ih, w_hh, b) in enumerate(weights):
             dzd = dz[d].reshape(L * B, 4 * H)
-            if x.requires_grad:
-                np.matmul(dzd, w_ih.data.T, out=dx[d].reshape(L * B, E))
-            if w_ih.requires_grad:
-                ad._accumulate(w_ih, xs[d].reshape(L * B, E).T @ dzd)
-            if w_hh.requires_grad:
-                ad._accumulate(w_hh, hs[:-1, d].reshape(L * B, H).T @ dzd)
-            if b.requires_grad:
-                ad._accumulate(b, dzd.sum(axis=0))
-        if x.requires_grad:
-            both = dx[dirs[:, None, None], order.transpose(0, 2, 1), rows[:, None]]  # (2, B, L, E)
-            ad._accumulate(x, both[0] + both[1])
+            np.matmul(dzd, w_ih.data.T, out=dx[d].reshape(L * B, E))
+            ad._accumulate(w_ih, xs[d].reshape(L * B, E).T @ dzd)
+            ad._accumulate(w_hh, hs[:-1, d].reshape(L * B, H).T @ dzd)
+            ad._accumulate(b, dzd.sum(axis=0))
+        both = dx[dirs[:, None, None], order.transpose(0, 2, 1), rows[:, None]]  # (2, B, L, E)
+        ad._accumulate(x, both[0] + both[1])
 
     return ad._node(out, (x, *fwd, *bwd), backward)
 
@@ -314,11 +309,9 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
 
     def backward(grad):
         g9 = _stack9(grad)
-        if kernels.requires_grad:
-            dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
-            ad._accumulate(kernels, kernel_storage(dk[:, ::-1, ::-1].transpose(3, 0, 1, 2)))
-        if x.requires_grad:
-            ad._accumulate(x, (g9 @ _reversed_taps(kernels.data)).reshape(B, H, W, C))
+        dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
+        ad._accumulate(kernels, kernel_storage(dk[:, ::-1, ::-1].transpose(3, 0, 1, 2)))
+        ad._accumulate(x, (g9 @ _reversed_taps(kernels.data)).reshape(B, H, W, C))
 
     return ad._node(out, (x, kernels), backward)
 
@@ -417,12 +410,10 @@ def deconv2(x: Tensor, kernels: Tensor, size=None, mask=None) -> Tensor:
             full[:, :Ho, :Wo] = grad
             grad = full
         g6 = grad.reshape(B, H, 2, W, 2, Co)
-        if x.requires_grad:
-            gt = g6.transpose(5, 2, 4, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (d, a, c)
-            ad._accumulate(x, (k4 @ gt).reshape(C, B, H, W).transpose(1, 2, 3, 0))
-        if kernels.requires_grad:
-            gt = g6.transpose(2, 4, 5, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (a, c, d)
-            ad._accumulate(kernels, (gt @ x_rows).reshape(2, 2, Co, C).transpose(3, 2, 0, 1))
+        gt = g6.transpose(5, 2, 4, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (d, a, c)
+        ad._accumulate(x, (k4 @ gt).reshape(C, B, H, W).transpose(1, 2, 3, 0))
+        gt = g6.transpose(2, 4, 5, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (a, c, d)
+        ad._accumulate(kernels, (gt @ x_rows).reshape(2, 2, Co, C).transpose(3, 2, 0, 1))
 
     return ad._node(out, (x, kernels), backward)
 
@@ -492,18 +483,15 @@ def bn_relu(
         xh = (yd - mu) * inv if xhat is None else xhat
         dbeta = g.sum(axis=axes)
         dgamma = (g * xh).sum(axis=axes)
-        if gamma.requires_grad:
-            ad._accumulate(gamma, dgamma)
-        if beta.requires_grad:
-            ad._accumulate(beta, dbeta)
-        if y.requires_grad:
-            if training:
-                g -= dbeta / n
-                g -= xh * (dgamma / n)
-                if keep is not None:
-                    g *= keep
-            g *= gamma.data * inv
-            ad._accumulate(y, g)
+        ad._accumulate(gamma, dgamma)
+        ad._accumulate(beta, dbeta)
+        if training:
+            g -= dbeta / n
+            g -= xh * (dgamma / n)
+            if keep is not None:
+                g *= keep
+        g *= gamma.data * inv
+        ad._accumulate(y, g)
 
     return ad._node(out, (y, gamma, beta), backward)
 
@@ -533,12 +521,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad):
         g = grad.reshape(-1, grad.shape[-1])
-        if x.requires_grad:
-            ad._accumulate(x, (g @ w.data.T).reshape(xd.shape))
-        if w.requires_grad:
-            ad._accumulate(w, flat.T @ g)
-        if b.requires_grad:
-            ad._accumulate(b, g.sum(axis=0))
+        ad._accumulate(x, (g @ w.data.T).reshape(xd.shape))
+        ad._accumulate(w, flat.T @ g)
+        ad._accumulate(b, g.sum(axis=0))
 
     return ad._node(out.reshape(xd.shape[:-1] + out.shape[1:]), (x, w, b), backward)
 

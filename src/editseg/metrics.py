@@ -67,8 +67,8 @@ def _prf(overlap: float, pred_total: float, ref_total: float) -> tuple[float, fl
     return p, r, f
 
 
-def rouge_n(preds: list[list[str]], refs: list[list[str]], n: int, recall_only: bool = False) -> float:
-    """Macro-averaged per-example n-gram F1 (or recall) with clipping.
+def rouge_n(preds: list[list[str]], refs: list[list[str]], n: int) -> float:
+    """Macro-averaged per-example n-gram F1 with clipping.
 
     Examples whose reference is shorter than n contribute zero but still
     count toward the average.
@@ -78,8 +78,7 @@ def rouge_n(preds: list[list[str]], refs: list[list[str]], n: int, recall_only: 
     for p, r in zip(preds, refs):
         pg, rg = _ngrams(p, n), _ngrams(r, n)
         overlap = _clipped_overlap(pg, rg)
-        prec, rec, f1 = _prf(overlap, sum(pg.values()), sum(rg.values()))
-        total += rec if recall_only else f1
+        total += _prf(overlap, sum(pg.values()), sum(rg.values()))[2]
     return total / len(preds)
 
 
@@ -98,13 +97,12 @@ def lcs_prf(pred: list[str], ref: list[str]) -> tuple[float, float, float]:
     return _prf(lcs_length(pred, ref), len(pred), len(ref))
 
 
-def rouge_l(preds: list[list[str]], refs: list[list[str]], recall_only: bool = False) -> float:
-    """Macro-averaged LCS-based F1 (or recall)."""
+def rouge_l(preds: list[list[str]], refs: list[list[str]]) -> float:
+    """Macro-averaged LCS-based F1."""
     _check_corpus(preds, refs)
     total = 0.0
     for p, r in zip(preds, refs):
-        prec, rec, f1 = lcs_prf(p, r)
-        total += rec if recall_only else f1
+        total += lcs_prf(p, r)[2]
     return total / len(preds)
 
 

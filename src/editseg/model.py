@@ -207,20 +207,18 @@ def encoding_layer(states: Tensor, sizes, grid: tuple[int, int], w_bilinear: Ten
         g_dot = g_cos / denom
         g_cos_cos = g_cos * cos
         ub = g_bil.transpose(0, 2, 1) @ ud  # (B, N, 2H): sum_m g_bil[m, n] u_m
-        if states.requires_grad:
-            du = np.einsum("bmnd,bnd->bmd", g_elem, hd)
-            du += g_dot @ hd + g_bil @ hw
-            du -= ud * (g_cos_cos.sum(axis=2) / norm_u**2)[..., None]
-            dh = np.einsum("bmnd,bmd->bnd", g_elem, ud)
-            dh += g_dot.transpose(0, 2, 1) @ ud + ub @ w.T
-            dh -= hd * (g_cos_cos.sum(axis=1) / norm_h**2)[..., None]
-            ds = np.zeros_like(sd)
-            for i, (m, nx) in enumerate(sizes):
-                ds[i, :m] = du[i, :m]
-                ds[i, m : m + nx] = dh[i, :nx]
-            ad._accumulate(states, ds)
-        if w_bilinear.requires_grad:
-            ad._accumulate(w_bilinear, hd.reshape(-1, width).T @ ub.reshape(-1, width))
+        du = np.einsum("bmnd,bnd->bmd", g_elem, hd)
+        du += g_dot @ hd + g_bil @ hw
+        du -= ud * (g_cos_cos.sum(axis=2) / norm_u**2)[..., None]
+        dh = np.einsum("bmnd,bmd->bnd", g_elem, ud)
+        dh += g_dot.transpose(0, 2, 1) @ ud + ub @ w.T
+        dh -= hd * (g_cos_cos.sum(axis=1) / norm_h**2)[..., None]
+        ds = np.zeros_like(sd)
+        for i, (m, nx) in enumerate(sizes):
+            ds[i, :m] = du[i, :m]
+            ds[i, m : m + nx] = dh[i, :nx]
+        ad._accumulate(states, ds)
+        ad._accumulate(w_bilinear, hd.reshape(-1, width).T @ ub.reshape(-1, width))
 
     return ad._node(out, (states, w_bilinear), backward)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels as K
 from .checkpoint import FORMAT_TAG, CheckpointError, load_checkpoint, save_checkpoint
-from .data import load_dataset
+from .data import DatasetError, load_dataset
 from .dialogue import (
     ConnectionWordList,
     EMPTY_CONNECTION_WORDS,
@@ -336,6 +336,8 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
     mode = Tokenization(config.tokenization)
     train_examples = load_dataset(config.train_path, mode, require_rewrite=True)
     dev_examples = load_dataset(config.dev_path, mode, require_rewrite=True)
+    if not dev_examples:
+        raise DatasetError(f"{config.dev_path}: no dev examples to evaluate")
 
     if config.connection_k > 0:
         conn = derive_connection_words(train_examples, config.connection_k)
@@ -371,7 +373,7 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
         log(f"skipping {skipped} empty-context training examples (no matrix cells)")
         train_enc = [e for e in train_enc if e.m > 0]
     if not train_enc:
-        raise ValueError("no trainable examples (all have empty contexts)")
+        raise DatasetError(f"{config.train_path}: no trainable examples (none with a nonempty context)")
     partial = sum(e.coverage is Coverage.PARTIAL for e in train_enc) / max(1, len(train_enc))
     if partial:
         log(f"{partial:.1%} of training examples have partial label coverage")

@@ -133,6 +133,50 @@ def test_bench_on_empty_dataset_is_one_json_error_line(workspace, tmp_path, caps
     assert not captured.out
 
 
+def test_eval_on_empty_corpus_is_one_json_error_line(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code = run_cli(["eval", "--gold", str(empty), "--pred", str(empty)])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "no examples" in json.loads(err[0])["error"]
+    assert not captured.out
+
+
+# Train/dev files that leave nothing to train on or to evaluate, and the
+# words the error names.
+UNUSABLE_TRAINING_DATA = {
+    "empty_dev": ("{synth}", "", "no dev examples"),
+    "empty_train": ("", "{synth}", "no trainable examples"),
+    "context_free_train": ('{"context": [], "current": "a b", "rewrite": "a b"}\n', "{synth}", "no trainable examples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_TRAINING_DATA))
+def test_train_without_usable_data_fails_before_any_step(tmp_path, capsys, monkeypatch, case):
+    assert run_cli(["synth", "--out", str(tmp_path / "synth.jsonl"), "--num-examples", "6", "--seed", "1"]) == 0
+    synth = (tmp_path / "synth.jsonl").read_text(encoding="utf-8")
+    train_text, dev_text, words = UNUSABLE_TRAINING_DATA[case]
+    for name, text in (("train", train_text), ("dev", dev_text)):
+        (tmp_path / f"{name}.jsonl").write_text(text.replace("{synth}", synth), encoding="utf-8")
+    steps = []
+    monkeypatch.setattr(editseg.kernels, "adam_step", lambda *a, **kw: steps.append(1))
+    capsys.readouterr()
+    code = run_cli(
+        ["train", "--train-path", str(tmp_path / "train.jsonl"), "--dev-path", str(tmp_path / "dev.jsonl"),
+         "--checkpoint-path", str(tmp_path / "model.run"), "--epochs", "1",
+         "--embed-dim", "4", "--hidden-dim", "3", "--base-channels", "2"]
+    )
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and not steps
+    # Progress log lines (a skipped context-free example) may come first.
+    assert words in json.loads(err[-1])["error"]
+    assert not any(line.startswith(("{", "Traceback")) for line in err[:-1])
+    assert not captured.out and not (tmp_path / "model.run.last").exists()
+
+
 def test_config_file_with_flag_overrides(workspace, tmp_path, capsys):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"num_examples": 7, "seed": 9}), encoding="utf-8")

@@ -15,6 +15,7 @@ from _weights import batch_norm, bilstm_weights, probe_loss
 
 from editseg import kernels as K
 from editseg.autodiff import Tensor
+from editseg.model import encoding_layer
 
 TOL = 1e-3
 H_STEP = 1e-4
@@ -883,3 +884,54 @@ def test_grad_check_refuses_parameters_it_cannot_probe(layout, found):
         K.grad_check(f, [k, x])
     x.data = np.ascontiguousarray(xd, dtype=np.float64)
     assert K.grad_check(f, [k, x], h=H_STEP) < TOL
+
+
+# ---------------------------------------------------------------------------
+# gradient routing: a constant input gets no gradient
+
+
+def _lstm_case(rng):
+    (w_ih, w_hh, _), bwd = bilstm_weights(rng, 3, 2)
+    arrays = [rng.normal(size=(2, 4, 3)), w_ih.data, w_hh.data, rng.normal(size=8), *(t.data for t in bwd)]
+    return arrays, lambda x, *w: K.lstm(x, w[:3], w[3:], lengths=[4, 2])
+
+
+def _bn_relu_case(rng):
+    mask = np.ones((2, 3, 4), dtype=bool)
+    mask[1, 2:] = False
+    arrays = [rng.normal(size=(2, 3, 4, 3)), rng.uniform(0.5, 2.0, size=3), rng.normal(size=3)]
+    return arrays, lambda y, g, b: K.bn_relu(y, g, b, np.zeros(3), np.ones(3), training=True, mask=mask)
+
+
+# Each op's input arrays and a call taking one tensor per array.
+ROUTING_CASES = {
+    "conv2d": lambda rng: ([rng.normal(size=(2, 4, 5, 3)), rng.normal(size=(2, 3, 3, 3))], K.conv2d),
+    "deconv2": lambda rng: ([rng.normal(size=(2, 3, 2, 3)), rng.normal(size=(3, 2, 2, 2))], K.deconv2),
+    "bn_relu": _bn_relu_case,
+    "linear": lambda rng: ([rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)], K.linear),
+    "lstm": _lstm_case,
+    "encoding_layer": lambda rng: (
+        [rng.normal(size=(2, 6, 4)), rng.normal(size=(4, 4))],
+        lambda states, w: encoding_layer(states, [(3, 2), (2, 1)], (3, 2), w),
+    ),
+}
+ROUTING_PARAMS = [
+    (op, const) for op, case in ROUTING_CASES.items() for const in range(len(case(rng_for(0))[0]))
+]
+
+
+@pytest.mark.parametrize("op, const", ROUTING_PARAMS, ids=[f"{op}-input{i}" for op, i in ROUTING_PARAMS])
+def test_constant_input_gets_no_gradient_and_leaves_the_others_unchanged(op, const):
+    arrays, call = ROUTING_CASES[op](rng_for(600))
+
+    def grads(constant):
+        tensors = [Tensor(a.copy(), requires_grad=i != constant) for i, a in enumerate(arrays)]
+        out = call(*tensors)
+        probe_loss(out, rng_for(601).normal(size=out.data.shape)).backward()
+        return [t.grad for t in tensors]
+
+    full, held = grads(None), grads(const)
+    assert held[const] is None
+    for i, (g_full, g_held) in enumerate(zip(full, held)):
+        if i != const:
+            assert np.array_equal(g_held, g_full), f"input {i}"
