@@ -11,9 +11,9 @@ build float64 tensors, which need the precision, and run through the same
 ops.
 
 This module is only the core: ``Tensor``, ``no_grad``, ``_node`` (which
-builds a node), ``_accumulate`` (which adds a gradient into a parent) and
-one op, ``concat``, for the U-Net's skip connections. Every other op is a
-single node with a hand-written backward in ``kernels`` or ``model``.
+builds a node) and ``_accumulate`` (which adds a gradient into a parent).
+Every op is a single node with a hand-written backward in ``kernels`` or
+``model``.
 
 ``_accumulate`` alone decides which tensors keep a gradient: it drops any
 handed to a tensor that does not require one, so a backward closure hands
@@ -134,18 +134,3 @@ def _node(data, parents, backward):
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
     return out
-
-
-# ---------------------------------------------------------------------------
-# ops
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along ``axis``; the gradient splits back into the pieces."""
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)

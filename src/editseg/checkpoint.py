@@ -8,9 +8,10 @@ float64). An entry without a dtype, as every file written before the field
 existed has, reads as ``"<f8"``. Arrays are sorted by name and the header is
 canonicalized, so identical state always produces identical bytes (seeded
 runs must give bitwise-identical checkpoints). Loading checks the header's
-structure, dtypes and every array's byte range against the file, so a
-truncated or corrupt file raises ``CheckpointError`` rather than a numpy or
-JSON error.
+structure, dtypes and every array's byte range against the file, and that
+every stored value is finite, so a truncated or corrupt file, or one holding
+a NaN or infinity, raises ``CheckpointError`` rather than a numpy or JSON
+error or a model that computes garbage.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; a truncated or malformed file raises ``CheckpointError``."""
+    """Read a checkpoint; a truncated, malformed or non-finite file raises ``CheckpointError``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
@@ -102,6 +103,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             arrays[name] = flat.reshape(shape).astype(dtype.type)
         except ValueError as exc:  # an empty array with dimensions numpy cannot hold
             raise CheckpointError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: array {name!r} holds a NaN or infinite value")
     return arrays, meta
 
 

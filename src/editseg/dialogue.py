@@ -154,21 +154,13 @@ EMPTY_CONNECTION_WORDS = ConnectionWordList()
 
 @dataclass(frozen=True)
 class JoinedContext:
-    """The context row sequence ``c`` plus provenance bookkeeping."""
+    """The context row sequence ``c`` and where its connection words sit."""
 
     tokens: tuple[Token, ...]
-    utterance_boundaries: tuple[tuple[int, int], ...]
     connection_word_range: Optional[tuple[int, int]] = None
 
     def __len__(self):
         return len(self.tokens)
-
-    def source_of(self, index: int) -> Optional[tuple[int, int]]:
-        """Map a joined-context index back to (utterance, offset), if a Word."""
-        for u, (start, end) in enumerate(self.utterance_boundaries):
-            if start <= index < end:
-                return u, index - start
-        return None
 
 
 def join_context(
@@ -181,11 +173,9 @@ def join_context(
     if k > len(conn.words):
         raise ValueError(f"k={k} exceeds connection list of {len(conn.words)}")
     tokens: list[Token] = []
-    boundaries: list[tuple[int, int]] = []
     for i, utt in enumerate(example.context_utterances):
         if i > 0:
             tokens.append(sep_token())
-        boundaries.append((len(tokens), len(tokens) + len(utt)))
         tokens.extend(utt)
     conn_range = None
     if k > 0:
@@ -194,7 +184,7 @@ def join_context(
         start = len(tokens)
         tokens.extend(Token(w, TokenKind.CONNECTION_WORD) for w in conn.head(k))
         conn_range = (start, len(tokens))
-    return JoinedContext(tuple(tokens), tuple(boundaries), conn_range)
+    return JoinedContext(tuple(tokens), conn_range)
 
 
 def prepare_incomplete(x: Iterable[Token]) -> list[Token]:

@@ -3,8 +3,8 @@
 Covers everything the segmentation model needs: embedding lookup, a BiLSTM
 over right-padded batches with hand-rolled backprop-through-time, 3x3
 same-padded convolution fused with batch norm and ReLU, 2x2 max pooling,
-2x2 stride-2 transposed convolution, affine layers, weighted cross-entropy,
-Adam, and a finite-difference gradient checker. No ML framework underneath,
+2x2 stride-2 transposed convolution joined to the U-Net's skip features,
+affine layers, weighted cross-entropy and Adam. No ML framework underneath,
 just numpy. Every kernel computes and allocates in its inputs' dtype: the
 model runs in float32, and the gradient checks run the same kernels on
 float64 inputs.
@@ -18,9 +18,9 @@ Every op takes a batch. Sequences are (B, L, E); images are channels-last
 (B, H, W, C), the layout the pair-feature layer writes, so the U-Net runs
 from the feature image to the per-cell head without a re-layout. Images
 have any size: pooling gives an odd side a partial last window, and a
-transposed convolution crops its output to the grid it joins. A padded
-batch passes its (B, H, W) real-cell mask to batch norm, which takes its
-statistics over the real cells and zeroes the others.
+transposed convolution crops its output to the grid of the skip it joins.
+A padded batch passes its (B, H, W) real-cell mask to batch norm, which
+takes its statistics over the real cells and zeroes the others.
 
 The two hot kernels are shaped for BLAS. The LSTM is one time-major scan
 that advances both directions, which share each step's numpy calls; every
@@ -363,8 +363,9 @@ def maxpool2(x: Tensor) -> Tensor:
     return ad._node(out, (x,), backward)
 
 
-def deconv2(x: Tensor, kernels: Tensor, size=None, mask=None) -> Tensor:
-    """Transposed convolution, 2x2 kernel, stride 2; (B, H, W, C) -> (B, H', W', C').
+def deconv2(x: Tensor, kernels: Tensor, skip: Tensor, mask=None) -> Tensor:
+    """Transposed convolution, 2x2 kernel, stride 2, joined to its skip;
+    (B, H, W, C) and (B, H', W', S) -> (B, H', W', C' + S).
 
     ``kernels`` has shape (C, C', 2, 2). Input pixel (i, j) writes output
     pixel (2i + a, 2j + c) through tap (a, c) alone, so the forward is one
@@ -377,11 +378,12 @@ def deconv2(x: Tensor, kernels: Tensor, size=None, mask=None) -> Tensor:
     for the same sum, so the float32 results equal einsum's bit for bit;
     OpenBLAS rounds the other orientations differently on some shapes.
 
-    The output is (2H, 2W), or cropped to ``size`` = (H', W'), at most that:
-    the grid of the skip it joins, whose odd side was pooled to a partial
-    window. The cropped cells get zero gradient. An optional (B, H', W')
-    bool ``mask`` zeroes the output on the cells it leaves unset, and their
-    gradient with it.
+    The (2H, 2W) output is cropped to the skip's grid, at most that (an odd
+    side was pooled to a partial window), and the skip follows it on the
+    channel axis. The cropped cells get zero gradient, and the skip its own
+    channels. An optional (B, H', W') bool ``mask`` zeroes the first C'
+    channels on the cells it leaves unset, and their gradient with it. A
+    zero-channel skip (B, 2H, 2W, 0) gives the plain transposed convolution.
     """
     xd = x.data
     B, H, W, C = xd.shape
@@ -390,9 +392,7 @@ def deconv2(x: Tensor, kernels: Tensor, size=None, mask=None) -> Tensor:
         raise ValueError("deconv2 kernels must be 2x2")
     if Ci != C:
         raise ValueError(f"deconv2 channel mismatch: input has {C}, kernels expect {Ci}")
-    Ho, Wo = (2 * H, 2 * W) if size is None else size
-    if not (0 <= Ho <= 2 * H and 0 <= Wo <= 2 * W):
-        raise ValueError(f"deconv2 crop {(Ho, Wo)} exceeds the {2 * H}x{2 * W} output")
+    Ho, Wo = skip.data.shape[1:3]
     keep = None if mask is None else mask[..., None]
 
     x_rows = xd.reshape(B * H * W, C)
@@ -401,8 +401,11 @@ def deconv2(x: Tensor, kernels: Tensor, size=None, mask=None) -> Tensor:
     out = out[:, :Ho, :Wo]
     if keep is not None:
         out = out * keep
+    out = np.concatenate([out, skip.data], axis=3)
 
     def backward(grad):
+        ad._accumulate(skip, grad[..., Co:])
+        grad = grad[..., :Co]
         if keep is not None:
             grad = grad * keep
         if (Ho, Wo) != (2 * H, 2 * W):
@@ -415,7 +418,7 @@ def deconv2(x: Tensor, kernels: Tensor, size=None, mask=None) -> Tensor:
         gt = g6.transpose(2, 4, 5, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (a, c, d)
         ad._accumulate(kernels, (gt @ x_rows).reshape(2, 2, Co, C).transpose(3, 2, 0, 1))
 
-    return ad._node(out, (x, kernels), backward)
+    return ad._node(out, (x, kernels, skip), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -608,48 +611,3 @@ def adam_step(params, grads, state: AdamState, lr: float):
         v *= b2
         v += (1.0 - b2) * g * g
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def grad_check(f, params, h: float = 1e-4) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    ``f()`` rebuilds and returns a scalar Tensor; ``params`` are the leaves to
-    probe. Every coordinate of every parameter is perturbed by ±h in place,
-    so each parameter must be C-contiguous float64: a strided view would be
-    probed through a copy the computation never reads, and float32 cannot
-    resolve a ±1e-4 difference. Anything else raises ``ValueError``.
-    """
-    for i, p in enumerate(params):
-        if p.data.dtype != np.float64 or not p.data.flags.c_contiguous:
-            layout = "C-contiguous" if p.data.flags.c_contiguous else "strided"
-            raise ValueError(
-                f"grad_check parameter {i} of shape {p.data.shape} is {layout} "
-                f"{p.data.dtype}; it must be C-contiguous float64"
-            )
-    for p in params:
-        p.zero_grad()
-    out = f()
-    out.backward()
-    analytic = [None if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        if ana is None:
-            continue
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f().item()
-            flat[i] = orig - h
-            fm = f().item()
-            flat[i] = orig
-            num = (fp - fm) / (2.0 * h)
-            a = ana.reshape(-1)[i]
-            denom = max(abs(num), abs(a), 1e-6)
-            worst = max(worst, abs(num - a) / denom)
-    return worst

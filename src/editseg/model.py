@@ -60,8 +60,8 @@ class ModelConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         self.class_weights = tuple(float(w) for w in self.class_weights)
-        if any(w <= 0 for w in self.class_weights):
-            raise ValueError("class weights must be positive")
+        if not all(0 < w < math.inf for w in self.class_weights):
+            raise ValueError(f"class_weights must be positive and finite, got {list(self.class_weights)}")
 
     @property
     def feature_channels(self) -> int:
@@ -391,10 +391,10 @@ class RewriteModel:
         Channels-last throughout: (B, H, W, D) in, (B, H, W, 3) out, on any
         grid size. Two down-sampling blocks (conv, conv, pool; channels
         double; an odd side pools to a partial last window), two up-sampling
-        blocks (conv, conv, deconv; channels halve) with skip concatenation
-        of the matching pre-pool features on the channel axis, each deconv
-        output cropped to its skip's grid, then a per-cell affine head to the
-        three edit types.
+        blocks (conv, conv, deconv; channels halve), each deconv output
+        cropped to the grid of the matching pre-pool features and joined to
+        them on the channel axis in the same ``deconv2`` node, then a
+        per-cell affine head to the three edit types.
 
         Padding is masked out. A padded cell is exactly zero in all D
         feature channels (``encoding_layer``), and no real cell is, so the
@@ -421,14 +421,11 @@ class RewriteModel:
             # (tests/test_package.py makes its calls).
             return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training, mask)
 
-        def up(x, name, skip, mask):
-            return ad.concat([K.deconv2(x, t[f"{name}.deconv.k"], skip.data.shape[1:3], mask), skip], axis=3)
-
         d1 = block(block(features, "down1.conv1", m1), "down1.conv2", m1)
         d2 = block(block(K.maxpool2(d1), "down2.conv1", m2), "down2.conv2", m2)
         bottom = block(block(K.maxpool2(d2), "up1.conv1", m3), "up1.conv2", m3)
-        u2 = block(block(up(bottom, "up1", d2, m2), "up2.conv1", m2), "up2.conv2", m2)
-        return K.linear(up(u2, "up2", d1, m1), t["head.w"], t["head.b"])
+        u2 = block(block(K.deconv2(bottom, t["up1.deconv.k"], d2, m2), "up2.conv1", m2), "up2.conv2", m2)
+        return K.linear(K.deconv2(u2, t["up2.deconv.k"], d1, m1), t["head.w"], t["head.b"])
 
     # -- objectives -------------------------------------------------------------
 

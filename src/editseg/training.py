@@ -10,6 +10,7 @@ resumable "last" checkpoint carrying the optimizer state.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import time
@@ -110,9 +111,14 @@ class RunConfig:
                 raise ValueError(f"config field {name} has the wrong type: {value!r}")
         cw = self.class_weights
         if not isinstance(cw, (list, tuple)) or len(cw) != 3 or not all(
-            isinstance(w, numbers.Real) and not isinstance(w, bool) for w in cw
+            isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w) for w in cw
         ):
-            raise ValueError(f"class_weights must be a list of 3 numbers, got {cw!r}")
+            raise ValueError(f"class_weights must be a list of 3 finite numbers, got {cw!r}")
+        # JSON configs may hold NaN and Infinity, which no run can use.
+        for name in ("lr", "target_dev_em", "target_dev_cell_acc"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"config field {name} must be finite, got {value!r}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         for name, least in _FIELD_MINIMA.items():

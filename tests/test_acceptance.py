@@ -13,6 +13,7 @@ import pytest
 
 import _acceptance_registry
 from _float64 import to_float64
+from _grad_check import grad_check
 from _weights import batch_norm, bilstm_weights, probe_loss
 
 from editseg import kernels as K
@@ -122,19 +123,19 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
         table = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         ids = rng.integers(0, 5, size=3)
         w = rng.normal(size=(3, 4))
-        check(K.grad_check(lambda: probe_loss(K.embedding_lookup(table, ids), w), [table]))
+        check(grad_check(lambda: probe_loss(K.embedding_lookup(table, ids), w), [table]))
 
         fwd, bwd = bilstm_weights(rng, 4, 5)
         x = Tensor(rng.normal(size=(3, 4))[None], requires_grad=True)
         probe = rng.normal(size=(3, 10))[None]
-        check(K.grad_check(lambda: probe_loss(K.lstm(x, fwd, bwd), probe), [x, *fwd, *bwd]))
+        check(grad_check(lambda: probe_loss(K.lstm(x, fwd, bwd), probe), [x, *fwd, *bwd]))
 
         xc = Tensor(channels_last(rng.normal(size=(1, 2, 6, 6))), requires_grad=True)
         kc = Tensor(rng.normal(size=(4, 2, 3, 3)) * 0.3, requires_grad=True)
         bn = batch_norm(4)
         probe_c = channels_last(rng.normal(size=(1, 4, 6, 6)))
         check(
-            K.grad_check(
+            grad_check(
                 lambda: probe_loss(K.conv_bn_relu(xc, kc, *bn, training=True), probe_c),
                 [xc, kc, *bn[:2]],
             )
@@ -142,18 +143,19 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
 
         xp = Tensor(channels_last(rng.normal(size=(1, 1, 4, 4))), requires_grad=True)
         probe_p = channels_last(rng.normal(size=(1, 1, 2, 2)))
-        check(K.grad_check(lambda: probe_loss(K.maxpool2(xp), probe_p), [xp]))
+        check(grad_check(lambda: probe_loss(K.maxpool2(xp), probe_p), [xp]))
 
         xd = Tensor(channels_last(rng.normal(size=(1, 2, 3, 3))), requires_grad=True)
         kd = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-        probe_d = channels_last(rng.normal(size=(1, 3, 6, 6)))
-        check(K.grad_check(lambda: probe_loss(K.deconv2(xd, kd), probe_d), [xd, kd]))
+        sd = Tensor(rng.normal(size=(1, 5, 6, 2)), requires_grad=True)  # cropped to an odd skip grid
+        probe_d = rng.normal(size=(1, 5, 6, 5))
+        check(grad_check(lambda: probe_loss(K.deconv2(xd, kd, sd), probe_d), [xd, kd, sd]))
 
         xl = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         wl = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         bl = Tensor(rng.normal(size=2), requires_grad=True)
         probe_l = rng.normal(size=(3, 2))
-        check(K.grad_check(lambda: probe_loss(K.linear(xl, wl, bl), probe_l), [xl, wl, bl]))
+        check(grad_check(lambda: probe_loss(K.linear(xl, wl, bl), probe_l), [xl, wl, bl]))
 
         logits = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         targets = rng.integers(0, 3, size=6)
@@ -161,7 +163,7 @@ def test_criterion_3_kernel_gradients_over_ten_seeds():
         if not mask.any():
             mask[0] = True
         check(
-            K.grad_check(
+            grad_check(
                 lambda: K.weighted_cross_entropy(logits, targets, [1.0, 5.0, 5.0], mask=mask),
                 [logits],
             )

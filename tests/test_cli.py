@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import editseg
-from editseg.checkpoint import CheckpointError, load_checkpoint
+from editseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from editseg.cli import main
 from editseg.data import load_dataset
 from editseg.dialogue import texts
@@ -238,6 +238,22 @@ def test_sidecar_that_disagrees_with_arrays_is_json_error(workspace, tmp_path, c
     sidecar["model_config"]["hidden_dim"] //= 2
     sidecar_path.write_text(json.dumps(sidecar), encoding="utf-8")
     assert "shape" in _rewrite_error(workspace, tmp_path, ckpt, capsys)
+
+
+@pytest.mark.parametrize("name, value", [("embedding", np.nan), ("head.w", np.inf)])
+def test_non_finite_checkpoint_is_one_json_error_line(workspace, tmp_path, capsys, name, value):
+    # Such a file loaded silently, and rewrite exited 0 with garbage output.
+    ckpt = _copy_checkpoint(workspace, tmp_path)
+    arrays, meta = load_checkpoint(ckpt)
+    arrays[name].flat[0] = value
+    save_checkpoint(ckpt, arrays, meta)
+    out = tmp_path / "o.jsonl"
+    code = run_cli(["rewrite", "--checkpoint", str(ckpt),
+                    "--data", str(workspace / "dev.jsonl"), "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and not out.exists() and not captured.out
+    assert len(err) == 1 and repr(name) in json.loads(err[0])["error"]
 
 
 def _edit_header(raw: bytes, edit) -> bytes:
@@ -525,6 +541,13 @@ BAD_INPUT = {
     "base_channels_zero": ("config", b'{"base_channels": 0}'),
     "patience_negative": ("config", b'{"patience": -1, "epochs": 1}'),
     "connection_k_negative": ("config", b'{"connection_k": -1, "epochs": 1}'),
+    # Python's json reads NaN and Infinity; train ran a step on them, then
+    # failed as a diverged loss (exit 3).
+    "lr_nan": ("config", b'{"lr": NaN}'),
+    "lr_infinity": ("config", b'{"lr": Infinity}'),
+    "class_weights_nan": ("config", b'{"class_weights": [1, NaN, 5]}'),
+    "target_dev_em_nan": ("config", b'{"target_dev_em": NaN}'),
+    "target_dev_cell_acc_infinity": ("config", b'{"target_dev_cell_acc": -Infinity}'),
 }
 
 

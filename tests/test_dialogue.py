@@ -60,7 +60,6 @@ def test_join_two_utterances_one_separator():
     e = ex(["how is weather", "cloudy today"], "why")
     joined = join_context(e)
     assert texts(joined.tokens) == ["how", "is", "weather", "[S]", "cloudy", "today"]
-    assert joined.utterance_boundaries == ((0, 3), (4, 6))
     assert joined.connection_word_range is None
 
 
@@ -90,18 +89,6 @@ def test_join_length_formula():
 def test_join_k_exceeding_list_fails():
     with pytest.raises(ValueError):
         join_context(ex(["a"], "b"), ConnectionWordList(("of",), (1,)), k=2)
-
-
-def test_every_word_maps_back_to_source():
-    e = ex(["a b", "c d e"], "x")
-    joined = join_context(e)
-    for i, tok in enumerate(joined.tokens):
-        src = joined.source_of(i)
-        if tok.kind is TokenKind.WORD:
-            u, off = src
-            assert e.context_utterances[u][off] == tok
-        else:
-            assert src is None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+from _grad_check import grad_check
 from _weights import batch_norm, bilstm_weights, probe_loss
 
 from editseg import kernels as K
@@ -66,7 +67,7 @@ def test_embedding_grad_matches_finite_differences(seed):
     def f():
         return probe_loss(K.embedding_lookup(table, ids), w)
 
-    assert K.grad_check(f, [table], h=H_STEP) < 1e-4
+    assert grad_check(f, [table], h=H_STEP) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ def test_bilstm_grads_match_finite_differences(seed):
     def f():
         return probe_loss(K.lstm(x, fwd, bwd), probe)
 
-    assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
+    assert grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
 
 
 def test_masked_batch_matches_per_example():
@@ -137,7 +138,7 @@ def test_bilstm_padded_batch_grads_match_finite_differences(seed):
     def f():
         return probe_loss(K.lstm(x, fwd, bwd, lengths=lengths), probe)
 
-    assert K.grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
+    assert grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
     x.zero_grad()
     f().backward()
     assert np.all(x.grad[1, 2:] == 0.0) and np.all(x.grad[2, 4:] == 0.0)
@@ -311,7 +312,7 @@ def test_conv_grads_match_finite_differences_batched_non_square(seed, shape, co)
     def f():
         return probe_loss(K.conv2d(x, k), probe)
 
-    assert K.grad_check(f, [x, k], h=H_STEP) < TOL
+    assert grad_check(f, [x, k], h=H_STEP) < TOL
 
 
 @pytest.mark.parametrize("c, co", [(6, 2), (2, 6)], ids=["wide_in", "wide_out"])
@@ -372,7 +373,7 @@ def test_conv_bn_relu_grads_match_finite_differences(seed):
     def f():
         return probe_loss(K.conv_bn_relu(x, k, *bn, training=True), probe)
 
-    assert K.grad_check(f, [x, k, *bn[:2]], h=H_STEP) < TOL
+    assert grad_check(f, [x, k, *bn[:2]], h=H_STEP) < TOL
 
 
 def test_bn_relu_training_matches_numpy_reference():
@@ -442,7 +443,7 @@ def test_masked_bn_relu_training_grads_match_finite_differences(seed):
         return probe_loss(K.bn_relu(y, *bn, training=True, mask=mask), probe)
 
     assert y.data.dtype == np.float64
-    assert K.grad_check(f, [y, gamma, beta], h=H_STEP) < TOL
+    assert grad_check(f, [y, gamma, beta], h=H_STEP) < TOL
     y.zero_grad()
     f().backward()
     assert np.all(y.grad[~mask] == 0.0)
@@ -466,7 +467,7 @@ def test_conv_bn_relu_eval_grads_match_finite_differences(seed):
     def f():
         return probe_loss(K.conv_bn_relu(x, k, *bn, training=False), probe)
 
-    assert K.grad_check(f, [x, k, gamma, beta], h=H_STEP) < TOL
+    assert grad_check(f, [x, k, gamma, beta], h=H_STEP) < TOL
 
 
 def test_maxpool_tie_routes_gradient_to_first_cell():
@@ -496,7 +497,7 @@ def test_maxpool_grad_is_one_hot_and_matches_fd(seed):
     def f():
         return probe_loss(K.maxpool2(x), probe)
 
-    assert K.grad_check(f, [x], h=1e-5) < TOL
+    assert grad_check(f, [x], h=1e-5) < TOL
     x.zero_grad()
     f().backward()
     windows = x.grad.reshape(2, 2, 2, 2)
@@ -561,7 +562,7 @@ def test_maxpool_odd_sides_grads_match_finite_differences(seed):
     def f():
         return probe_loss(K.maxpool2(x), probe)
 
-    assert K.grad_check(f, [x], h=1e-5) < TOL
+    assert grad_check(f, [x], h=1e-5) < TOL
 
 
 def test_maxpool_partial_window_routes_gradient_to_first_maximum():
@@ -598,14 +599,22 @@ def test_window_max_of_a_mask_flags_windows_with_a_set_cell():
     assert pooled[1].all()
 
 
+def no_skip(x):
+    """A zero-channel skip on the full (2H, 2W) grid: ``deconv2`` then gives
+    the plain transposed convolution, uncropped."""
+    B, H, W, _ = x.data.shape
+    return Tensor(np.zeros((B, 2 * H, 2 * W, 0)))
+
+
 def test_deconv_broadcasts_single_value():
     x = Tensor(np.array([[[[3.0]]]]))
     k = Tensor(np.ones((1, 1, 2, 2)))
-    assert np.array_equal(K.deconv2(x, k).data, np.full((1, 2, 2, 1), 3.0))
+    assert np.array_equal(K.deconv2(x, k, no_skip(x)).data, np.full((1, 2, 2, 1), 3.0))
 
 
 def test_deconv_zero_input_zero_output():
-    out = K.deconv2(Tensor(np.zeros((1, 3, 3, 2))), Tensor(rng_for(6).normal(size=(2, 5, 2, 2))))
+    x = Tensor(np.zeros((1, 3, 3, 2)))
+    out = K.deconv2(x, Tensor(rng_for(6).normal(size=(2, 5, 2, 2))), no_skip(x))
     assert np.array_equal(out.data, np.zeros((1, 6, 6, 5)))
 
 
@@ -614,12 +623,19 @@ def test_deconv_grads_match_finite_differences(seed):
     rng = rng_for(400 + seed)
     x = Tensor(channels_last(rng.normal(size=(1, 2, 3, 3))), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-    probe = channels_last(rng.normal(size=(1, 3, 6, 6)))
+    skip = Tensor(rng.normal(size=(1, 6, 6, 2)), requires_grad=True)
+    probe = rng.normal(size=(1, 6, 6, 5))
 
     def f():
-        return probe_loss(K.deconv2(x, k), probe)
+        return probe_loss(K.deconv2(x, k, skip), probe)
 
-    assert K.grad_check(f, [x, k], h=H_STEP) < TOL
+    assert grad_check(f, [x, k, skip], h=H_STEP) < TOL
+    # The skip is copied into the last channels and gets their gradient.
+    skip.zero_grad()
+    out = K.deconv2(x, k, skip)
+    probe_loss(out, probe).backward()
+    assert np.array_equal(out.data[..., 3:], skip.data)
+    assert np.array_equal(skip.grad, probe[..., 3:])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -629,28 +645,35 @@ def test_cropped_masked_deconv_grads_match_finite_differences(seed):
     rng = rng_for(410 + seed)
     x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    skip = Tensor(rng.normal(size=(2, 5, 3, 2)), requires_grad=True)
     mask = np.zeros((2, 5, 3), dtype=bool)
     mask[0, :3, :2] = True
     mask[1] = True
-    probe = rng.normal(size=(2, 5, 3, 3))
+    probe = rng.normal(size=(2, 5, 3, 5))
 
     def f():
-        return probe_loss(K.deconv2(x, k, (5, 3), mask), probe)
+        return probe_loss(K.deconv2(x, k, skip, mask), probe)
 
-    assert K.grad_check(f, [x, k], h=H_STEP) < TOL
-    full = K.deconv2(x, k).data
-    out = K.deconv2(x, k, (5, 3), mask).data
-    assert np.array_equal(out, np.where(mask[..., None], full[:, :5, :3], 0.0))
-    # Input cells whose outputs are all cropped or masked get no gradient.
+    assert grad_check(f, [x, k, skip], h=H_STEP) < TOL
+    full = K.deconv2(x, k, no_skip(x)).data
+    out = K.deconv2(x, k, skip, mask).data
+    assert np.array_equal(out[..., :3], np.where(mask[..., None], full[:, :5, :3], 0.0))
+    assert np.array_equal(out[..., 3:], skip.data)  # the mask leaves the skip alone
+    # Input cells whose outputs are all cropped or masked get no gradient;
+    # the skip gets its channels of the gradient, masked cells too.
     x.zero_grad()
+    skip.zero_grad()
     f().backward()
     assert not x.grad[0, 2:].any() and not x.grad[0, :, 1:].any()
     assert np.all(np.abs(x.grad[1]).sum(axis=2) > 0)
+    assert np.array_equal(skip.grad, probe[..., 3:])
 
 
 def test_deconv_crop_beyond_output_fails():
-    with pytest.raises(ValueError, match="crop"):
-        K.deconv2(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.ones((1, 1, 2, 2))), (5, 4))
+    # A 2 x 2 input gives a 4 x 4 output, which no crop can stretch to 5 x 4.
+    x = Tensor(np.zeros((1, 2, 2, 1)))
+    with pytest.raises(ValueError):
+        K.deconv2(x, Tensor(np.ones((1, 1, 2, 2))), Tensor(np.zeros((1, 5, 4, 0))))
 
 
 def test_deconv_matches_einsum_oracle():
@@ -660,7 +683,7 @@ def test_deconv_matches_einsum_oracle():
     x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     kt = Tensor(k, requires_grad=True)
     probe = rng.normal(size=(2, 6, 8, 3))
-    out = K.deconv2(x, kt)
+    out = K.deconv2(x, kt, no_skip(x))
     probe_loss(out, probe).backward()
     g6 = probe.reshape(2, 3, 2, 4, 2, 3)
     want = np.einsum("bijc,cdkl->bikjld", x.data, k).reshape(2, 6, 8, 3)
@@ -670,18 +693,19 @@ def test_deconv_matches_einsum_oracle():
 
 
 def test_pool_deconv_shape_round_trip():
+    # The U-Net's level: pool, then up-sample and join the pre-pool features.
     rng = rng_for(7)
     x = Tensor(channels_last(rng.normal(size=(1, 2, 8, 6))))
-    k = Tensor(rng.normal(size=(2, 2, 2, 2)))
-    assert K.deconv2(K.maxpool2(x), k).data.shape == (1, 8, 6, 2)
+    k = Tensor(rng.normal(size=(2, 3, 2, 2)))
+    assert K.deconv2(K.maxpool2(x), k, x).data.shape == (1, 8, 6, 5)
 
 
 @pytest.mark.parametrize("hw", [(7, 5), (6, 3), (1, 1)])
 def test_pool_then_cropped_deconv_restores_odd_sides(hw):
     rng = rng_for(8)
     x = Tensor(rng.normal(size=(1, *hw, 2)))
-    k = Tensor(rng.normal(size=(2, 2, 2, 2)))
-    assert K.deconv2(K.maxpool2(x), k, hw).data.shape == (1, *hw, 2)
+    k = Tensor(rng.normal(size=(2, 3, 2, 2)))
+    assert K.deconv2(K.maxpool2(x), k, x).data.shape == (1, *hw, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +736,7 @@ def test_linear_grads_match_finite_differences(seed):
     def f():
         return probe_loss(K.linear(x, w, b), probe)
 
-    assert K.grad_check(f, [x, w, b], h=H_STEP) < TOL
+    assert grad_check(f, [x, w, b], h=H_STEP) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +794,7 @@ def test_wce_grads_match_finite_differences(seed):
     def f():
         return K.weighted_cross_entropy(logits, targets, [1.0, 5.0, 5.0], mask=mask)
 
-    assert K.grad_check(f, [logits], h=H_STEP) < TOL
+    assert grad_check(f, [logits], h=H_STEP) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +905,9 @@ def test_grad_check_refuses_parameters_it_cannot_probe(layout, found):
         return probe_loss(K.conv2d(x, k), probe)
 
     with pytest.raises(ValueError, match=rf"parameter 1 of shape \(1, 4, 4, 2\) is {found}"):
-        K.grad_check(f, [k, x])
+        grad_check(f, [k, x])
     x.data = np.ascontiguousarray(xd, dtype=np.float64)
-    assert K.grad_check(f, [k, x], h=H_STEP) < TOL
+    assert grad_check(f, [k, x], h=H_STEP) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +930,10 @@ def _bn_relu_case(rng):
 # Each op's input arrays and a call taking one tensor per array.
 ROUTING_CASES = {
     "conv2d": lambda rng: ([rng.normal(size=(2, 4, 5, 3)), rng.normal(size=(2, 3, 3, 3))], K.conv2d),
-    "deconv2": lambda rng: ([rng.normal(size=(2, 3, 2, 3)), rng.normal(size=(3, 2, 2, 2))], K.deconv2),
+    "deconv2": lambda rng: (
+        [rng.normal(size=(2, 3, 2, 3)), rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(2, 5, 4, 2))],
+        K.deconv2,
+    ),
     "bn_relu": _bn_relu_case,
     "linear": lambda rng: ([rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)], K.linear),
     "lstm": _lstm_case,

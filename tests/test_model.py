@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _float64 import to_float64
+from _grad_check import grad_check
 from _weights import probe_loss
 
 from editseg import autodiff as ad
@@ -73,8 +74,9 @@ def test_config_validates_and_reports_channels():
     assert cfg.feature_channels == 402
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=0)
-    with pytest.raises(ValueError):
-        ModelConfig(vocab_size=5, class_weights=(0.0, 1.0, 1.0))
+    for weights in ((0.0, 1.0, 1.0), (1.0, float("nan"), 5.0), (1.0, 5.0, float("inf"))):
+        with pytest.raises(ValueError, match="class_weights"):
+            ModelConfig(vocab_size=5, class_weights=weights)
 
 
 def test_config_from_dict_accepts_old_sidecar_with_batch_size():
@@ -186,7 +188,7 @@ def test_encoding_grads_match_finite_differences():
     def f():
         return probe_loss(encoding_layer(tensors[0], sizes, (4, 3), tensors[1]), weights)
 
-    assert K.grad_check(f, tensors) < 1e-5
+    assert grad_check(f, tensors) < 1e-5
     tensors[0].zero_grad()
     f().backward()
     grad = tensors[0].grad

@@ -100,7 +100,8 @@ def test_benchmark_harness_calls_still_work(tmp_path, monkeypatch):
         assert texts(editseg.rewrite_from_matrix(gold, x, c)[0]) == texts(ex.gold_rewrite)
         assert editseg.model.encode_example(ex, vocab, with_gold=True).gold is not None
 
-    # Batch 1; the harness names conv blocks by the kernel tensor, the second argument.
+    # Batch 1; the harness names conv blocks by the kernel tensor, the second
+    # argument, and a kernel it does not see called leaves its span missing.
     kernel_ids = []
     conv_bn_relu = kernels.conv_bn_relu
 
@@ -109,10 +110,23 @@ def test_benchmark_harness_calls_still_work(tmp_path, monkeypatch):
         return conv_bn_relu(x, kernel, *args)
 
     monkeypatch.setattr(kernels, "conv_bn_relu", recording_conv_bn_relu)
+    kernel_calls = Counter()
+    for name in ("lstm", "maxpool2", "deconv2", "linear"):
+        original = getattr(kernels, name)
+
+        def counted_kernel(*args, _name=name, _original=original, **kwargs):
+            kernel_calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted_kernel)
     before = model.invocations
     matrices = [model.predict_encoded(enc) for enc in encs]
     assert model.invocations - before == len(encs)
     assert set(kernel_ids) == {id(kernel) for kernel in model.convs.values()}
+    kernel_calls.clear()
+    model.predict_encoded(encs[0])
+    assert kernel_calls["deconv2"] == 2, kernel_calls
+    assert all(kernel_calls[name] >= 1 for name in ("lstm", "maxpool2", "linear")), kernel_calls
 
     # Batched.
     with editseg.no_grad():
