@@ -42,8 +42,8 @@ print(f"\nbest dev EM {result.best_dev_em:.2f}; checkpoint at {result.best_check
 
 rw = load_model(result.best_checkpoint)
 print("\nsample rewrites from the dev set:")
-for ex in examples[500:506]:
-    out, program = rw.rewrite(ex)
+samples = examples[500:506]
+for ex, (out, _) in zip(samples, rw.rewrite(samples)):
     flag = "ok " if texts(out) == texts(ex.gold_rewrite) else "MISS"
     print(f"  [{flag}] {' '.join(texts(ex.incomplete))}")
     print(f"         -> {' '.join(texts(out))}")

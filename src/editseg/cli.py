@@ -215,18 +215,16 @@ def cmd_train(args):
 
 def cmd_rewrite(args):
     rw = load_model(args.checkpoint)
-    rows = []
-    for ex in load_dataset(args.data, rw.tokenization):
-        out, program = rw.rewrite(ex)
-        rows.append(
-            {
-                "rewrite_pred": detokenize(out, rw.tokenization),
-                "program": {
-                    "substitutes": [list(s) for s in program.substitutes],
-                    "inserts": [list(i) for i in program.inserts],
-                },
-            }
-        )
+    rows = [
+        {
+            "rewrite_pred": detokenize(out, rw.tokenization),
+            "program": {
+                "substitutes": [list(s) for s in program.substitutes],
+                "inserts": [list(i) for i in program.inserts],
+            },
+        }
+        for out, program in rw.rewrite(load_dataset(args.data, rw.tokenization))
+    ]
     _write_jsonl(args.out, rows)
     _emit({"examples": len(rows), "path": args.out})
 

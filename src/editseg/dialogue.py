@@ -154,10 +154,9 @@ EMPTY_CONNECTION_WORDS = ConnectionWordList()
 
 @dataclass(frozen=True)
 class JoinedContext:
-    """The context row sequence ``c`` and where its connection words sit."""
+    """The context row sequence ``c``."""
 
     tokens: tuple[Token, ...]
-    connection_word_range: Optional[tuple[int, int]] = None
 
     def __len__(self):
         return len(self.tokens)
@@ -177,14 +176,11 @@ def join_context(
         if i > 0:
             tokens.append(sep_token())
         tokens.extend(utt)
-    conn_range = None
     if k > 0:
         if example.context_utterances:
             tokens.append(sep_token())
-        start = len(tokens)
         tokens.extend(Token(w, TokenKind.CONNECTION_WORD) for w in conn.head(k))
-        conn_range = (start, len(tokens))
-    return JoinedContext(tuple(tokens), conn_range)
+    return JoinedContext(tuple(tokens))
 
 
 def prepare_incomplete(x: Iterable[Token]) -> list[Token]:

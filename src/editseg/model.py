@@ -45,6 +45,7 @@ from .dialogue import (
 from .supervision import Coverage, build_gold_matrix
 
 N_EDIT_TYPES = 3
+PREDICT_BATCH = 16  # examples per forward pass of RewriteModel.predict
 
 
 @dataclass
@@ -441,10 +442,22 @@ class RewriteModel:
             targets[i, : ex.m, : ex.nx] = ex.gold
         return K.weighted_cross_entropy(logits, targets, self.config.class_weights, mask=masks)
 
+    def predict(self, batch: list[EncodedExample]) -> list[np.ndarray]:
+        """Edit matrices in ``batch``'s order, one model invocation each: sorted
+        by (m, nx), ``PREDICT_BATCH`` examples share a forward pass. Padding is
+        masked out, so no matrix depends on the examples it runs with."""
+        order = sorted(range(len(batch)), key=lambda i: (batch[i].m, batch[i].nx))
+        matrices = [None] * len(batch)
+        for start in range(0, len(batch), PREDICT_BATCH):
+            run = order[start : start + PREDICT_BATCH]
+            with ad.no_grad():
+                features, _ = self.feature_batch([batch[i] for i in run])
+                logits = self.segmentation_layer(features, training=False)
+            self.invocations += len(run)
+            for pos, i in enumerate(run):
+                matrices[i] = decode_matrix(logits.data[pos], batch[i].m, batch[i].nx)
+        return matrices
+
     def predict_encoded(self, ex: EncodedExample) -> np.ndarray:
-        """Single forward pass -> edit matrix; exactly one model invocation."""
-        with ad.no_grad():
-            features, _ = self.feature_batch([ex])
-            logits = self.segmentation_layer(features, training=False)
-        self.invocations += 1
-        return decode_matrix(logits.data[0], ex.m, ex.nx)
+        """``predict`` for one example: a batch of one, so nothing is padded."""
+        return self.predict([ex])[0]

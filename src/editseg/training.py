@@ -169,11 +169,11 @@ class TrainResult:
 
 
 def evaluate_model(model: RewriteModel, batch: list[EncodedExample], examples):
-    """Dev metrics: pooled unmasked cell accuracy and rewrite exact match."""
+    """Dev metrics from one ``model.predict`` call: pooled unmasked cell
+    accuracy and rewrite exact match."""
     correct = total = 0
     hits = 0
-    for enc, ex in zip(batch, examples):
-        pred = model.predict_encoded(enc)
+    for enc, ex, pred in zip(batch, examples, model.predict(batch)):
         correct += int((pred == enc.gold).sum())
         total += pred.size
         out, _ = rewrite_from_matrix(pred, enc.x, enc.c)
@@ -226,10 +226,12 @@ class Rewriter(NamedTuple):
     k: int
     tokenization: str
 
-    def rewrite(self, example) -> tuple[list, EditProgram]:
-        """One model pass, then standardize and apply: (tokens, program)."""
-        enc = encode_example(example, self.vocab, self.conn, self.k)
-        return rewrite_from_matrix(self.model.predict_encoded(enc), enc.x, enc.c)
+    def rewrite(self, examples) -> list[tuple[list, EditProgram]]:
+        """Encode, predict in batches by grid (``RewriteModel.predict``), then
+        standardize and apply: one (tokens, program) per example, in order.
+        ``rewrite([ex])`` is batch 1."""
+        encs = [encode_example(ex, self.vocab, self.conn, self.k) for ex in examples]
+        return [rewrite_from_matrix(matrix, enc.x, enc.c) for matrix, enc in zip(self.model.predict(encs), encs)]
 
 
 # Run metadata a checkpoint may carry, each with the test its value must pass.
@@ -439,20 +441,20 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
 
 
 def bench_latency(rw: Rewriter, examples, warmup=3):
-    """Per-example wall time of ``rw.rewrite``: encode, predict, standardize
-    and apply, at batch 1.
+    """Per-example wall time of ``rw.rewrite([ex])``: encode, predict,
+    standardize and apply, at batch 1.
 
     Tokenization and IO stay outside the timer. Also verifies the one-pass
     property: exactly one model invocation per example.
     """
     for ex in examples[:warmup]:
-        rw.rewrite(ex)
+        rw.rewrite([ex])
 
     times, out_lens, invocations = [], [], []
     for ex in examples:
         before = rw.model.invocations
         t0 = time.perf_counter()
-        out, _ = rw.rewrite(ex)
+        [(out, _)] = rw.rewrite([ex])
         times.append((time.perf_counter() - t0) * 1000.0)
         invocations.append(rw.model.invocations - before)
         out_lens.append(len(out))

@@ -334,8 +334,8 @@ def test_criterion_8_copy_restriction(trained):
     untrained_rw = trained_rw._replace(model=RewriteModel(trained_rw.model.config, seed=321))
     examples = generate_synthetic(SyntheticSpec(num_examples=1000, seed=31))
     violations = 0
-    for i, ex in enumerate(examples):
-        out, _ = (untrained_rw if i < 700 else trained_rw).rewrite(ex)
+    outs = untrained_rw.rewrite(examples[:700]) + trained_rw.rewrite(examples[700:])
+    for ex, (out, _) in zip(examples, outs):
         c = join_context(ex, trained_rw.conn, trained_rw.k)
         allowed = {t.text for t in ex.incomplete}
         allowed.update(t.text for t in c.tokens if not t.is_special())
@@ -362,9 +362,7 @@ def test_criterion_9_end_to_end_determinism(trained, tmp_path):
         )
         train(config)
         rw = load_model(config.checkpoint_path)
-        rewrites = [
-            texts(rw.rewrite(ex)[0]) for ex in generate_synthetic(SyntheticSpec(num_examples=30, seed=8))
-        ]
+        rewrites = [texts(out) for out, _ in rw.rewrite(generate_synthetic(SyntheticSpec(num_examples=30, seed=8)))]
         runs.append(
             (
                 (tmp_path / f"{name}.run").read_bytes(),

@@ -17,7 +17,7 @@ import editseg
 from editseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from editseg.cli import main
 from editseg.data import load_dataset
-from editseg.dialogue import texts
+from editseg.dialogue import detokenize, texts
 from editseg.model import RewriteModel
 from editseg.training import load_model
 
@@ -97,6 +97,33 @@ def test_rewrite_and_eval_pipeline(workspace, capsys):
     assert stdout_report["counts"] == 10
     for v in stdout_report["bleu"].values():
         assert 0.0 <= v <= 1.0
+
+
+def test_rewrite_writes_each_example_in_input_order(workspace, tmp_path, capsys):
+    # 40 examples of mixed grids: the model runs them in three size-sorted
+    # batches, and the rows must still follow the input lines.
+    data, pred_path = workspace / "train.jsonl", tmp_path / "preds.jsonl"
+    argv = ["rewrite", "--checkpoint", str(workspace / "model.run"), "--out", str(pred_path)]
+    assert run_cli([*argv, "--data", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out)["examples"] == 40
+    rw = load_model(workspace / "model.run")
+    expected = []
+    for ex in load_dataset(data, rw.tokenization):
+        [(out, program)] = rw.rewrite([ex])
+        expected.append(
+            {
+                "rewrite_pred": detokenize(out, rw.tokenization),
+                "program": {"substitutes": [list(s) for s in program.substitutes],
+                            "inserts": [list(i) for i in program.inserts]},
+            }
+        )
+    assert read_jsonl(pred_path) == expected
+
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli([*argv, "--data", str(empty)]) == 0
+    assert json.loads(capsys.readouterr().out)["examples"] == 0
+    assert pred_path.read_text(encoding="utf-8") == ""
 
 
 def test_eval_perfect_predictions_score_one(workspace, capsys):
@@ -350,7 +377,7 @@ def test_legacy_float64_checkpoint_serves_in_float32(workspace, tmp_path):
     served = load_model(legacy)
     assert {a.dtype for a in served.model.state().values()} == {np.dtype(np.float32)}
     for ex in load_dataset(workspace / "dev.jsonl", rw.tokenization):
-        assert texts(rw._replace(model=wide).rewrite(ex)[0]) == texts(served.rewrite(ex)[0])
+        assert texts(rw._replace(model=wide).rewrite([ex])[0][0]) == texts(served.rewrite([ex])[0][0])
 
 
 # Header dtypes a corrupted file may carry: valid, unknown, or not a string.

@@ -60,7 +60,6 @@ def test_join_two_utterances_one_separator():
     e = ex(["how is weather", "cloudy today"], "why")
     joined = join_context(e)
     assert texts(joined.tokens) == ["how", "is", "weather", "[S]", "cloudy", "today"]
-    assert joined.connection_word_range is None
 
 
 def test_join_with_connection_words():
@@ -68,7 +67,6 @@ def test_join_with_connection_words():
     conn = ConnectionWordList(("of",), (1,))
     joined = join_context(e, conn, k=1)
     assert texts(joined.tokens) == ["a", "[S]", "of"]
-    assert joined.connection_word_range == (2, 3)  # the final contiguous block
     assert joined.tokens[2].kind is TokenKind.CONNECTION_WORD
 
 

@@ -110,22 +110,25 @@ def test_benchmark_harness_calls_still_work(tmp_path, monkeypatch):
         return conv_bn_relu(x, kernel, *args)
 
     monkeypatch.setattr(kernels, "conv_bn_relu", recording_conv_bn_relu)
+    # decode_matrix too: the harness's batch-1 "model.decode" span needs
+    # predict_encoded to call it once, through the module.
     kernel_calls = Counter()
-    for name in ("lstm", "maxpool2", "deconv2", "linear"):
-        original = getattr(kernels, name)
+    for owner, name in [*((kernels, n) for n in ("lstm", "maxpool2", "deconv2", "linear")),
+                        (editseg.model, "decode_matrix")]:
+        original = getattr(owner, name)
 
         def counted_kernel(*args, _name=name, _original=original, **kwargs):
             kernel_calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, name, counted_kernel)
+        monkeypatch.setattr(owner, name, counted_kernel)
     before = model.invocations
     matrices = [model.predict_encoded(enc) for enc in encs]
     assert model.invocations - before == len(encs)
     assert set(kernel_ids) == {id(kernel) for kernel in model.convs.values()}
     kernel_calls.clear()
     model.predict_encoded(encs[0])
-    assert kernel_calls["deconv2"] == 2, kernel_calls
+    assert kernel_calls["deconv2"] == 2 and kernel_calls["decode_matrix"] == 1, kernel_calls
     assert all(kernel_calls[name] >= 1 for name in ("lstm", "maxpool2", "linear")), kernel_calls
 
     # Batched.

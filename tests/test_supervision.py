@@ -278,7 +278,7 @@ def test_connection_tail_is_searchable_and_copyable():
     matrix, coverage = build_gold_matrix(e, conn, k=1)
     assert coverage is Coverage.FULL
     c = join_context(e, conn, 1)
-    assert matrix[c.connection_word_range[0], 2] == EditType.INSERT
+    assert matrix[len(c) - 1, 2] == EditType.INSERT  # "of", the last row of c
     out, _ = rewrite_from_matrix(matrix, prepare_incomplete(list(e.incomplete)), c)
     from editseg.dialogue import texts
 

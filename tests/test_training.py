@@ -5,14 +5,16 @@ import pytest
 
 from editseg import training
 from editseg.data import SyntheticSpec, generate_synthetic, save_dataset
+from editseg.dialogue import EMPTY_CONNECTION_WORDS, DialogueExample, texts, word_tokens
 from editseg.training import (
+    Rewriter,
     RunConfig,
     bench_latency,
     load_model,
     save_model,
     train,
 )
-from editseg.model import Vocabulary, encode_example
+from editseg.model import PREDICT_BATCH, ModelConfig, RewriteModel, Vocabulary, encode_example
 
 
 def small_config(tmp_path, name="model.run", **kw):
@@ -115,6 +117,33 @@ def test_bench_reports_schema_and_one_invocation(corpus):
     assert set(report) >= {"mean_ms", "median_ms", "p95_ms", "invocations"}
     assert report["invocations"] == 1
     assert report["mean_ms"] > 0
+
+
+def test_rewrite_of_a_list_equals_one_at_a_time(monkeypatch):
+    """35 examples, in generation order, with two empty-context ones among
+    them: three runs of mixed grids, which must not change any rewrite."""
+    examples = generate_synthetic(SyntheticSpec(num_examples=33, seed=23))
+    empty = [DialogueExample.create([], word_tokens(s.split())) for s in ("where is it", "and then")]
+    examples = examples[:5] + empty[:1] + examples[5:20] + empty[1:] + examples[20:]
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(ModelConfig(vocab_size=vocab.size, embed_dim=8, hidden_dim=6, base_channels=2), seed=4)
+    rw = Rewriter(model, vocab, EMPTY_CONNECTION_WORDS, 0, "whitespace")
+    sizes = [(enc.m, enc.nx) for enc in (encode_example(ex, vocab) for ex in examples)]
+    assert sizes != sorted(sizes) and len(examples) > 2 * PREDICT_BATCH
+
+    before = model.invocations
+    batched = rw.rewrite(examples)
+    assert model.invocations - before == len(examples)
+    single = [rw.rewrite([ex])[0] for ex in examples]
+    assert [(texts(out), program) for out, program in batched] == [(texts(out), program) for out, program in single]
+    assert sum(bool(program.substitutes or program.inserts) for _, program in batched) > len(examples) // 2
+
+    def no_model_call(*args, **kwargs):
+        raise AssertionError("rewrite([]) called the model")
+
+    monkeypatch.setattr(model, "feature_batch", no_model_call)
+    before = model.invocations
+    assert rw.rewrite([]) == [] and model.invocations == before
 
 
 def test_training_with_connection_words(tmp_path):
