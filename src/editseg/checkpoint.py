@@ -7,7 +7,9 @@ raw little-endian array payloads. Each array is stored in its header dtype:
 float64). An entry without a dtype, as every file written before the field
 existed has, reads as ``"<f8"``. Arrays are sorted by name and the header is
 canonicalized, so identical state always produces identical bytes (seeded
-runs must give bitwise-identical checkpoints). Loading checks the header's
+runs must give bitwise-identical checkpoints). A file is written under a
+temporary name beside its target and then renamed onto it, so a save cut
+off partway leaves the previous file whole. Loading checks the header's
 structure, dtypes and every array's byte range against the file, and that
 every stored value is finite, so a truncated or corrupt file, or one holding
 a NaN or infinity, raises ``CheckpointError`` rather than a numpy or JSON
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,13 +44,28 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode(
         "utf-8"
     )
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for name in names:
             # tobytes() always emits C order, so no contiguity fixup needed
             # (ascontiguousarray would also silently promote 0-d to 1-d).
             fh.write(stored[name].tobytes())
+
+
+@contextmanager
+def replacing(path):
+    """A binary file to write in place of ``path``: ``<path>.tmp``, renamed onto
+    ``path`` once the block ends. If the block raises, the temporary file is
+    removed and ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the block raised
+            os.remove(tmp)
 
 
 class CheckpointError(ValueError):

@@ -115,21 +115,14 @@ class DialogueExample:
 
 @dataclass(frozen=True)
 class ConnectionWordList:
-    """Frequency-ranked out-of-dialogue words appended to the context tail."""
+    """Out-of-dialogue words, most frequent first, appended to the context tail."""
 
     words: tuple[str, ...] = ()
-    frequencies: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.words) != len(self.frequencies):
-            raise ValueError("words and frequencies must be parallel")
+        object.__setattr__(self, "words", tuple(self.words))
         if len(set(self.words)) != len(self.words):
             raise ValueError("connection words must be unique")
-        if any(a < b for a, b in zip(self.frequencies, self.frequencies[1:])):
-            raise ValueError("frequencies must be non-increasing")
-
-    def head(self, k: int) -> list[str]:
-        return list(self.words[:k])
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -137,16 +130,9 @@ class ConnectionWordList:
                 fh.write(w + "\n")
 
     @staticmethod
-    def from_ranked(words) -> "ConnectionWordList":
-        """A list known by its order only, as files and sidecars persist it:
-        synthesize the non-increasing frequencies n, n - 1, ..., 1."""
-        words = tuple(words)
-        return ConnectionWordList(words, tuple(range(len(words), 0, -1)))
-
-    @staticmethod
     def load(path) -> "ConnectionWordList":
         with open(path, encoding="utf-8") as fh:
-            return ConnectionWordList.from_ranked(line.rstrip("\n") for line in fh if line.strip())
+            return ConnectionWordList(line.rstrip("\n") for line in fh if line.strip())
 
 
 EMPTY_CONNECTION_WORDS = ConnectionWordList()
@@ -179,7 +165,7 @@ def join_context(
     if k > 0:
         if example.context_utterances:
             tokens.append(sep_token())
-        tokens.extend(Token(w, TokenKind.CONNECTION_WORD) for w in conn.head(k))
+        tokens.extend(Token(w, TokenKind.CONNECTION_WORD) for w in conn.words[:k])
     return JoinedContext(tuple(tokens))
 
 
@@ -206,7 +192,4 @@ def derive_connection_words(train: Iterable[DialogueExample], max_size: int) -> 
             if tok.text not in in_dialogue:
                 counts[tok.text] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
-    return ConnectionWordList(
-        tuple(w for w, _ in ranked),
-        tuple(c for _, c in ranked),
-    )
+    return ConnectionWordList(w for w, _ in ranked)

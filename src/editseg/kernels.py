@@ -1,8 +1,8 @@
 """Differentiable neural-network kernels built on the autodiff core.
 
-Covers everything the segmentation model needs: embedding lookup, a BiLSTM
-over right-padded batches with hand-rolled backprop-through-time, 3x3
-same-padded convolution fused with batch norm and ReLU, 2x2 max pooling,
+Covers everything the segmentation model needs: a BiLSTM over the word
+embeddings of right-padded batches with hand-rolled backprop-through-time,
+3x3 same-padded convolution fused with batch norm and ReLU, 2x2 max pooling,
 2x2 stride-2 transposed convolution joined to the U-Net's skip features,
 affine layers, weighted cross-entropy and Adam. No ML framework underneath,
 just numpy. Every kernel computes and allocates in its inputs' dtype: the
@@ -14,19 +14,21 @@ statistics as arrays it updates in place. Which arrays a model has, and
 their names, shapes and initial values, is listed in one place only:
 ``model.array_table``.
 
-Every op takes a batch. Sequences are (B, L, E); images are channels-last
-(B, H, W, C), the layout the pair-feature layer writes, so the U-Net runs
-from the feature image to the per-cell head without a re-layout. Images
-have any size: pooling gives an odd side a partial last window, and a
-transposed convolution crops its output to the grid of the skip it joins.
-A padded batch passes its (B, H, W) real-cell mask to batch norm, which
-takes its statistics over the real cells and zeroes the others.
+Every op takes a batch. Sequences are (B, L) ids into a (V, E) embedding
+table; images are channels-last (B, H, W, C), the layout the pair-feature
+layer writes, so the U-Net runs from the feature image to the per-cell head
+without a re-layout. Images have any size: pooling gives an odd side a
+partial last window, and a transposed convolution crops its output to the
+grid of the skip it joins. A padded batch passes its (B, H, W) real-cell
+mask to batch norm, which takes its statistics over the real cells and
+zeroes the others.
 
 The two hot kernels are shaped for BLAS. The LSTM is one time-major scan
 that advances both directions, which share each step's numpy calls; every
-step's input is projected in one GEMM per direction before the scan.
-The 3x3 convolution is one GEMM per product (output, kernel gradient,
-input gradient) over the image's pixels as rows, with no padding-ring rows.
+step's embedding row is gathered from the table in scan order and projected
+in one GEMM per direction before the scan. The 3x3 convolution is one GEMM
+per product (output, kernel gradient, input gradient) over the image's
+pixels as rows, with no padding-ring rows.
 The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
 neighbourhood of the input (rows × 9C) when C <= C', and otherwise
 multiplies the input by all nine taps at once (rows × 9C') and adds the
@@ -54,30 +56,6 @@ from .autodiff import Tensor
 
 
 # ---------------------------------------------------------------------------
-# embedding
-
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer ids; grad scatter-adds into rows.
-
-    Ids repeat (a word, ``[S]``, the padding id), so the backward adds with
-    ``np.add.at``, which sums every occurrence into its row.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    vocab = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        bad = ids[(ids < 0) | (ids >= vocab)][0]
-        raise IndexError(f"embedding id {int(bad)} out of range for vocab of {vocab}")
-
-    def backward(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids, g)
-        ad._accumulate(table, dt)
-
-    return ad._node(table.data[ids], (table,), backward)
-
-
-# ---------------------------------------------------------------------------
 # LSTM
 
 
@@ -89,38 +67,42 @@ def _sigmoid_(z):
     np.reciprocal(z, out=z)
 
 
-def lstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
-    """Bidirectional LSTM, right-padded (B, L, E) -> (B, L, 2H), forward states first.
+def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
+    """Bidirectional LSTM over right-padded (B, L) ids -> (B, L, 2H), forward states first.
 
-    ``fwd`` and ``bwd`` are each direction's ``(w_ih, w_hh, b)``: (E, 4H),
-    (H, 4H) and (4H,), gate order i, f, g, o.
+    ``table`` is the (V, E) embedding; an id outside [0, V) raises
+    ``IndexError``. ``fwd`` and ``bwd`` are each direction's
+    ``(w_ih, w_hh, b)``: (E, 4H), (H, 4H) and (4H,), gate order i, f, g, o.
 
-    One time-major scan advances both directions. Each sequence is gathered
-    into scan order, position t forward and ``length - 1 - t`` backward, so
-    padding trails the real steps in both. Each direction projects every
-    step's input in one (B·L × E) @ (E × 4H) GEMM before the scan. A step
-    runs one (B × H) @ (H × 4H) GEMM per direction into one (2, B, 4H)
-    buffer, then the gate arithmetic once for both: tanh of the g slot into
-    its own array, then the logistic function over the whole gate row. A
-    float32 preactivation below about -88 overflows ``exp`` to inf, whose
-    logistic value 1 / (1 + inf) = 0 is the exact limit.
+    One time-major scan advances both directions. Each sequence's steps are
+    gathered from the table in scan order, position t forward and
+    ``length - 1 - t`` backward, so padding trails the real steps in both.
+    Each direction projects every step's input in one (B·L × E) @ (E × 4H)
+    GEMM before the scan. A step runs one (B × H) @ (H × 4H) GEMM per
+    direction into one (2, B, 4H) buffer, then the gate arithmetic once for
+    both: tanh of the g slot into its own array, then the logistic function
+    over the whole gate row. A float32 preactivation below about -88
+    overflows ``exp`` to inf, whose logistic value 1 / (1 + inf) = 0 is the
+    exact limit.
 
     Padded steps never feed a real output; their outputs are zeroed after
     the scan and their BPTT gradients are exact zeros, so a padded batch
     gives exactly the per-example results. The scan is one graph node: BPTT
     runs the shared loop backwards, storing each step's ``dz``, and forms
     each direction's ``dx``, ``dW_ih``, ``dW_hh`` and ``db`` as single GEMMs
-    after it.
+    after it. Both directions' ``dx`` go into the table's rows with
+    ``np.add.at``, which sums every occurrence of a repeated id.
     """
-    xd = x.data
-    B, L, E = xd.shape
+    ids = np.asarray(ids, dtype=np.int64)
+    B, L = ids.shape
+    vocab, E = table.data.shape
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        bad = ids[(ids < 0) | (ids >= vocab)][0]
+        raise IndexError(f"embedding id {int(bad)} out of range for vocab of {vocab}")
     H = fwd[1].data.shape[0]
-    if lengths is None:
-        lengths = np.full(B, L, dtype=np.int64)
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > L):
-            raise ValueError(f"lstm lengths must be {B} values in [0, {L}], got {lengths.tolist()}")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > L):
+        raise ValueError(f"lstm lengths must be {B} values in [0, {L}], got {lengths.tolist()}")
     valid = np.arange(L)[:, None] < lengths  # (L, B); same in scan and input order
     # order[d, t, b]: input position that scan step t of sequence b reads in
     # direction d; its own inverse, so the same gather maps outputs back.
@@ -128,7 +110,7 @@ def lstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
     order = np.stack([ahead, np.where(valid, lengths - 1 - ahead, ahead)])
     rows, dirs, weights = np.arange(B), np.arange(2), (fwd, bwd)
 
-    xs = xd[rows, order]  # (2, L, B, E), each direction in its scan order
+    xs = table.data[ids[rows, order]]  # (2, L, B, E), each direction in its scan order
     dt = xs.dtype
     gates = np.empty((L, 2, B, 4 * H), dtype=dt)  # step t's gates, both directions
     for d, (w_ih, _, b) in enumerate(weights):
@@ -183,9 +165,11 @@ def lstm(x: Tensor, fwd, bwd, lengths=None) -> Tensor:
             ad._accumulate(w_hh, hs[:-1, d].reshape(L * B, H).T @ dzd)
             ad._accumulate(b, dzd.sum(axis=0))
         both = dx[dirs[:, None, None], order.transpose(0, 2, 1), rows[:, None]]  # (2, B, L, E)
-        ad._accumulate(x, both[0] + both[1])
+        dtable = np.zeros_like(table.data)
+        np.add.at(dtable, ids, both[0] + both[1])
+        ad._accumulate(table, dtable)
 
-    return ad._node(out, (x, *fwd, *bwd), backward)
+    return ad._node(out, (table, *fwd, *bwd), backward)
 
 
 # ---------------------------------------------------------------------------

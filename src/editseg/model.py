@@ -356,18 +356,18 @@ class RewriteModel:
     def context_layer(self, batch: list[EncodedExample]):
         """One joint BiLSTM scan, both directions at once, over c ++ x_prepared.
 
-        Returns the (B, Lmax, 2H) encoder output; slice rows [0, M) for the
-        context states and [M, M + N) for the utterance states.
+        A single ``kernels.lstm`` call reads each step's embedding straight
+        from the table, by the batch's right-padded ids. Returns the
+        (B, Lmax, 2H) encoder output; slice rows [0, M) for the context
+        states and [M, M + N) for the utterance states.
         """
         lengths = [ex.m + ex.nx for ex in batch]
-        lmax = max(lengths)
-        ids = np.zeros((len(batch), lmax), dtype=np.int64)
+        ids = np.zeros((len(batch), max(lengths)), dtype=np.int64)
         for i, ex in enumerate(batch):
             ids[i, : len(ex.ids)] = ex.ids
         t = self.tensors
-        emb = K.embedding_lookup(t["embedding"], ids)
         fwd, bwd = ([t[f"lstm.{d}.{w}"] for w in ("w_ih", "w_hh", "b")] for d in ("fwd", "bwd"))
-        return K.lstm(emb, fwd, bwd, lengths=lengths)
+        return K.lstm(t["embedding"], ids, fwd, bwd, lengths)
 
     def feature_batch(self, batch: list[EncodedExample]):
         """Encode a batch into one padded (B, H, W, D) feature image + mask.

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels as K
-from .checkpoint import FORMAT_TAG, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import FORMAT_TAG, CheckpointError, load_checkpoint, replacing, save_checkpoint
 from .data import DatasetError, load_dataset
 from .dialogue import (
     ConnectionWordList,
@@ -111,9 +111,9 @@ class RunConfig:
                 raise ValueError(f"config field {name} has the wrong type: {value!r}")
         cw = self.class_weights
         if not isinstance(cw, (list, tuple)) or len(cw) != 3 or not all(
-            isinstance(w, numbers.Real) and not isinstance(w, bool) and math.isfinite(w) for w in cw
+            isinstance(w, numbers.Real) and not isinstance(w, bool) and 0 < w < math.inf for w in cw
         ):
-            raise ValueError(f"class_weights must be a list of 3 finite numbers, got {cw!r}")
+            raise ValueError(f"class_weights must be a list of 3 positive finite numbers, got {cw!r}")
         # JSON configs may hold NaN and Infinity, which no run can use.
         for name in ("lr", "target_dev_em", "target_dev_cell_acc"):
             value = getattr(self, name)
@@ -267,8 +267,8 @@ def save_model(path, rw: Rewriter, adam: K.AdamState | None = None, meta: dict |
         "connection_words": list(rw.conn.words),
         "connection_k": rw.k,
     }
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, ensure_ascii=False, sort_keys=True)
+    with replacing(str(path) + ".json") as fh:
+        fh.write(json.dumps(sidecar, ensure_ascii=False, sort_keys=True).encode("utf-8"))
 
 
 def load_model(path) -> Rewriter:
@@ -298,7 +298,7 @@ def _load_run(path) -> tuple[Rewriter, dict, K.AdamState | None]:
             if type(k) is not int or not 0 <= k <= len(conn_words):
                 raise ValueError(f"connection_k {k!r} is not an integer in [0, {len(conn_words)}]")
             vocab = Vocabulary(words)
-            conn = ConnectionWordList.from_ranked(conn_words)
+            conn = ConnectionWordList(conn_words)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{sidecar_path}: bad sidecar: {exc!r}") from None
     for key, (valid, what) in _META_CHECKS.items():
@@ -364,6 +364,14 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
         rw, meta, adam = _load_run(last_path)
         if adam is None or "epoch" not in meta:
             raise CheckpointError(f"{last_path}: resuming needs the epoch and adam_step metadata")
+        # The vocabulary comes from the checkpoint; all else must match the run config.
+        saved = rw.model.config.to_dict()
+        saved |= {"tokenization": rw.tokenization, "connection_words": rw.conn.words[: rw.k]}
+        wanted = config.model_config(rw.vocab.size).to_dict()
+        wanted |= {"tokenization": mode.value, "connection_words": conn.words[:k]}
+        differ = [f"{key} (checkpoint {v!r}, run config {wanted[key]!r})" for key, v in saved.items() if v != wanted[key]]
+        if differ:
+            raise CheckpointError(f"{last_path}: the checkpoint differs from the run config in {', '.join(differ)}")
         start_epoch = meta["epoch"] + 1
         best_em = float(meta.get("best_dev_em", -1.0))
         log(f"resuming from {last_path} at epoch {start_epoch}")

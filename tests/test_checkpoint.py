@@ -1,11 +1,13 @@
 """Checkpoint binary format: round trip, determinism, and version gating."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from editseg import checkpoint
 from editseg.checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from editseg.dialogue import EMPTY_CONNECTION_WORDS
 from editseg.generation import Rectangle
@@ -76,6 +78,52 @@ def test_model_checkpoint_holds_c_order_bytes_and_reloads_byte_identically(tmp_p
     payload = b"".join(np.ascontiguousarray(state[name]).tobytes() for name in sorted(state))
     (n,) = struct.unpack_from("<I", raw)
     assert raw[4 + n :] == payload
+
+
+class _CutOff:
+    """A file that takes half of the first write and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("cut", [0, 1], ids=["checkpoint", "sidecar"])
+def test_a_save_cut_off_partway_leaves_the_previous_file(tmp_path, monkeypatch, cut):
+    # Writing in place truncated the file first: a run killed mid-save lost
+    # its last good checkpoint.
+    vocab = Vocabulary(["a", "b"])
+    model = RewriteModel(ModelConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=3, base_channels=2))
+    rw = Rewriter(model, vocab, EMPTY_CONNECTION_WORDS, 0, "whitespace")
+    path = tmp_path / "m.run"
+    save_model(path, rw, meta={"epoch": 0})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    model.tensors["head.b"].data += 1.0
+    opened = []
+
+    def cut_open(file, *args, **kwargs):
+        opened.append(file)
+        fh = open(file, *args, **kwargs)
+        return _CutOff(fh) if len(opened) == cut + 1 else fh
+
+    monkeypatch.setattr(checkpoint, "open", cut_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_model(path, rw, meta={"epoch": 1})
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == ["m.run", "m.run.json"]  # no temporary file left
+    written = sorted(after)[cut]
+    assert after[written] == before[written]
+    load_model(path)
 
 
 def test_unknown_format_tag_rejected(tmp_path):

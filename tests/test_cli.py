@@ -448,6 +448,28 @@ def test_resume_with_bad_metadata_is_one_json_error_line(workspace, tmp_path, ca
     assert not captured.out and not ckpt.exists()
 
 
+def test_resume_under_another_run_config_is_one_json_error_line(workspace, tmp_path, capsys, monkeypatch):
+    # The old model trained on, with the new config's tokenization, and kept
+    # the old tokenization in its sidecar.
+    ckpt = tmp_path / "model.run"
+    last = Path(str(ckpt) + ".last")
+    for suffix in ("", ".json"):
+        Path(str(last) + suffix).write_bytes(Path(str(workspace / "model.run.last") + suffix).read_bytes())
+    before = last.read_bytes()
+    steps = []
+    monkeypatch.setattr(editseg.kernels, "adam_step", lambda *a, **kw: steps.append(1))
+    code = run_cli(_train_argv(workspace, ckpt, "--epochs", "2", "--resume",
+                               "--embed-dim", "16", "--hidden-dim", "12", "--tokenization", "char"))
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and not steps
+    assert len(err) == 1 and not captured.out
+    error = json.loads(err[0])["error"]
+    assert all(key in error for key in ("embed_dim", "hidden_dim", "tokenization"))
+    assert "base_channels" not in error and "connection_words" not in error
+    assert last.read_bytes() == before and not ckpt.exists()
+
+
 def test_diverged_training_is_one_json_line_with_diagnostics(workspace, tmp_path, monkeypatch, capsys):
     forward_loss = RewriteModel.forward_loss
     calls = []
@@ -573,6 +595,8 @@ BAD_INPUT = {
     "lr_nan": ("config", b'{"lr": NaN}'),
     "lr_infinity": ("config", b'{"lr": Infinity}'),
     "class_weights_nan": ("config", b'{"class_weights": [1, NaN, 5]}'),
+    # ModelConfig refused it only after the data had loaded, as a traceback.
+    "class_weights_zero": ("config", b'{"class_weights": [0, 5, 5]}'),
     "target_dev_em_nan": ("config", b'{"target_dev_em": NaN}'),
     "target_dev_cell_acc_infinity": ("config", b'{"target_dev_cell_acc": -Infinity}'),
 }

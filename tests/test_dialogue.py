@@ -64,7 +64,7 @@ def test_join_two_utterances_one_separator():
 
 def test_join_with_connection_words():
     e = ex(["a"], "b")
-    conn = ConnectionWordList(("of",), (1,))
+    conn = ConnectionWordList(("of",))
     joined = join_context(e, conn, k=1)
     assert texts(joined.tokens) == ["a", "[S]", "of"]
     assert joined.tokens[2].kind is TokenKind.CONNECTION_WORD
@@ -77,7 +77,7 @@ def test_join_empty_context():
 
 def test_join_length_formula():
     e = ex(["a b c", "d", "e f"], "x")
-    conn = ConnectionWordList(("of", "the"), (2, 1))
+    conn = ConnectionWordList(("of", "the"))
     for k in (0, 1, 2):
         joined = join_context(e, conn, k)
         expected = 6 + 2 + (1 if k > 0 else 0) + k
@@ -86,7 +86,7 @@ def test_join_length_formula():
 
 def test_join_k_exceeding_list_fails():
     with pytest.raises(ValueError):
-        join_context(ex(["a"], "b"), ConnectionWordList(("of",), (1,)), k=2)
+        join_context(ex(["a"], "b"), ConnectionWordList(("of",)), k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,6 @@ def test_single_out_of_dialogue_word():
     train = [ex(["a"], "b", "a of b")]
     conn = derive_connection_words(train, 10)
     assert conn.words == ("of",)
-    assert conn.frequencies == (1,)
 
 
 def test_frequency_ranking_with_max_size():
@@ -132,11 +131,10 @@ def test_frequency_ranking_with_max_size():
     assert conn.words == ("of",)
     full = derive_connection_words(train, 5)
     assert full.words == ("of", "the")
-    assert full.frequencies == (2, 1)
 
 
 def test_connection_list_save_load_round_trip(tmp_path):
-    conn = ConnectionWordList(("of", "the", "их"), (3, 2, 1))
+    conn = ConnectionWordList(("of", "the", "их"))
     path = tmp_path / "conn.txt"
     conn.save(path)
     loaded = ConnectionWordList.load(path)

@@ -32,65 +32,91 @@ def channels_last(a):
 
 
 # ---------------------------------------------------------------------------
-# embedding_lookup
+# bidirectional LSTM over an embedding table
 
 
-def test_embedding_identity_rows():
-    table = Tensor(np.eye(3))
-    out = K.embedding_lookup(table, [2, 0])
-    assert np.array_equal(out.data, np.array([[0, 0, 1], [1, 0, 0]], dtype=float))
+def as_table(x, requires_grad=False):
+    """A (B·L, E) table of the rows of a (B, L, E) array, and the (B, L) ids
+    that read them back: every position has its own id, so the LSTM sees x,
+    and the table's gradient reshaped to (B, L, E) is x's."""
+    B, L, E = x.shape
+    return Tensor(x.reshape(B * L, E).copy(), requires_grad=requires_grad), np.arange(B * L).reshape(B, L)
 
 
-def test_embedding_grad_counts_occurrences():
-    table = Tensor(rng_for(0).normal(size=(4, 3)), requires_grad=True)
-    out = K.embedding_lookup(table, [1, 1, 3])
-    probe_loss(out, np.ones(out.data.shape)).backward()
-    counts = np.zeros((4, 1))
-    counts[1] = 2
-    counts[3] = 1
-    assert np.array_equal(table.grad, counts * np.ones((4, 3)))
+def test_lstm_gathers_its_steps_from_the_table():
+    rng = rng_for(0)
+    fwd, bwd = bilstm_weights(rng, 3, 2)
+    table = Tensor(rng.normal(size=(4, 3)))
+    ids = np.array([[2, 0, 3]])
+    out = K.lstm(table, ids, fwd, bwd, [3])
+    gathered, own_ids = as_table(table.data[ids])
+    assert np.array_equal(out.data, K.lstm(gathered, own_ids, fwd, bwd, [3]).data)
+
+
+def test_repeated_ids_sum_their_gradients_into_one_row():
+    rng = rng_for(1)
+    fwd, bwd = bilstm_weights(rng, 3, 2)
+    table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    ids = np.array([[1, 1, 3]])
+    probe = rng.normal(size=(1, 3, 4))
+    probe_loss(K.lstm(table, ids, fwd, bwd, [3]), probe).backward()
+    gathered, own_ids = as_table(table.data[ids], requires_grad=True)
+    probe_loss(K.lstm(gathered, own_ids, fwd, bwd, [3]), probe).backward()
+    g = gathered.grad
+    assert np.array_equal(table.grad, np.stack([np.zeros(3), g[0] + g[1], np.zeros(3), g[2]]))
 
 
 def test_embedding_out_of_range_fails_with_index():
-    table = Tensor(np.eye(3))
+    fwd, bwd = bilstm_weights(rng_for(2), 3, 2)
     with pytest.raises(IndexError, match="7"):
-        K.embedding_lookup(table, [0, 7])
+        K.lstm(Tensor(np.eye(3)), [[0, 7]], fwd, bwd, [2])
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_embedding_grad_matches_finite_differences(seed):
     rng = rng_for(seed)
+    fwd, bwd = bilstm_weights(rng, 4, 3)
     table = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    ids = [1, 1, 3]
-    w = rng.normal(size=(3, 4))
+    ids = np.array([[1, 1, 3]])
+    probe = rng.normal(size=(1, 3, 6))
 
     def f():
-        return probe_loss(K.embedding_lookup(table, ids), w)
+        return probe_loss(K.lstm(table, ids, fwd, bwd, [3]), probe)
 
-    assert grad_check(f, [table], h=H_STEP) < 1e-4
+    assert grad_check(f, [table], h=H_STEP) < TOL
 
 
-# ---------------------------------------------------------------------------
-# bidirectional LSTM
+def test_padding_adds_nothing_to_the_padding_ids_row():
+    # Padded positions read id 0 as the model pads them; with no real id 0,
+    # its row's gradient must be exactly zero.
+    rng = rng_for(3)
+    fwd, bwd = bilstm_weights(rng, 3, 2)
+    table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    ids = np.array([[1, 2, 3, 4], [5, 1, 0, 0], [2, 0, 0, 0]])
+    out = K.lstm(table, ids, fwd, bwd, [4, 2, 1])
+    probe_loss(out, rng.normal(size=out.data.shape)).backward()
+    assert np.all(table.grad[0] == 0.0)
+    assert np.all(table.grad[1:] != 0.0)
 
 
 def test_bilstm_zero_params_zero_output():
     def zeros():
         return [Tensor(np.zeros(shape), requires_grad=True) for shape in ((4, 20), (5, 20), (20,))]
 
-    out = K.lstm(Tensor(rng_for(1).normal(size=(3, 4))[None]), zeros(), zeros())
+    table, ids = as_table(rng_for(1).normal(size=(3, 4))[None])
+    out = K.lstm(table, ids, zeros(), zeros(), [3])
     assert np.array_equal(out.data, np.zeros((1, 3, 10)))
 
 
 def test_bilstm_single_step_directions_agree():
     rng = rng_for(2)
     fwd, bwd = bilstm_weights(rng, 4, 5)
-    x = Tensor(rng.normal(size=(1, 4))[None])
-    out = K.lstm(x, fwd, bwd)
+    table, ids = as_table(rng.normal(size=(1, 4))[None])
+    out = K.lstm(table, ids, fwd, bwd, [1])
     assert out.data.shape == (1, 1, 10)
     # With one step, both directions see the same input through their own
     # weights; feeding the same params to both must duplicate the halves.
-    out_same = K.lstm(x, fwd, fwd)
+    out_same = K.lstm(table, ids, fwd, fwd, [1])
     assert np.allclose(out_same.data[0, 0, :5], out_same.data[0, 0, 5:])
 
 
@@ -98,13 +124,13 @@ def test_bilstm_single_step_directions_agree():
 def test_bilstm_grads_match_finite_differences(seed):
     rng = rng_for(100 + seed)
     fwd, bwd = bilstm_weights(rng, 4, 5)
-    x = Tensor(rng.normal(size=(3, 4))[None], requires_grad=True)
+    table, ids = as_table(rng.normal(size=(3, 4))[None], requires_grad=True)
     probe = rng.normal(size=(3, 10))[None]
 
     def f():
-        return probe_loss(K.lstm(x, fwd, bwd), probe)
+        return probe_loss(K.lstm(table, ids, fwd, bwd, [3]), probe)
 
-    assert grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
+    assert grad_check(f, [table, *fwd, *bwd], h=H_STEP) < TOL
 
 
 def test_masked_batch_matches_per_example():
@@ -115,9 +141,9 @@ def test_masked_batch_matches_per_example():
     batch = np.zeros((2, 5, 3))
     batch[0] = a
     batch[1, :2] = b
-    out = K.lstm(Tensor(batch), *p, lengths=[5, 2])
-    out_a = K.lstm(Tensor(a[None]), *p)
-    out_b = K.lstm(Tensor(b[None]), *p)
+    out = K.lstm(*as_table(batch), *p, [5, 2])
+    out_a = K.lstm(*as_table(a[None]), *p, [5])
+    out_b = K.lstm(*as_table(b[None]), *p, [2])
     assert np.allclose(out.data[0], out_a.data[0])
     assert np.allclose(out.data[1, :2], out_b.data[0])
     assert np.allclose(out.data[1, 2:], 0.0)
@@ -132,22 +158,23 @@ def test_bilstm_padded_batch_grads_match_finite_differences(seed):
     for t in (*fwd, *bwd):
         t.data += rng.normal(size=t.data.shape) * 0.3
     lengths = [5, 2, 4]
-    x = Tensor(rng.normal(size=(3, 5, 3)), requires_grad=True)
+    table, ids = as_table(rng.normal(size=(3, 5, 3)), requires_grad=True)
     probe = rng.normal(size=(3, 5, 8))
 
     def f():
-        return probe_loss(K.lstm(x, fwd, bwd, lengths=lengths), probe)
+        return probe_loss(K.lstm(table, ids, fwd, bwd, lengths), probe)
 
-    assert grad_check(f, [x, *fwd, *bwd], h=H_STEP) < TOL
-    x.zero_grad()
+    assert grad_check(f, [table, *fwd, *bwd], h=H_STEP) < TOL
+    table.zero_grad()
     f().backward()
-    assert np.all(x.grad[1, 2:] == 0.0) and np.all(x.grad[2, 4:] == 0.0)
+    x_grad = table.grad.reshape(3, 5, 3)
+    assert np.all(x_grad[1, 2:] == 0.0) and np.all(x_grad[2, 4:] == 0.0)
 
 
 def test_lstm_rejects_lengths_beyond_sequence():
     fwd, bwd = bilstm_weights(rng_for(9), 3, 2)
     with pytest.raises(ValueError, match="lengths"):
-        K.lstm(Tensor(np.zeros((2, 4, 3))), fwd, bwd, lengths=[4, 5])
+        K.lstm(*as_table(np.zeros((2, 4, 3))), fwd, bwd, [4, 5])
 
 
 def lstm_reference(x, w_ih, w_hh, b, lengths, reverse):
@@ -178,12 +205,12 @@ def test_lstm_matches_logistic_reference_in_float32(reverse):
     fwd, bwd = ([t.data + rng.normal(size=t.data.shape) for t in d] for d in bilstm_weights(rng, 6, 5))
     x = rng.normal(size=(3, 7, 6)) * 2.0
     lengths = [7, 3, 5]
-    x32 = Tensor(x.astype(np.float32))
+    x32 = x.astype(np.float32)
     fwd32, bwd32 = ([Tensor(a.astype(np.float32)) for a in d] for d in (fwd, bwd))
-    out = K.lstm(x32, fwd32, bwd32, lengths=lengths)
+    out = K.lstm(*as_table(x32), fwd32, bwd32, lengths)
     assert out.data.dtype == np.float32
     half, weights = (out.data[..., 5:], bwd32) if reverse else (out.data[..., :5], fwd32)
-    want = lstm_reference(*(t.data.astype(np.float64) for t in (x32, *weights)), lengths, reverse)
+    want = lstm_reference(*(a.astype(np.float64) for a in (x32, *(t.data for t in weights))), lengths, reverse)
     np.testing.assert_allclose(half, want, rtol=1e-5, atol=1e-6)
 
 
@@ -201,15 +228,15 @@ def test_lstm_backward_half_is_forward_half_of_reversed_rows():
     for i, n in enumerate(lengths):
         xd[i, n:] = 0.0
         rev[i, :n] = xd[i, n - 1 :: -1]
-    x = Tensor(xd, requires_grad=True)
-    out = K.lstm(x, fwd, fwd, lengths=lengths)
-    out_rev = K.lstm(Tensor(rev), fwd, fwd, lengths=lengths)
+    table, ids = as_table(xd, requires_grad=True)
+    out = K.lstm(table, ids, fwd, fwd, lengths)
+    out_rev = K.lstm(*as_table(rev), fwd, fwd, lengths)
     for i, n in enumerate(lengths):
         assert np.allclose(out.data[i, :n, 4:], out_rev.data[i, n - 1 :: -1, :4], rtol=0, atol=1e-12)
         assert np.all(out.data[i, n:] == 0.0)
     probe_loss(out, rng.normal(size=out.data.shape)).backward()
     for i, n in enumerate(lengths):
-        assert np.all(x.grad[i, n:] == 0.0)
+        assert np.all(table.grad.reshape(xd.shape)[i, n:] == 0.0)
 
 
 def test_lstm_saturated_gates_stay_finite_without_warning():
@@ -225,13 +252,13 @@ def test_lstm_saturated_gates_stay_finite_without_warning():
             Tensor(np.zeros(4 * H, dtype=np.float32), requires_grad=True),
         ]
 
-    x = Tensor(np.ones((2, 4, E), dtype=np.float32), requires_grad=True)
+    table, ids = as_table(np.ones((2, 4, E), dtype=np.float32), requires_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = K.lstm(x, saturated(), saturated(), lengths=[4, 3])
+        out = K.lstm(table, ids, saturated(), saturated(), [4, 3])
         probe_loss(out, np.ones(out.data.shape, dtype=np.float32)).backward()
     assert np.all(np.isfinite(out.data)) and np.all(out.data == 0.0)
-    assert np.all(np.isfinite(x.grad))
+    assert np.all(np.isfinite(table.grad))
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +943,9 @@ def test_grad_check_refuses_parameters_it_cannot_probe(layout, found):
 
 def _lstm_case(rng):
     (w_ih, w_hh, _), bwd = bilstm_weights(rng, 3, 2)
-    arrays = [rng.normal(size=(2, 4, 3)), w_ih.data, w_hh.data, rng.normal(size=8), *(t.data for t in bwd)]
-    return arrays, lambda x, *w: K.lstm(x, w[:3], w[3:], lengths=[4, 2])
+    table, ids = as_table(rng.normal(size=(2, 4, 3)))
+    arrays = [table.data, w_ih.data, w_hh.data, rng.normal(size=8), *(t.data for t in bwd)]
+    return arrays, lambda table, *w: K.lstm(table, ids, w[:3], w[3:], [4, 2])
 
 
 def _bn_relu_case(rng):

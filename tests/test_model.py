@@ -97,7 +97,7 @@ def test_vocab_roundtrip_and_unk():
 
 def test_encode_with_gold_joins_context_once(monkeypatch):
     examples = toy_examples()
-    conn = ConnectionWordList(words=("and", "of"), frequencies=(5, 3))
+    conn = ConnectionWordList(("and", "of"))
     vocab = Vocabulary.from_examples(examples, conn)
     joins, prepares = [], []
 
@@ -324,6 +324,16 @@ def test_joint_encoding_gradient_reaches_context_embeddings():
     probe_loss(enc, probe).backward()
     grad_rows = model.tensors["embedding"].grad[batch[0].ids[: batch[0].m]]
     assert np.abs(grad_rows).sum() > 0, "loss on Hx must reach context embedding rows"
+
+
+def test_context_layer_is_one_node_reading_the_embedding_and_lstm_weights():
+    # The scan gathers its steps from the table: no lookup node in between.
+    examples = toy_examples()
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(toy_config(vocab.size), seed=2)
+    states = model.context_layer([encode_example(ex, vocab) for ex in examples[:3]])
+    names = ["embedding", *(f"lstm.{d}.{w}" for d in ("fwd", "bwd") for w in ("w_ih", "w_hh", "b"))]
+    assert [id(p) for p in states._parents] == [id(model.tensors[name]) for name in names]
 
 
 # ---------------------------------------------------------------------------

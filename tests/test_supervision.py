@@ -274,7 +274,7 @@ def test_connection_tail_is_searchable_and_copyable():
     assert bare_cov is Coverage.PARTIAL
     assert not bare_matrix.any()
 
-    conn = ConnectionWordList(("of",), (1,))
+    conn = ConnectionWordList(("of",))
     matrix, coverage = build_gold_matrix(e, conn, k=1)
     assert coverage is Coverage.FULL
     c = join_context(e, conn, 1)
