@@ -56,12 +56,14 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 @contextmanager
 def replacing(path):
     """A binary file to write in place of ``path``: ``<path>.tmp``, renamed onto
-    ``path`` once the block ends. If the block raises, the temporary file is
-    removed and ``path`` is left as it was."""
+    ``path`` once the block ends and its bytes are on disk. If the block raises,
+    the temporary file is removed and ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the block raised
