@@ -54,7 +54,11 @@ def _fail(message: str, code: int = 2):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Turns argparse's usage errors into ``CliError``; subparsers inherit the class."""
+    """Turns argparse's usage errors into ``CliError`` and takes flags only in
+    full (``--conf`` would pass ``--config`` by); subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         _fail(f"{self.prog}: {message}")
@@ -123,6 +127,8 @@ def _emit(obj, out_path=None):
 def _connection_list(args) -> tuple[ConnectionWordList, int]:
     if args.conn_k is not None and args.conn_k < 0:
         _fail(f"--conn-k must be at least 0, got {args.conn_k}")
+    if args.conn_k is not None and not args.conn_file:
+        _fail("--conn-k needs --conn-file")
     if args.conn_file:
         try:
             conn = ConnectionWordList.load(args.conn_file)
@@ -354,32 +360,15 @@ def main(argv=None) -> int:
         args.config_defaults = config_defaults
         args.func(args)
         return 0
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}, ensure_ascii=False), file=sys.stderr)
-        return exc.code
-    except DatasetError as exc:
-        print(
-            json.dumps({"error": str(exc), "line": exc.line}, ensure_ascii=False),
-            file=sys.stderr,
-        )
-        return 2
-    except TrainingDiverged as exc:
-        print(
-            json.dumps(
-                {
-                    "error": str(exc),
-                    "epoch": exc.epoch,
-                    "batch_ids": exc.batch_ids,
-                    "recent_losses": exc.loss_history[-5:],
-                },
-                ensure_ascii=False,
-            ),
-            file=sys.stderr,
-        )
-        return 3
-    except (OSError, CheckpointError) as exc:
-        print(json.dumps({"error": str(exc)}, ensure_ascii=False), file=sys.stderr)
-        return 2
+    except (CliError, DatasetError, TrainingDiverged, OSError, CheckpointError) as exc:
+        report, code = {"error": str(exc)}, exc.code if isinstance(exc, CliError) else 2
+        if isinstance(exc, DatasetError):
+            report["line"] = exc.line
+        if isinstance(exc, TrainingDiverged):
+            report |= {"epoch": exc.epoch, "batch_ids": exc.batch_ids, "recent_losses": exc.loss_history[-5:]}
+            code = 3
+        print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

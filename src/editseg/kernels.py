@@ -520,9 +520,10 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tenso
 
     ``logits`` is (..., n_classes), one row of class scores per cell;
     ``targets`` holds integer class ids and ``mask`` an optional boolean
-    keep-flag, each of the logits' leading shape. The loss has the logits'
-    dtype. The log-sum-exp subtracts each row's maximum first, so ``exp``
-    only sees values <= 0 and cannot overflow in float32.
+    keep-flag, each of the logits' leading shape; ``weights`` holds one
+    positive weight per class (``ModelConfig`` checks the model's). The loss
+    has the logits' dtype. The log-sum-exp subtracts each row's maximum
+    first, so ``exp`` only sees values <= 0 and cannot overflow in float32.
     """
     lead = logits.data.shape[:-1]
     targets = np.asarray(targets, dtype=np.int64)
@@ -530,8 +531,6 @@ def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tenso
     if targets.shape != lead or keep.shape != lead:
         raise ValueError(f"targets {targets.shape} and mask {keep.shape} must have shape {lead}")
     weights = np.asarray(weights, dtype=logits.data.dtype)
-    if np.any(weights <= 0):
-        raise ValueError("class weights must be positive")
     sel = np.flatnonzero(keep)
     if sel.size == 0:
         raise ValueError("weighted_cross_entropy: all cells are masked")

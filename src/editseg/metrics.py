@@ -125,21 +125,19 @@ def rewriting_prf(
     contexts: list[list[str]],
     incompletes: list[list[str]],
     n: int,
-    exclude_incomplete: bool = True,
 ) -> tuple[float, float, float]:
     """Micro-averaged P/R/F over n-grams carrying at least one context word.
 
-    A "context word" is one occurring in the joined context and (by default)
-    not in the incomplete utterance; set ``exclude_incomplete=False`` for the
-    strict occurs-in-context reading. Examples where both restricted n-gram
-    sets are empty are skipped.
+    A "context word" is one occurring in the joined context and not in the
+    incomplete utterance. Examples where both restricted n-gram sets are
+    empty are skipped.
     """
     _check_corpus(preds, refs)
     if not (len(preds) == len(contexts) == len(incompletes)):
         raise ValueError("contexts and incompletes must align with predictions")
     inter_total = pred_total = ref_total = 0
     for p, r, c, x in zip(preds, refs, contexts, incompletes):
-        keywords = set(c) - (set(x) if exclude_incomplete else set())
+        keywords = set(c) - set(x)
 
         def restrict(grams: Counter) -> Counter:
             return Counter(

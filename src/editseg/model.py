@@ -23,7 +23,8 @@ from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -50,6 +51,14 @@ PREDICT_BATCH = 16  # examples per forward pass of RewriteModel.predict
 
 @dataclass
 class ModelConfig:
+    """The model's sizes and loss weights; the one check of each.
+
+    ``vocab_size``, ``embed_dim``, ``hidden_dim`` and ``base_channels`` are
+    integers above 0. ``class_weights`` are the None / Substitute / Insert
+    weights of the cross-entropy: three finite positive numbers, kept as a
+    tuple of floats. A bad value raises ``ValueError`` naming its field.
+    """
+
     vocab_size: int
     embed_dim: int = 100
     hidden_dim: int = 200
@@ -58,11 +67,15 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "embed_dim", "hidden_dim", "base_channels"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        self.class_weights = tuple(float(w) for w in self.class_weights)
-        if not all(0 < w < math.inf for w in self.class_weights):
-            raise ValueError(f"class_weights must be positive and finite, got {list(self.class_weights)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        cw = self.class_weights
+        if not isinstance(cw, (list, tuple)) or len(cw) != 3 or not all(
+            isinstance(w, numbers.Real) and not isinstance(w, bool) and 0 < w < math.inf for w in cw
+        ):
+            raise ValueError(f"class_weights must be a list of 3 positive finite numbers, got {cw!r}")
+        self.class_weights = tuple(float(w) for w in cw)
 
     @property
     def feature_channels(self) -> int:
@@ -70,23 +83,13 @@ class ModelConfig:
         return 2 * self.hidden_dim + 2
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "base_channels": self.base_channels,
-            "class_weights": list(self.class_weights),
-        }
+        return asdict(self) | {"class_weights": list(self.class_weights)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            vocab_size=d["vocab_size"],
-            embed_dim=d.get("embed_dim", 100),
-            hidden_dim=d.get("hidden_dim", 200),
-            base_channels=d.get("base_channels", 32),
-            class_weights=tuple(d.get("class_weights", (1.0, 5.0, 5.0))),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config ``d`` holds: a missing key takes its default, and a key
+        that is no field (an old sidecar's ``batch_size``) is ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 class Vocabulary:
@@ -322,7 +325,9 @@ class RewriteModel:
         """Hold float32 copies of ``arrays``, each conv and deconv kernel in
         ``kernels.kernel_storage``, the layout its forward GEMM reads."""
         self.config = config
-        self.invocations = 0  # one per predicted example, by construction
+        # Examples run through segmentation_layer, the pass that makes the
+        # logits (training batches too): one per predicted example.
+        self.invocations = 0
         self.tensors = {}
         for name in array_table(config):
             if name.endswith(".k"):
@@ -410,6 +415,7 @@ class RewriteModel:
         ``None`` and nothing is masked.
         """
 
+        self.invocations += features.data.shape[0]
         t = self.tensors
         m1 = features.data.any(axis=3)
         m1 = None if m1.all() else m1
@@ -443,8 +449,8 @@ class RewriteModel:
         return K.weighted_cross_entropy(logits, targets, self.config.class_weights, mask=masks)
 
     def predict(self, batch: list[EncodedExample]) -> list[np.ndarray]:
-        """Edit matrices in ``batch``'s order, one model invocation each: sorted
-        by (m, nx), ``PREDICT_BATCH`` examples share a forward pass. Padding is
+        """Edit matrices in ``batch``'s order, one forward pass each: sorted by
+        (m, nx), ``PREDICT_BATCH`` examples share a forward pass. Padding is
         masked out, so no matrix depends on the examples it runs with."""
         order = sorted(range(len(batch)), key=lambda i: (batch[i].m, batch[i].nx))
         matrices = [None] * len(batch)
@@ -453,7 +459,6 @@ class RewriteModel:
             with ad.no_grad():
                 features, _ = self.feature_batch([batch[i] for i in run])
                 logits = self.segmentation_layer(features, training=False)
-            self.invocations += len(run)
             for pos, i in enumerate(run):
                 matrices[i] = decode_matrix(logits.data[pos], batch[i].m, batch[i].nx)
         return matrices

@@ -62,23 +62,24 @@ _FIELD_TYPES = {
         ("train_path", "dev_path", "checkpoint_path", "tokenization"),
         (str, os.PathLike),
     ),
-    **dict.fromkeys(
-        ("embed_dim", "hidden_dim", "base_channels", "epochs", "batch_size", "seed", "patience", "connection_k"),
-        numbers.Integral,
-    ),
+    **dict.fromkeys(("epochs", "batch_size", "seed", "patience", "connection_k"), numbers.Integral),
     "lr": numbers.Real,
     **dict.fromkeys(("target_dev_em", "target_dev_cell_acc"), (numbers.Real, type(None))),
 }
 # The least value each integer field can run with.
 _FIELD_MINIMA = {
-    **dict.fromkeys(("embed_dim", "hidden_dim", "base_channels", "batch_size", "epochs"), 1),
+    **dict.fromkeys(("batch_size", "epochs"), 1),
     **dict.fromkeys(("patience", "connection_k"), 0),
 }
 
 
 @dataclass
 class RunConfig:
-    """Everything one training run needs; JSON-serializable."""
+    """Everything one training run needs; JSON-serializable.
+
+    ``embed_dim``, ``hidden_dim``, ``base_channels`` and ``class_weights``
+    are ``ModelConfig``'s, and ``ModelConfig`` checks them.
+    """
 
     train_path: str = ""
     dev_path: str = ""
@@ -109,11 +110,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"config field {name} has the wrong type: {value!r}")
-        cw = self.class_weights
-        if not isinstance(cw, (list, tuple)) or len(cw) != 3 or not all(
-            isinstance(w, numbers.Real) and not isinstance(w, bool) and 0 < w < math.inf for w in cw
-        ):
-            raise ValueError(f"class_weights must be a list of 3 positive finite numbers, got {cw!r}")
+        # ModelConfig checks the model's fields; the data sets the vocabulary.
+        self.class_weights = self.model_config(vocab_size=1).class_weights
         # JSON configs may hold NaN and Infinity, which no run can use.
         for name in ("lr", "target_dev_em", "target_dev_cell_acc"):
             value = getattr(self, name)
@@ -125,11 +123,10 @@ class RunConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"config field {name} must be at least {least}, got {getattr(self, name)}")
         Tokenization(self.tokenization)  # ValueError on an unknown mode
-        self.class_weights = tuple(float(w) for w in cw)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(
-            vocab_size=vocab_size,
+            vocab_size,
             embed_dim=self.embed_dim,
             hidden_dim=self.hidden_dim,
             base_channels=self.base_channels,
@@ -238,7 +235,8 @@ class Rewriter(NamedTuple):
 _META_CHECKS = {
     "adam_step": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     "epoch": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    "best_dev_em": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    # An exact match share, or -1 before any epoch; NaN fails both bounds.
+    "best_dev_em": (lambda v: type(v) in (int, float) and -1 <= v <= 1, "a number in [-1, 1]"),
 }
 
 
@@ -452,8 +450,8 @@ def bench_latency(rw: Rewriter, examples, warmup=3):
     """Per-example wall time of ``rw.rewrite([ex])``: encode, predict,
     standardize and apply, at batch 1.
 
-    Tokenization and IO stay outside the timer. Also verifies the one-pass
-    property: exactly one model invocation per example.
+    Tokenization and IO stay outside the timer. ``invocations`` is the most
+    segmentation-layer passes any example took; the one-pass property needs 1.
     """
     for ex in examples[:warmup]:
         rw.rewrite([ex])

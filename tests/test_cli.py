@@ -19,7 +19,7 @@ from editseg.cli import main
 from editseg.data import load_dataset
 from editseg.dialogue import detokenize, texts
 from editseg.model import RewriteModel
-from editseg.training import load_model
+from editseg.training import bench_latency, load_model
 
 
 def run_cli(args):
@@ -147,6 +147,26 @@ def test_bench_schema(workspace, capsys):
     report = json.loads(capsys.readouterr().out)
     assert {"mean_ms", "median_ms", "p95_ms", "invocations"} <= set(report)
     assert report["invocations"] == 1
+
+
+def test_bench_counts_segmentation_passes(workspace, capsys, monkeypatch):
+    # A model that runs its segmentation layer twice per call makes two
+    # passes per example; predict used to count one whatever it ran.
+    segmentation_layer = RewriteModel.segmentation_layer
+
+    def twice(model, features, training):
+        segmentation_layer(model, features, training)
+        return segmentation_layer(model, features, training)
+
+    monkeypatch.setattr(RewriteModel, "segmentation_layer", twice)
+    rw = load_model(workspace / "model.run")
+    examples = load_dataset(workspace / "dev.jsonl", rw.tokenization)
+    assert bench_latency(rw, examples, warmup=1)["invocations"] == 2
+    code = run_cli(["bench", "--checkpoint", str(workspace / "model.run"), "--data", str(workspace / "dev.jsonl")])
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 3 and not captured.out
+    assert len(err) == 1 and "one-pass violation" in json.loads(err[0])["error"]
 
 
 def test_bench_on_empty_dataset_is_one_json_error_line(workspace, tmp_path, capsys):
@@ -307,6 +327,9 @@ MALFORMED = {
     "tokenization_missing": ("sidecar", lambda s: s.pop("tokenization")),
     "connection_words_not_list": ("sidecar", lambda s: s.update(connection_words=5)),
     "connection_k_not_integer": ("sidecar", lambda s: s.update(connection_k="x")),
+    # ModelConfig took both, though a run config holding either is refused.
+    "class_weights_two": ("sidecar", lambda s: s["model_config"].update(class_weights=[1, 5])),
+    "embed_dim_float": ("sidecar", lambda s: s["model_config"].update(embed_dim=12.0)),
 }
 
 
@@ -428,6 +451,9 @@ BAD_RESUME = {
     "epoch_missing": ("model.run.last", lambda meta: meta.pop("epoch")),
     "epoch_negative": ("model.run.last", lambda meta: meta.update(epoch=-1)),
     "best_dev_em_not_number": ("model.run.last", lambda meta: meta.update(best_dev_em="high")),
+    # No epoch's EM beat NaN, so no best checkpoint was saved and the run
+    # stopped when its patience ran out, with exit 0.
+    "best_dev_em_nan": ("model.run.last", lambda meta: meta.update(best_dev_em=float("nan"))),
     "no_adam_state": ("model.run", lambda meta: None),
 }
 
@@ -522,6 +548,9 @@ USAGE_ERRORS = {
     "unknown_flag": ["synth", "--out", "o.jsonl", "--bogus"],
     # Only synth and train take a seed; the other subcommands draw nothing.
     "seed_on_rewrite": ["rewrite", "--seed", "1", "--checkpoint", "m.run", "--data", "d.jsonl", "--out", "o.jsonl"],
+    # argparse took "--conf" for "--config", but only "--config" is read:
+    # synth wrote its 1000 default examples.
+    "abbreviated_config": ["synth", "--out", "{tmp}/o.jsonl", "--conf", "{config}"],
 }
 
 
@@ -529,13 +558,13 @@ USAGE_ERRORS = {
 def test_usage_errors_are_one_json_error_line(tmp_path, capsys, case):
     config = tmp_path / "c.json"
     config.write_text('{"seed": 1}', encoding="utf-8")
-    argv = [arg.format(config=config) for arg in USAGE_ERRORS[case]]
+    argv = [arg.format(config=config, tmp=tmp_path) for arg in USAGE_ERRORS[case]]
     code = run_cli(argv)
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and json.loads(err[0])["error"].startswith("editseg")
-    assert not captured.out
+    assert not captured.out and not (tmp_path / "o.jsonl").exists()
 
 
 def test_help_still_exits_zero(capsys):
@@ -630,11 +659,12 @@ def test_malformed_dataset_or_config_is_one_json_error_line(tmp_path, capsys, ca
 
 
 # A repeated word or a non-UTF-8 file ended in a raw traceback; a negative
-# --conn-k was read as 0.
+# --conn-k was read as 0, and --conn-k without a file (``None``) was ignored.
 BAD_CONN = {
     "repeated_word": (b"and\nof\nand\n", []),
     "not_utf8": (b"and\n\xff\n", []),
     "negative_k": (b"and\nof\n", ["--conn-k", "-1"]),
+    "k_without_file": (None, ["--conn-k", "3"]),
 }
 
 
@@ -643,7 +673,9 @@ BAD_CONN = {
 def test_bad_connection_words_are_one_json_error_line(tmp_path, capsys, case, command):
     raw, flags = BAD_CONN[case]
     conn = tmp_path / "conn.txt"
-    conn.write_bytes(raw)
+    if raw is not None:
+        conn.write_bytes(raw)
+        flags = ["--conn-file", str(conn), *flags]
     data = tmp_path / "data.jsonl"
     data.write_text(GOOD_LINE, encoding="utf-8")
     pred = tmp_path / "pred.jsonl"
@@ -653,7 +685,7 @@ def test_bad_connection_words_are_one_json_error_line(tmp_path, capsys, case, co
         argv = ["eval", "--pred", str(pred), "--gold", str(data), "--out", str(out)]
     else:
         argv = ["derive-labels", "--data", str(data), "--out", str(out)]
-    code = run_cli([*argv, "--conn-file", str(conn), *flags])
+    code = run_cli([*argv, *flags])
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert code == 2

@@ -145,10 +145,8 @@ def test_rewriting_exclude_incomplete_flag():
     ref = [["is"]]
     ctx = [["is", "beijing"]]
     inc = [["is"]]
-    # Default: "is" occurs in the incomplete utterance, so nothing qualifies.
+    # "is" occurs in the incomplete utterance, so nothing qualifies.
     assert rewriting_prf(pred, ref, ctx, inc, 1) == (0.0, 0.0, 0.0)
-    # Strict occurs-in-context reading counts it.
-    assert rewriting_prf(pred, ref, ctx, inc, 1, exclude_incomplete=False) == (1.0, 1.0, 1.0)
 
 
 def test_rewriting_skips_examples_with_both_sides_empty():

@@ -74,9 +74,13 @@ def test_config_validates_and_reports_channels():
     assert cfg.feature_channels == 402
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=0)
-    for weights in ((0.0, 1.0, 1.0), (1.0, float("nan"), 5.0), (1.0, 5.0, float("inf"))):
+    bad_weights = ((0.0, 1.0, 1.0), (1.0, float("nan"), 5.0), (1.0, 5.0, float("inf")), (1.0, 5.0), (True, 5.0, 5.0))
+    for weights in bad_weights:
         with pytest.raises(ValueError, match="class_weights"):
             ModelConfig(vocab_size=5, class_weights=weights)
+    for name, value in (("embed_dim", 4.0), ("hidden_dim", True)):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(vocab_size=5, **{name: value})
 
 
 def test_config_from_dict_accepts_old_sidecar_with_batch_size():
