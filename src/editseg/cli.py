@@ -22,6 +22,7 @@ from .data import (
     load_dataset,
     read_jsonl_objects,
     save_dataset,
+    write_jsonl,
 )
 from .dialogue import (
     ConnectionWordList,
@@ -65,23 +66,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_defaults(argv: list[str]) -> dict:
-    """Pull --config JSON ahead of parsing so flags can override it."""
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-        else:
-            continue
-        try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-            _fail(f"cannot read config {path}: {exc}")
-        if not isinstance(obj, dict):
-            _fail(f"config {path} must hold a JSON object")
-        return obj
-    return {}
+    """Read the --config JSON ahead of parsing so flags can override it; as
+    for every other flag, the last one given wins."""
+    config = _Parser(prog="editseg", add_help=False)
+    config.add_argument("--config")
+    path = config.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        _fail(f"cannot read config {path}: {exc}")
+    if not isinstance(obj, dict):
+        _fail(f"config {path} must hold a JSON object")
+    return obj
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str], config: dict):
@@ -108,12 +107,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str], config: dict
             _fail(f"config key {key} for {name} has a bad value: {value!r}")
         action.required = False
     sub.set_defaults(**config)
-
-
-def _write_jsonl(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def _emit(obj, out_path=None):
@@ -187,7 +180,7 @@ def cmd_derive_labels(args):
                 "coverage": "full" if coverage is Coverage.FULL else "partial",
             }
         )
-    _write_jsonl(args.out, rows)
+    write_jsonl(args.out, rows)
     _emit({"examples": len(rows), "full": full, "partial": len(rows) - full, "path": args.out})
 
 
@@ -231,7 +224,7 @@ def cmd_rewrite(args):
         }
         for out, program in rw.rewrite(load_dataset(args.data, rw.tokenization))
     ]
-    _write_jsonl(args.out, rows)
+    write_jsonl(args.out, rows)
     _emit({"examples": len(rows), "path": args.out})
 
 

@@ -95,17 +95,25 @@ def load_dataset(
     return examples
 
 
+def write_jsonl(path, rows: Iterable[dict]):
+    """Write each object as one line of UTF-8 JSON, keys in insertion order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
 def save_dataset(examples: Iterable[DialogueExample], path, mode: Tokenization | str = Tokenization.WHITESPACE):
     mode = Tokenization(mode)
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            obj = {
-                "context": [detokenize(u, mode) for u in ex.context_utterances],
-                "current": detokenize(ex.incomplete, mode),
-            }
-            if ex.gold_rewrite is not None:
-                obj["rewrite"] = detokenize(ex.gold_rewrite, mode)
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    rows = []
+    for ex in examples:
+        obj = {
+            "context": [detokenize(u, mode) for u in ex.context_utterances],
+            "current": detokenize(ex.incomplete, mode),
+        }
+        if ex.gold_rewrite is not None:
+            obj["rewrite"] = detokenize(ex.gold_rewrite, mode)
+        rows.append(obj)
+    write_jsonl(path, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +140,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.vocab_size < 30:
             raise ValueError("synthetic vocab needs at least 30 words")
-        if self.num_examples < 0:
-            raise ValueError(f"num_examples must be at least 0, got {self.num_examples}")
+        for name in ("num_examples", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         for name, least in (("context_turns", 1), ("utterance_len", 1), ("substitutes", 0), ("inserts", 0)):
             lo, hi = getattr(self, name)
             if not least <= lo <= hi:

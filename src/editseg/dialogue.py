@@ -26,7 +26,6 @@ class TokenKind(Enum):
     WORD = "word"
     SEP_S = "sep"
     END_E = "end"
-    CONNECTION_WORD = "connection"
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +38,7 @@ class Token:
             raise ValueError(f"separator token must be {SEP_TEXT!r}")
         if self.kind is TokenKind.END_E and self.text != END_TEXT:
             raise ValueError(f"end token must be {END_TEXT!r}")
-        if self.kind in (TokenKind.WORD, TokenKind.CONNECTION_WORD) and not self.text:
+        if self.kind is TokenKind.WORD and not self.text:
             raise ValueError("word tokens must be nonempty")
 
     def is_special(self) -> bool:
@@ -165,7 +164,7 @@ def join_context(
     if k > 0:
         if example.context_utterances:
             tokens.append(sep_token())
-        tokens.extend(Token(w, TokenKind.CONNECTION_WORD) for w in conn.words[:k])
+        tokens.extend(Token(w) for w in conn.words[:k])
     return JoinedContext(tuple(tokens))
 
 

@@ -14,6 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .supervision import lcs_table
+
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
@@ -82,23 +84,14 @@ def rouge_n(preds: list[list[str]], refs: list[list[str]], n: int) -> float:
     return total / len(preds)
 
 
-def lcs_length(a: list[str], b: list[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0]
-        for j, y in enumerate(b):
-            curr.append(prev[j] + 1 if x == y else max(curr[j], prev[j + 1]))
-        prev = curr
-    return prev[-1]
-
-
 def lcs_prf(pred: list[str], ref: list[str]) -> tuple[float, float, float]:
-    """Single-pair ROUGE-L scores: LCS / |pred|, LCS / |ref|, and their F1."""
-    return _prf(lcs_length(pred, ref), len(pred), len(ref))
+    """Single-pair ROUGE-L scores: LCS / |pred|, LCS / |ref|, and their F1,
+    with the LCS length read from the alignment's ``lcs_table``."""
+    return _prf(lcs_table(pred, ref)[0][0], len(pred), len(ref))
 
 
 def rouge_l(preds: list[list[str]], refs: list[list[str]]) -> float:
-    """Macro-averaged LCS-based F1."""
+    """Macro-averaged per-example F1 of ``lcs_prf``."""
     _check_corpus(preds, refs)
     total = 0.0
     for p, r in zip(preds, refs):

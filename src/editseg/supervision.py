@@ -26,6 +26,7 @@ from .dialogue import (
     Token,
     TokenKind,
     join_context,
+    texts,
 )
 
 
@@ -49,34 +50,38 @@ def new_edit_matrix(rows: int, cols: int) -> np.ndarray:
 # LCS alignment
 
 
-def lcs_align(a: list[Token], b: list[Token]) -> list[tuple[int, int]]:
-    """Maximum-length increasing matching of equal tokens between a and b.
+def lcs_table(a: list, b: list) -> list[list[int]]:
+    """Suffix-LCS table: ``d[i][j]`` is the LCS length of ``a[i:]`` and
+    ``b[j:]``, items compared with ``==``; ``d[0][0]`` is the LCS length."""
+    n, m = len(a), len(b)
+    d = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        ai, row, below = a[i], d[i], d[i + 1]
+        for j in range(m - 1, -1, -1):
+            row[j] = below[j + 1] + 1 if ai == b[j] else max(below[j], row[j + 1])
+    return d
+
+
+def lcs_align(a: list, b: list) -> list[tuple[int, int]]:
+    """Maximum-length increasing matching of equal items (``==``) between a
+    and b; ``build_gold_matrix`` passes token texts.
 
     Deterministic: among all maximum matchings, returns the one whose pair
     sequence is lexicographically smallest (earliest a-index, then earliest
-    b-index). Walks forward over a suffix-LCS table, taking a diagonal match
+    b-index). Walks forward over ``lcs_table``, taking a diagonal match
     whenever doing so still completes a maximum matching.
     """
-    la = [t.text for t in a]
-    lb = [t.text for t in b]
-    n, m = len(la), len(lb)
-    # d[i][j] = LCS length of a[i:], b[j:]
-    d = np.zeros((n + 1, m + 1), dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            if la[i] == lb[j]:
-                d[i, j] = d[i + 1, j + 1] + 1
-            else:
-                d[i, j] = max(d[i + 1, j], d[i, j + 1])
+    d = lcs_table(a, b)
+    n, m = len(a), len(b)
     out = []
     i = j = 0
-    while i < n and j < m and d[i, j] > 0:
-        r = d[i, j]
+    while i < n and j < m and d[i][j] > 0:
+        r = d[i][j]
         # Match a[i] at the earliest b-position that still completes a
         # maximum matching; only skip a[i] when no such position exists.
         found = -1
         for jj in range(j, m):
-            if la[i] == lb[jj] and d[i + 1, jj + 1] + 1 == r:
+            if a[i] == b[jj] and d[i + 1][jj + 1] + 1 == r:
                 found = jj
                 break
         if found < 0:
@@ -174,8 +179,8 @@ def pair_spans(
 def locate_in_context(span_tokens, c: JoinedContext) -> Optional[tuple[int, int]]:
     """First contiguous occurrence of the span among the context tokens.
 
-    Matches on text over Word and ConnectionWord positions; windows crossing
-    a ``[S]`` separator never match. Absence is a value, not an error.
+    Matches on text over word positions, connection words included; windows
+    crossing a ``[S]`` separator never match. Absence is a value, not an error.
     """
     want = [t.text for t in span_tokens]
     n = len(want)
@@ -240,7 +245,7 @@ def build_gold_matrix(
     # DialogueExample's words never are.
     matrix = new_edit_matrix(len(c), len(x) + 1)
 
-    matches = lcs_align(x, list(example.gold_rewrite))
+    matches = lcs_align(texts(x), texts(example.gold_rewrite))
     del_spans, add_spans = mark_spans(x, list(example.gold_rewrite), matches)
     ops = pair_spans(del_spans, add_spans, list(example.gold_rewrite), matches, len(x))
 

@@ -69,7 +69,7 @@ _FIELD_TYPES = {
 # The least value each integer field can run with.
 _FIELD_MINIMA = {
     **dict.fromkeys(("batch_size", "epochs"), 1),
-    **dict.fromkeys(("patience", "connection_k"), 0),
+    **dict.fromkeys(("patience", "connection_k", "seed"), 0),
 }
 
 

@@ -232,6 +232,10 @@ def test_config_file_with_flag_overrides(workspace, tmp_path, capsys):
     assert len(read_jsonl(out)) == 5  # flag wins over config file
     assert run_cli(["synth", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(read_jsonl(out)) == 7  # config file wins over the flag's default
+    last = tmp_path / "last.json"
+    last.write_text(json.dumps({"num_examples": 3}), encoding="utf-8")
+    assert run_cli(["synth", "--config", str(cfg), "--out", str(out), f"--config={last}"]) == 0
+    assert len(read_jsonl(out)) == 3  # a repeated --config reads the last file, as argparse does
 
 
 def test_errors_are_machine_readable_and_nonzero(workspace, tmp_path, capsys):
@@ -599,6 +603,9 @@ BAD_INPUT = {
     "synth_min_turns_zero": ("synth_config", b'{"min_turns": 0}'),
     "synth_negative_substitutes": ("synth_config", b'{"max_substitutes": -1}'),
     "synth_negative_examples": ("synth_config", b'{"num_examples": -1}'),
+    # A negative seed ended in a traceback from numpy's generator.
+    "synth_negative_seed": ("synth_config", b'{"seed": -1}'),
+    "seed_negative": ("config", b'{"seed": -1, "epochs": 1}'),
     "synth_len_beyond_normal_words": ("synth_config", b'{"num_examples": 50, "max_len": 30}'),
     "synth_substitutes_beyond_markers": (
         "synth_config", b'{"num_examples": 50, "min_len": 12, "max_len": 12, "max_substitutes": 9}'

@@ -67,7 +67,7 @@ def test_join_with_connection_words():
     conn = ConnectionWordList(("of",))
     joined = join_context(e, conn, k=1)
     assert texts(joined.tokens) == ["a", "[S]", "of"]
-    assert joined.tokens[2].kind is TokenKind.CONNECTION_WORD
+    assert joined.tokens[2].kind is TokenKind.WORD
 
 
 def test_join_empty_context():

@@ -477,6 +477,26 @@ def test_masked_bn_relu_training_grads_match_finite_differences(seed):
     assert np.all(np.abs(y.grad[mask]).sum(axis=1) > 0)
 
 
+def test_bn_relu_training_without_mask_is_an_all_true_mask():
+    """No mask and an all-True one take the same statistics, bit for bit, in
+    the model's float32: there is one formula, not one per case."""
+    rng = rng_for(240)
+    y = (rng.normal(size=(2, 5, 7, 4)) * 3.0 + 1.0).astype(np.float32)
+    probe = rng.normal(size=y.shape).astype(np.float32)
+    runs = []
+    for mask in (None, np.ones(y.shape[:3], dtype=bool)):
+        yt = Tensor(y.copy(), requires_grad=True)
+        gamma = Tensor(np.linspace(0.5, 2.0, 4, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.full(4, 0.1, dtype=np.float32), requires_grad=True)
+        stats = np.zeros(4, np.float32), np.ones(4, np.float32)
+        out = K.bn_relu(yt, gamma, beta, *stats, training=True, mask=mask)
+        probe_loss(out, probe).backward()
+        runs.append((out.data, *stats, yt.grad, gamma.grad))
+    for without, all_true in zip(*runs):
+        assert without.dtype == np.float32
+        assert np.array_equal(without, all_true)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_conv_bn_relu_eval_grads_match_finite_differences(seed):
     # Eval mode with running statistics far from (0, 1), so the folded
