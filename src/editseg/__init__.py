@@ -11,6 +11,7 @@ rewrite pairs by LCS alignment (distant supervision).
 import types as _types
 
 from .autodiff import Tensor, no_grad
+from .checkpoint import load_model, save_model
 from .data import (
     DatasetError,
     SyntheticSpec,
@@ -58,6 +59,7 @@ from .model import (
     EncodedExample,
     ModelConfig,
     RewriteModel,
+    Rewriter,
     Vocabulary,
     encode_example,
     encoding_layer,
@@ -72,14 +74,11 @@ from .supervision import (
     pair_spans,
 )
 from .training import (
-    Rewriter,
     RunConfig,
     TrainingDiverged,
     TrainResult,
     bench_latency,
     evaluate_model,
-    load_model,
-    save_model,
     train,
 )
 

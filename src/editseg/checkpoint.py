@@ -1,4 +1,5 @@
-"""Single-file binary checkpoints, format tag "run-v1".
+"""A trained run on disk: a single-file binary checkpoint, format tag
+"run-v1", and its JSON sidecar.
 
 Layout: a little-endian uint32 header length, a JSON header mapping array
 names to dtypes, shapes and byte offsets plus free-form metadata, then the
@@ -14,6 +15,16 @@ structure, dtypes and every array's byte range against the file, and that
 every stored value is finite, so a truncated or corrupt file, or one holding
 a NaN or infinity, raises ``CheckpointError`` rather than a numpy or JSON
 error or a model that computes garbage.
+
+``save_model`` writes a ``Rewriter``: its arrays, under the names
+``model.array_table`` gives them, and beside the file, at ``<path>.json``,
+a sidecar holding the format tag, the model config, the tokenization mode,
+the vocabulary, the connection words and ``connection_k``. The header's
+metadata holds the run's place: ``epoch`` and ``best_dev_em``, and in a
+resumable ``.last`` file also ``best_epoch`` and ``adam_step``, with Adam's
+moments stored as ``adam.m.<parameter>`` and ``adam.v.<parameter>``.
+``load_model`` checks all of it, the sidecar's format tag included, against
+the sidecar's config before it builds the model.
 """
 
 from __future__ import annotations
@@ -26,8 +37,28 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .dialogue import ConnectionWordList, Tokenization
+from .kernels import AdamState
+from .model import ModelConfig, RewriteModel, Rewriter, Vocabulary, array_table, is_parameter
+
 FORMAT_TAG = "run-v1"
 PAYLOAD_DTYPES = ("<f4", "<f8")  # a header entry without a dtype is "<f8"
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# Run metadata a checkpoint may carry, each with the test its value must pass.
+_META_CHECKS = {
+    **dict.fromkeys(("adam_step", "epoch", "best_epoch"), (_is_count, "a non-negative integer")),
+    # An exact match share, or -1 before any epoch; NaN fails both bounds.
+    "best_dev_em": (lambda v: type(v) in (int, float) and -1 <= v <= 1, "a number in [-1, 1]"),
+}
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
@@ -129,5 +160,94 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
+def _sidecar_path(path) -> str:
+    return str(path) + ".json"
+
+
+def _adam_names(config: ModelConfig) -> dict[str, str]:
+    """The checkpoint name of each Adam moment, mapped to its parameter: every
+    ``adam.m.<parameter>``, then every ``adam.v.<parameter>``, each in the
+    order of ``RewriteModel.parameters`` and of ``AdamState``'s lists."""
+    params = [name for name in array_table(config) if is_parameter(name)]
+    return {f"adam.{kind}.{name}": name for kind in "mv" for name in params}
+
+
+def save_model(path, rw: Rewriter, adam: AdamState | None = None, meta: dict | None = None):
+    """Write ``rw`` to ``path`` and its sidecar; with ``adam``, also Adam's step
+    and moments, which resuming a run needs."""
+    meta = dict(meta or {})
+    arrays = rw.model.state()
+    if adam is not None:
+        meta["adam_step"] = adam.step
+        arrays |= dict(zip(_adam_names(rw.model.config), [*adam.m, *adam.v]))
+    save_checkpoint(path, arrays, meta)
+    sidecar = {
+        "format": FORMAT_TAG,
+        "model_config": rw.model.config.to_dict(),
+        "tokenization": rw.tokenization,
+        "vocab": rw.vocab.words,
+        "connection_words": list(rw.conn.words),
+        "connection_k": rw.k,
+    }
+    with replacing(_sidecar_path(path)) as fh:
+        fh.write(json.dumps(sidecar, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+
+
+def load_model(path) -> Rewriter:
+    """Rebuild a trained model from a checkpoint pair (``path`` and its sidecar).
+
+    The arrays must have exactly the names and shapes that ``array_table``
+    lists for the sidecar's config; anything else raises ``CheckpointError``.
+    They are cast to the model's float32, so float64 files load too. The
+    model is built from them directly; nothing is drawn.
+    """
+    return load_run(path)[0]
+
+
+def load_run(path) -> tuple[Rewriter, dict, AdamState | None]:
+    """``load_model`` plus the run's metadata and, if saved, the Adam state."""
+    arrays, meta = load_checkpoint(path)
+    sidecar_path = _sidecar_path(path)
+    with open(sidecar_path, encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+            if sidecar["format"] != FORMAT_TAG:
+                raise ValueError(f"format {sidecar['format']!r} is not {FORMAT_TAG!r}")
+            config = ModelConfig.from_dict(sidecar["model_config"])
+            tokenization = Tokenization(sidecar["tokenization"]).value
+            words, conn_words = sidecar["vocab"], sidecar.get("connection_words", [])
+            k = sidecar.get("connection_k", 0)
+            if not (_is_str_list(words) and _is_str_list(conn_words)):
+                raise TypeError("vocab and connection_words must be lists of strings")
+            if not (_is_count(k) and k <= len(conn_words)):
+                raise ValueError(f"connection_k {k!r} is not an integer in [0, {len(conn_words)}]")
+            vocab = Vocabulary(words)
+            conn = ConnectionWordList(conn_words)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{sidecar_path}: bad sidecar: {exc!r}") from None
+    for key, (valid, what) in _META_CHECKS.items():
+        if key in meta and not valid(meta[key]):
+            raise CheckpointError(f"{path}: {key} {meta[key]!r} is not {what}")
+    if vocab.size != config.vocab_size:
+        raise CheckpointError(
+            f"{sidecar_path}: {vocab.size} vocabulary ids but vocab_size {config.vocab_size}"
+        )
+    expected = array_table(config)
+    adam_names = _adam_names(config) if "adam_step" in meta else {}
+    expected |= {name: expected[param] for name, param in adam_names.items()}
+    if set(arrays) != set(expected):
+        raise CheckpointError(
+            f"{path}: arrays missing {sorted(set(expected) - set(arrays))}, "
+            f"unexpected {sorted(set(arrays) - set(expected))}"
+        )
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: array {name!r} has shape {list(arrays[name].shape)}, "
+                f"but the sidecar's model config needs {list(shape)}"
+            )
+    model = RewriteModel.from_arrays(config, arrays)
+    moments = [arrays[name].astype(np.float32) for name in adam_names]
+    half = len(moments) // 2
+    adam = AdamState(meta["adam_step"], moments[:half], moments[half:]) if adam_names else None
+    return Rewriter(model, vocab, conn, k, tokenization), meta, adam

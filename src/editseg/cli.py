@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, load_model
 from .data import (
     DatasetError,
     SyntheticSpec,
@@ -35,13 +35,7 @@ from .dialogue import (
 )
 from .metrics import evaluate_corpus
 from .supervision import Coverage, build_gold_matrix
-from .training import (
-    RunConfig,
-    TrainingDiverged,
-    bench_latency,
-    load_model,
-    train,
-)
+from .training import RunConfig, TrainingDiverged, bench_latency, train
 
 
 class CliError(Exception):

@@ -17,7 +17,8 @@ so inference cost does not grow with output length.
 checkpoint name and shape. ``RewriteModel`` keeps them in one store under
 those names, draws them from a seed or takes them from a checkpoint, and
 every layer, ``parameters``, ``state`` and the checkpoint code read them
-from there.
+from there. ``Rewriter`` bundles a model with its vocabulary, connection
+words and tokenization mode: everything a rewrite needs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .dialogue import (
     join_context,
     prepare_incomplete,
 )
+from .generation import EditProgram, rewrite_from_matrix
 from .supervision import Coverage, build_gold_matrix
 
 N_EDIT_TYPES = 3
@@ -466,3 +468,20 @@ class RewriteModel:
     def predict_encoded(self, ex: EncodedExample) -> np.ndarray:
         """``predict`` for one example: a batch of one, so nothing is padded."""
         return self.predict([ex])[0]
+
+
+class Rewriter(NamedTuple):
+    """A trained model and what it was trained with: everything a rewrite needs."""
+
+    model: RewriteModel
+    vocab: Vocabulary
+    conn: ConnectionWordList
+    k: int
+    tokenization: str
+
+    def rewrite(self, examples) -> list[tuple[list, EditProgram]]:
+        """Encode, predict in batches by grid (``RewriteModel.predict``), then
+        standardize and apply: one (tokens, program) per example, in order.
+        ``rewrite([ex])`` is batch 1."""
+        encs = [encode_example(ex, self.vocab, self.conn, self.k) for ex in examples]
+        return [rewrite_from_matrix(matrix, enc.x, enc.c) for matrix, enc in zip(self.model.predict(encs), encs)]

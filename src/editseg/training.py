@@ -1,27 +1,27 @@
-"""Training loop, checkpoint persistence, evaluation, and the latency bench.
+"""Training loop, evaluation, and the latency bench.
 
 Training is deterministic end to end: parameter init draws from the run
 seed, each epoch's shuffle comes from a (seed, epoch) derived generator, and
 batches group examples of similar grid sizes to limit padding waste and run
 in a shuffled order. The best-dev-EM checkpoint is kept alongside a
-resumable "last" checkpoint carrying the optimizer state.
+resumable "last" checkpoint carrying the optimizer state and the best
+epoch, so a resumed run stops where an uninterrupted one would.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import kernels as K
-from .checkpoint import FORMAT_TAG, CheckpointError, load_checkpoint, replacing, save_checkpoint
+from .checkpoint import CheckpointError, load_run, save_model
 from .data import DatasetError, load_dataset
 from .dialogue import (
     ConnectionWordList,
@@ -30,16 +30,8 @@ from .dialogue import (
     derive_connection_words,
     texts,
 )
-from .generation import EditProgram, rewrite_from_matrix
-from .model import (
-    EncodedExample,
-    ModelConfig,
-    RewriteModel,
-    Vocabulary,
-    array_table,
-    encode_example,
-    is_parameter,
-)
+from .generation import rewrite_from_matrix
+from .model import EncodedExample, ModelConfig, RewriteModel, Rewriter, Vocabulary, encode_example
 from .supervision import Coverage
 
 
@@ -211,134 +203,17 @@ def _batches_by_size(encoded: list[EncodedExample], rng: np.random.Generator, ba
 
 
 # ---------------------------------------------------------------------------
-# checkpoint plumbing
-
-
-class Rewriter(NamedTuple):
-    """A trained model and what it was trained with: everything a rewrite needs."""
-
-    model: RewriteModel
-    vocab: Vocabulary
-    conn: ConnectionWordList
-    k: int
-    tokenization: str
-
-    def rewrite(self, examples) -> list[tuple[list, EditProgram]]:
-        """Encode, predict in batches by grid (``RewriteModel.predict``), then
-        standardize and apply: one (tokens, program) per example, in order.
-        ``rewrite([ex])`` is batch 1."""
-        encs = [encode_example(ex, self.vocab, self.conn, self.k) for ex in examples]
-        return [rewrite_from_matrix(matrix, enc.x, enc.c) for matrix, enc in zip(self.model.predict(encs), encs)]
-
-
-# Run metadata a checkpoint may carry, each with the test its value must pass.
-_META_CHECKS = {
-    "adam_step": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    "epoch": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    # An exact match share, or -1 before any epoch; NaN fails both bounds.
-    "best_dev_em": (lambda v: type(v) in (int, float) and -1 <= v <= 1, "a number in [-1, 1]"),
-}
-
-
-def _adam_arrays(model: RewriteModel, adam: K.AdamState) -> dict[str, np.ndarray]:
-    """Adam's moments by checkpoint name: ``adam.m.<parameter>``, ``adam.v.<parameter>``."""
-    names = list(model.parameters())
-    return {
-        f"adam.{kind}.{name}": moment
-        for kind, moments in (("m", adam.m), ("v", adam.v))
-        for name, moment in zip(names, moments)
-    }
-
-
-def save_model(path, rw: Rewriter, adam: K.AdamState | None = None, meta: dict | None = None):
-    meta = dict(meta or {})
-    arrays = rw.model.state()
-    if adam is not None:
-        meta["adam_step"] = adam.step
-        arrays |= _adam_arrays(rw.model, adam)
-    save_checkpoint(path, arrays, meta)
-    sidecar = {
-        "format": FORMAT_TAG,
-        "model_config": rw.model.config.to_dict(),
-        "tokenization": rw.tokenization,
-        "vocab": rw.vocab.words,
-        "connection_words": list(rw.conn.words),
-        "connection_k": rw.k,
-    }
-    with replacing(str(path) + ".json") as fh:
-        fh.write(json.dumps(sidecar, ensure_ascii=False, sort_keys=True).encode("utf-8"))
-
-
-def load_model(path) -> Rewriter:
-    """Rebuild a trained model from a checkpoint pair (``path`` and its sidecar).
-
-    The arrays must have exactly the names and shapes that ``array_table``
-    lists for the sidecar's config; anything else raises ``CheckpointError``.
-    They are cast to the model's float32, so float64 files load too. The
-    model is built from them directly; nothing is drawn.
-    """
-    return _load_run(path)[0]
-
-
-def _load_run(path) -> tuple[Rewriter, dict, K.AdamState | None]:
-    """``load_model`` plus the run's metadata and, if saved, the Adam state."""
-    arrays, meta = load_checkpoint(path)
-    sidecar_path = str(path) + ".json"
-    with open(sidecar_path, encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-            config = ModelConfig.from_dict(sidecar["model_config"])
-            tokenization = Tokenization(sidecar["tokenization"]).value
-            words, conn_words = sidecar["vocab"], sidecar.get("connection_words", [])
-            k = sidecar.get("connection_k", 0)
-            if not (_is_str_list(words) and _is_str_list(conn_words)):
-                raise TypeError("vocab and connection_words must be lists of strings")
-            if type(k) is not int or not 0 <= k <= len(conn_words):
-                raise ValueError(f"connection_k {k!r} is not an integer in [0, {len(conn_words)}]")
-            vocab = Vocabulary(words)
-            conn = ConnectionWordList(conn_words)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{sidecar_path}: bad sidecar: {exc!r}") from None
-    for key, (valid, what) in _META_CHECKS.items():
-        if key in meta and not valid(meta[key]):
-            raise CheckpointError(f"{path}: {key} {meta[key]!r} is not {what}")
-    if vocab.size != config.vocab_size:
-        raise CheckpointError(
-            f"{sidecar_path}: {vocab.size} vocabulary ids but vocab_size {config.vocab_size}"
-        )
-    expected = array_table(config)
-    params = [name for name in expected if is_parameter(name)]
-    if "adam_step" in meta:
-        expected |= {f"adam.{kind}.{name}": expected[name] for kind in "mv" for name in params}
-    if set(arrays) != set(expected):
-        raise CheckpointError(
-            f"{path}: arrays missing {sorted(set(expected) - set(arrays))}, "
-            f"unexpected {sorted(set(arrays) - set(expected))}"
-        )
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: array {name!r} has shape {list(arrays[name].shape)}, "
-                f"but the sidecar's model config needs {list(shape)}"
-            )
-    model = RewriteModel.from_arrays(config, arrays)
-    adam = None
-    if "adam_step" in meta:
-        m, v = ([arrays[f"adam.{kind}.{name}"].astype(np.float32) for name in params] for kind in "mv")
-        adam = K.AdamState(meta["adam_step"], m, v)
-    return Rewriter(model, vocab, conn, k, tokenization), meta, adam
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# ---------------------------------------------------------------------------
 # training
 
 
 def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
     log = log or (lambda msg: None)
+    best_path = str(config.checkpoint_path)
+    # Saving to such a path fails, but only once the first epoch has run.
+    if Path(best_path).is_dir():
+        raise IsADirectoryError(f"checkpoint path {best_path} is a directory")
+    if not Path(best_path).parent.is_dir():
+        raise FileNotFoundError(f"checkpoint path {best_path} is in no existing directory")
     mode = Tokenization(config.tokenization)
     train_examples = load_dataset(config.train_path, mode, require_rewrite=True)
     dev_examples = load_dataset(config.dev_path, mode, require_rewrite=True)
@@ -352,14 +227,13 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
         conn, k = EMPTY_CONNECTION_WORDS, 0
     vocab = Vocabulary.from_examples(train_examples, conn)
 
-    last_path = str(config.checkpoint_path) + ".last"
-    best_path = str(config.checkpoint_path)
-    start_epoch = 0
+    last_path = best_path + ".last"
+    start_epoch = best_epoch = 0
     best_em = -1.0
     history: list[EpochStats] = []
 
     if resume and Path(last_path).exists():
-        rw, meta, adam = _load_run(last_path)
+        rw, meta, adam = load_run(last_path)
         if adam is None or "epoch" not in meta:
             raise CheckpointError(f"{last_path}: resuming needs the epoch and adam_step metadata")
         # The vocabulary comes from the checkpoint; all else must match the run config.
@@ -372,6 +246,8 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
             raise CheckpointError(f"{last_path}: the checkpoint differs from the run config in {', '.join(differ)}")
         start_epoch = meta["epoch"] + 1
         best_em = float(meta.get("best_dev_em", -1.0))
+        # A file saved before best_epoch was recorded counts from its own epoch.
+        best_epoch = meta.get("best_epoch", meta["epoch"])
         log(f"resuming from {last_path} at epoch {start_epoch}")
     else:
         model = RewriteModel(config.model_config(vocab.size), seed=config.seed)
@@ -395,7 +271,6 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
     params = model.parameters()
     param_list = list(params.values())
     loss_history: list[float] = []
-    epochs_since_best = 0
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.perf_counter()
@@ -423,19 +298,16 @@ def train(config: RunConfig, log=None, resume: bool = False) -> TrainResult:
         )
 
         if em > best_em:
-            best_em = em
-            epochs_since_best = 0
+            best_em, best_epoch = em, epoch
             save_model(best_path, rw, meta={"epoch": epoch, "best_dev_em": best_em})
-        else:
-            epochs_since_best += 1
-        save_model(last_path, rw, adam=adam, meta={"epoch": epoch, "best_dev_em": best_em})
+        save_model(last_path, rw, adam=adam, meta={"epoch": epoch, "best_dev_em": best_em, "best_epoch": best_epoch})
 
         targets = ((em, config.target_dev_em), (cell_acc, config.target_dev_cell_acc))
         reached = [value >= target for value, target in targets if target is not None]
         if reached and all(reached):
             log(f"targets reached at epoch {epoch}; stopping")
             break
-        if epochs_since_best > config.patience:
+        if epoch - best_epoch > config.patience:
             log(f"no dev-EM improvement for {config.patience} epochs; stopping")
             break
 

@@ -31,7 +31,8 @@ from editseg.generation import rewrite_from_matrix, two_pass_label
 from editseg.metrics import bleu_n, evaluate_corpus, exact_match, rewriting_prf, rouge_l, rouge_n
 from editseg.model import RewriteModel, Vocabulary
 from editseg.supervision import Coverage, build_gold_matrix
-from editseg.training import RunConfig, bench_latency, load_model, train
+from editseg.checkpoint import load_model
+from editseg.training import RunConfig, bench_latency, train
 
 ctok = functools.partial(tokenize, mode=Tokenization.PER_CHARACTER)
 

@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 
 from editseg import checkpoint
-from editseg.checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
+from editseg.checkpoint import FORMAT_TAG, load_checkpoint, load_model, save_checkpoint, save_model
 from editseg.dialogue import EMPTY_CONNECTION_WORDS
-from editseg.generation import Rectangle
-from editseg.model import ModelConfig, RewriteModel, Vocabulary
-from editseg.supervision import EditType
-from editseg.training import Rewriter, load_model, save_model
+from editseg.model import ModelConfig, Rewriter, RewriteModel, Vocabulary
 
 
 def test_round_trip_preserves_arrays_and_meta(tmp_path):
@@ -134,10 +131,3 @@ def test_unknown_format_tag_rejected(tmp_path):
     path.write_bytes(tampered)
     with pytest.raises(ValueError, match="run-v9"):
         load_checkpoint(path)
-
-
-def test_rectangle_rejects_empty_ranges():
-    with pytest.raises(ValueError):
-        Rectangle(EditType.INSERT, 2, 2, 0, 1)
-    with pytest.raises(ValueError):
-        Rectangle(EditType.SUBSTITUTE, 0, 1, 3, 3)

@@ -14,12 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import editseg
-from editseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from editseg.checkpoint import CheckpointError, load_checkpoint, load_model, save_checkpoint
 from editseg.cli import main
 from editseg.data import load_dataset
 from editseg.dialogue import detokenize, texts
 from editseg.model import RewriteModel
-from editseg.training import bench_latency, load_model
+from editseg.training import bench_latency
 
 
 def run_cli(args):
@@ -331,6 +331,8 @@ MALFORMED = {
     "tokenization_missing": ("sidecar", lambda s: s.pop("tokenization")),
     "connection_words_not_list": ("sidecar", lambda s: s.update(connection_words=5)),
     "connection_k_not_integer": ("sidecar", lambda s: s.update(connection_k="x")),
+    # The sidecar's format tag was written but never read.
+    "format_other": ("sidecar", lambda s: s.update(format="run-v9")),
     # ModelConfig took both, though a run config holding either is refused.
     "class_weights_two": ("sidecar", lambda s: s["model_config"].update(class_weights=[1, 5])),
     "embed_dim_float": ("sidecar", lambda s: s["model_config"].update(embed_dim=12.0)),
@@ -458,6 +460,7 @@ BAD_RESUME = {
     # No epoch's EM beat NaN, so no best checkpoint was saved and the run
     # stopped when its patience ran out, with exit 0.
     "best_dev_em_nan": ("model.run.last", lambda meta: meta.update(best_dev_em=float("nan"))),
+    "best_epoch_negative": ("model.run.last", lambda meta: meta.update(best_epoch=-1)),
     "no_adam_state": ("model.run", lambda meta: None),
 }
 
@@ -498,6 +501,24 @@ def test_resume_under_another_run_config_is_one_json_error_line(workspace, tmp_p
     assert all(key in error for key in ("embed_dim", "hidden_dim", "tokenization"))
     assert "base_channels" not in error and "connection_words" not in error
     assert last.read_bytes() == before and not ckpt.exists()
+
+
+# Checkpoint paths no save can write to, under tmp_path, which holds an empty
+# directory "adir". Training ran a whole epoch before the first save failed.
+UNSAVABLE = {"missing_directory": "nodir/model.run", "directory": "adir"}
+
+
+@pytest.mark.parametrize("case", sorted(UNSAVABLE))
+def test_unsavable_checkpoint_path_is_one_json_error_line(workspace, tmp_path, capsys, case):
+    (tmp_path / "adir").mkdir()
+    ckpt = tmp_path / UNSAVABLE[case]
+    code = run_cli(_train_argv(workspace, ckpt, "--epochs", "1"))
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2 and not captured.out
+    assert len(err) == 1 and str(ckpt) in json.loads(err[0])["error"]
+    assert not any(line.startswith("epoch") for line in err)
+    assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
 
 def test_diverged_training_is_one_json_line_with_diagnostics(workspace, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import functools
 
 import numpy as np
+import pytest
 
 from editseg.dialogue import (
     DialogueExample,
@@ -113,6 +114,13 @@ def test_rect_equals_min_max_scan_on_random_regions():
         cols = sorted(c for _, c in cells)
         assert (rect.row_start, rect.row_end) == (rows[0], rows[-1] + 1)
         assert (rect.col_start, rect.col_end) == (cols[0], cols[-1] + 1)
+
+
+def test_rectangle_rejects_empty_ranges():
+    with pytest.raises(ValueError):
+        Rectangle(EditType.INSERT, 2, 2, 0, 1)
+    with pytest.raises(ValueError):
+        Rectangle(EditType.SUBSTITUTE, 0, 1, 3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from editseg import kernels as K
 from editseg import model as model_module
 from editseg import supervision
 from editseg.autodiff import Tensor
+from editseg.checkpoint import load_run, save_model
 from editseg.data import SyntheticSpec, generate_synthetic
 from editseg.dialogue import (
     EMPTY_CONNECTION_WORDS,
@@ -33,6 +34,7 @@ from editseg.dialogue import (
 from editseg.model import (
     EncodedExample,
     ModelConfig,
+    Rewriter,
     RewriteModel,
     Vocabulary,
     decode_matrix,
@@ -40,7 +42,6 @@ from editseg.model import (
     encoding_layer,
 )
 from editseg.supervision import EditType, build_gold_matrix
-from editseg.training import Rewriter, _load_run, save_model
 
 
 def toy_config(vocab_size=20, **kw):
@@ -721,6 +722,6 @@ def test_float32_end_to_end(tmp_path, monkeypatch):
 
     path = tmp_path / "m.run"
     save_model(path, Rewriter(model, vocab, EMPTY_CONNECTION_WORDS, 0, "whitespace"), adam=adam)
-    loaded, _, loaded_adam = _load_run(path)
+    loaded, _, loaded_adam = load_run(path)
     stored = list(loaded.model.state().values()) + loaded_adam.m + loaded_adam.v
     assert {a.dtype for a in stored} == {np.dtype(np.float32)}

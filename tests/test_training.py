@@ -1,20 +1,16 @@
 """Training loop: smoke, learning signal, determinism, and resume."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from editseg import training
+from editseg.checkpoint import load_checkpoint, load_model, load_run, save_checkpoint, save_model
 from editseg.data import SyntheticSpec, generate_synthetic, save_dataset
 from editseg.dialogue import EMPTY_CONNECTION_WORDS, DialogueExample, texts, word_tokens
-from editseg.training import (
-    Rewriter,
-    RunConfig,
-    bench_latency,
-    load_model,
-    save_model,
-    train,
-)
-from editseg.model import PREDICT_BATCH, ModelConfig, RewriteModel, Vocabulary, encode_example
+from editseg.training import RunConfig, bench_latency, train
+from editseg.model import PREDICT_BATCH, ModelConfig, Rewriter, RewriteModel, Vocabulary, encode_example
 
 
 def small_config(tmp_path, name="model.run", **kw):
@@ -79,6 +75,31 @@ def test_resume_reproduces_uninterrupted_trajectory(corpus):
     assert (corpus / "full.run.last").read_bytes() == (corpus / "part.run.last").read_bytes()
 
 
+def test_resume_stops_where_the_uninterrupted_run_stops(corpus):
+    # The resumed run forgot how long it had gone without improving, and
+    # trained one epoch more than the uninterrupted one.
+    def config(name, epochs):
+        return small_config(corpus, name=name, epochs=epochs, patience=1, seed=1,
+                            embed_dim=4, hidden_dim=3, base_channels=2)
+
+    straight = train(config("full.run", 8))
+    train(config("part.run", 2))
+    # The same .last file as saved before best_epoch was recorded.
+    arrays, meta = load_checkpoint(corpus / "part.run.last")
+    assert meta.pop("best_epoch") == 0
+    save_checkpoint(corpus / "old.run.last", arrays, meta)
+    shutil.copy(corpus / "part.run.last.json", corpus / "old.run.last.json")
+
+    resumed = train(config("part.run", 8), resume=True)
+    assert len(straight.history) < 8  # patience stopped it
+    assert [s.epoch for s in resumed.history] == [s.epoch for s in straight.history[2:]]
+    for suffix in ("", ".last"):
+        assert (corpus / f"full.run{suffix}").read_bytes() == (corpus / f"part.run{suffix}").read_bytes()
+    # The old file resumes as it always did: no epoch improves on epoch 0,
+    # but it counts the epochs without improvement from its own, epoch 1.
+    assert [s.dev_em for s in straight.history] == [0.0, 0.0, 0.0]
+    assert [s.epoch for s in train(config("old.run", 8), resume=True).history] == [2, 3]
+
 def test_checkpoint_round_trip_preserves_predictions(corpus):
     cfg = small_config(corpus, epochs=1)
     train(cfg)
@@ -103,7 +124,7 @@ def test_load_model_draws_no_random_numbers(corpus, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     rw = load_model(str(corpus / "model.run"))
-    _, meta, adam = training._load_run(str(corpus / "model.run.last"))
+    _, meta, adam = load_run(str(corpus / "model.run.last"))
     assert adam.step == meta["adam_step"] > 0
     assert [m.shape for m in adam.m] == [p.data.shape for p in rw.model.parameters().values()]
 
