@@ -1,18 +1,17 @@
 """How labels come from nothing but rewrite pairs (distant supervision).
 
 Datasets give (context, incomplete, rewrite) triples but no edit matrices.
-The derivation: LCS-align incomplete vs rewrite, mark the unmatched runs,
-pair up runs sitting between the same alignment anchors, and locate the
-added spans inside the context.
+The derivation: LCS-align incomplete vs rewrite, read each gap between two
+alignment anchors as a Substitute (it adds and drops words) or an Insert
+(it only adds words), and locate the added spans inside the context.
 """
 
 from editseg import (
     DialogueExample,
+    edit_spans,
     lcs_align,
     locate_in_context,
     join_context,
-    mark_spans,
-    pair_spans,
     texts,
     tokenize,
 )
@@ -28,17 +27,14 @@ print("\nLCS alignment (x index -> x* index):")
 for i, j in matches:
     print(f"  {x[i].text!r}: {i} -> {j}")
 
-dels, adds = mark_spans(x, x_star, matches)
-print("\nDel runs in x:  ", [(s.start, s.end, texts(x[s.start : s.end])) for s in dels])
-print("Add runs in x*: ", [(s.start, s.end, texts(x_star[s.start : s.end])) for s in adds])
-
-ops = pair_spans(dels, adds, x_star, matches, len(x))
-print("\npaired span operations:")
-for op in ops:
-    if op.kind is EditType.SUBSTITUTE:
-        print(f"  Substitute x[{op.col_start}:{op.col_end}] <- {texts(op.tokens)}")
+edits, deletes_only = edit_spans(x, x_star)
+print("\nedits read off the gaps between anchors:")
+for kind, tokens, col_start, col_end in edits:
+    if kind is EditType.SUBSTITUTE:
+        print(f"  Substitute x[{col_start}:{col_end}] {texts(x[col_start:col_end])} <- {texts(tokens)}")
     else:
-        print(f"  Insert {texts(op.tokens)} before column {op.col_start}")
+        print(f"  Insert {texts(tokens)} before column {col_start}")
+print("a gap only deletes words:", deletes_only)
 
 example = DialogueExample.create(
     context=[tokenize("the red army built that bridge in 1889")],
@@ -47,8 +43,8 @@ example = DialogueExample.create(
 )
 c = join_context(example)
 print("\ncontext rows:", " ".join(texts(c.tokens)))
-for op in ops:
-    loc = locate_in_context(op.tokens, c)
-    print(f"  span {texts(op.tokens)} found at rows {loc}")
+for _, tokens, _, _ in edits:
+    loc = locate_in_context(tokens, c)
+    print(f"  span {texts(tokens)} found at rows {loc}")
 print("\n('the red army' and 'in 1889' exist contiguously in the context, so")
 print(" both edits are representable and the example has Full coverage.)")

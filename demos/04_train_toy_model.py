@@ -18,33 +18,34 @@ from editseg import (
     train,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="editseg-demo-"))
-examples = generate_synthetic(SyntheticSpec(num_examples=600, seed=7))
-save_dataset(examples[:500], workdir / "train.jsonl")
-save_dataset(examples[500:], workdir / "dev.jsonl")
-print(f"wrote 500 train / 100 dev examples under {workdir}")
+with tempfile.TemporaryDirectory(prefix="editseg-demo-") as tmp:
+    workdir = Path(tmp)
+    examples = generate_synthetic(SyntheticSpec(num_examples=600, seed=7))
+    save_dataset(examples[:500], workdir / "train.jsonl")
+    save_dataset(examples[500:], workdir / "dev.jsonl")
+    print(f"wrote 500 train / 100 dev examples under {workdir}")
 
-config = RunConfig(
-    train_path=str(workdir / "train.jsonl"),
-    dev_path=str(workdir / "dev.jsonl"),
-    checkpoint_path=str(workdir / "model.run"),
-    embed_dim=32,
-    hidden_dim=32,
-    base_channels=8,
-    epochs=50,
-    batch_size=16,
-    seed=7,
-    target_dev_em=0.85,
-    target_dev_cell_acc=0.95,
-)
-result = train(config, log=print)
-print(f"\nbest dev EM {result.best_dev_em:.2f}; checkpoint at {result.best_checkpoint}")
+    config = RunConfig(
+        train_path=str(workdir / "train.jsonl"),
+        dev_path=str(workdir / "dev.jsonl"),
+        checkpoint_path=str(workdir / "model.run"),
+        embed_dim=32,
+        hidden_dim=32,
+        base_channels=8,
+        epochs=50,
+        batch_size=16,
+        seed=7,
+        target_dev_em=0.85,
+        target_dev_cell_acc=0.95,
+    )
+    result = train(config, log=print)
+    print(f"\nbest dev EM {result.best_dev_em:.2f}; checkpoint at {result.best_checkpoint}")
 
-rw = load_model(result.best_checkpoint)
-print("\nsample rewrites from the dev set:")
-samples = examples[500:506]
-for ex, (out, _) in zip(samples, rw.rewrite(samples)):
-    flag = "ok " if texts(out) == texts(ex.gold_rewrite) else "MISS"
-    print(f"  [{flag}] {' '.join(texts(ex.incomplete))}")
-    print(f"         -> {' '.join(texts(out))}")
-    print(f"        gold {' '.join(texts(ex.gold_rewrite))}")
+    rw = load_model(result.best_checkpoint)
+    print("\nsample rewrites from the dev set:")
+    samples = examples[500:506]
+    for ex, (out, _) in zip(samples, rw.rewrite(samples)):
+        flag = "ok " if texts(out) == texts(ex.gold_rewrite) else "MISS"
+        print(f"  [{flag}] {' '.join(texts(ex.incomplete))}")
+        print(f"         -> {' '.join(texts(out))}")
+        print(f"        gold {' '.join(texts(ex.gold_rewrite))}")

@@ -21,26 +21,28 @@ from editseg import (
     train,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="editseg-bench-"))
-corpus = generate_synthetic(benchmark_spec(num_examples=120, seed=3))
-save_dataset(corpus[:100], workdir / "train.jsonl")
-save_dataset(corpus[100:], workdir / "dev.jsonl")
+with tempfile.TemporaryDirectory(prefix="editseg-bench-") as tmp:
+    workdir = Path(tmp)
+    corpus = generate_synthetic(benchmark_spec(num_examples=120, seed=3))
+    save_dataset(corpus[:100], workdir / "train.jsonl")
+    save_dataset(corpus[100:], workdir / "dev.jsonl")
 
-config = RunConfig(
-    train_path=str(workdir / "train.jsonl"),
-    dev_path=str(workdir / "dev.jsonl"),
-    checkpoint_path=str(workdir / "model.run"),
-    embed_dim=16,
-    hidden_dim=16,
-    base_channels=4,
-    epochs=3,
-    batch_size=16,
-    seed=1,
-)
-print("training a small model (3 quick epochs; quality is not the point here)...")
-train(config, log=print)
+    config = RunConfig(
+        train_path=str(workdir / "train.jsonl"),
+        dev_path=str(workdir / "dev.jsonl"),
+        checkpoint_path=str(workdir / "model.run"),
+        embed_dim=16,
+        hidden_dim=16,
+        base_channels=4,
+        epochs=3,
+        batch_size=16,
+        seed=1,
+    )
+    print("training a small model (3 quick epochs; quality is not the point here)...")
+    train(config, log=print)
 
-rw = load_model(config.checkpoint_path)
+    rw = load_model(config.checkpoint_path)
+
 bench_examples = generate_synthetic(benchmark_spec(num_examples=300, seed=21))
 lengths = sorted({len(ex.gold_rewrite) for ex in bench_examples})
 print(f"\nbenchmark corpus: fixed 8-word utterances, rewrite lengths {lengths}")

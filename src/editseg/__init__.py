@@ -68,10 +68,9 @@ from .supervision import (
     Coverage,
     EditType,
     build_gold_matrix,
+    edit_spans,
     lcs_align,
     locate_in_context,
-    mark_spans,
-    pair_spans,
 )
 from .training import (
     RunConfig,

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .checkpoint import CheckpointError, load_model
+from .checkpoint import CheckpointError, load_model, replacing
 from .data import (
     DatasetError,
     SyntheticSpec,
@@ -194,7 +194,8 @@ def cmd_train(args):
     result = train(config, log=lambda msg: print(msg, file=sys.stderr), resume=args.resume)
     if config.connection_k > 0:
         # Persist the run's list next to the checkpoint, one word per line.
-        result.conn.save(str(config.checkpoint_path) + ".connwords.txt")
+        with replacing(str(config.checkpoint_path) + ".connwords.txt") as fh:
+            fh.write("".join(w + "\n" for w in result.conn.words).encode("utf-8"))
     _emit(
         {
             "best_checkpoint": result.best_checkpoint,

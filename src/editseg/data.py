@@ -220,9 +220,9 @@ def _generate_one(rng, spec, pools) -> DialogueExample:
     roles = ["sub"] * n_sub + ["ins"] * n_ins
     rng.shuffle(roles)
 
-    sub_markers = list(rng.choice(pools["sub_markers"], size=len(pools["sub_markers"]), replace=False))
-    ins_markers = list(rng.choice(pools["ins_markers"], size=len(pools["ins_markers"]), replace=False))
-    entities = list(rng.choice(pools["entities"], size=len(pools["entities"]), replace=False))
+    sub_markers = rng.choice(pools["sub_markers"], size=len(pools["sub_markers"]), replace=False).tolist()
+    ins_markers = rng.choice(pools["ins_markers"], size=len(pools["ins_markers"]), replace=False).tolist()
+    entities = rng.choice(pools["entities"], size=len(pools["entities"]), replace=False).tolist()
 
     def take_span(max_len: int) -> list[str]:
         span_len = int(rng.integers(1, max_len + 1))
@@ -244,7 +244,7 @@ def _generate_one(rng, spec, pools) -> DialogueExample:
     # the base word list up front so one phrase can never split another.
     n_turns = int(rng.integers(spec.context_turns[0], spec.context_turns[1] + 1))
     base_words = [
-        list(rng.choice(pools["normals"], size=int(rng.integers(lo, hi + 1))))
+        rng.choice(pools["normals"], size=int(rng.integers(lo, hi + 1))).tolist()
         for _ in range(n_turns)
     ]
     if spec.phrases_replace_filler:
@@ -270,7 +270,7 @@ def _generate_one(rng, spec, pools) -> DialogueExample:
         context.append([Token(w) for w in turn_tokens])
 
     # Incomplete utterance: distinct normal words, markers at the edit sites.
-    x_words = list(rng.choice(pools["normals"], size=n, replace=False))
+    x_words = rng.choice(pools["normals"], size=n, replace=False).tolist()
     for pos, role, phrase in edits:
         x_words[pos] = phrase.marker
 

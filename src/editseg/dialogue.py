@@ -100,8 +100,8 @@ class DialogueExample:
         for utt in list(self.context_utterances) + [self.incomplete] + (
             [self.gold_rewrite] if self.gold_rewrite else []
         ):
-            if any(t.is_special() for t in utt):
-                raise ValueError("raw utterances must not contain special tokens")
+            if any(t.text in (SEP_TEXT, END_TEXT) for t in utt):
+                raise ValueError(f"raw utterances must not contain {SEP_TEXT} or {END_TEXT}")
 
     @staticmethod
     def create(context, incomplete, gold_rewrite=None) -> "DialogueExample":
@@ -122,11 +122,6 @@ class ConnectionWordList:
         object.__setattr__(self, "words", tuple(self.words))
         if len(set(self.words)) != len(self.words):
             raise ValueError("connection words must be unique")
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for w in self.words:
-                fh.write(w + "\n")
 
     @staticmethod
     def load(path) -> "ConnectionWordList":

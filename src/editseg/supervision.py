@@ -2,19 +2,18 @@
 
 Datasets only contain the rewritten utterance, not edit labels. The recipe:
 align ``x`` (incomplete) with ``x*`` (rewrite) by longest common subsequence,
-mark unmatched runs as Del (in x) and Add (in x*), pair an Add with the Del
-sitting between the same two alignment anchors as a Substitute, treat the
-remaining Adds as Inserts before their following anchor, then locate each
-added span inside the joined context to obtain matrix rows. The result is
+then read each gap between two alignment anchors: words added to x* there
+substitute the x words dropped in the same gap, or, if it drops none, are
+inserted before the following anchor (``edit_spans``). Each added span is
+then located inside the joined context to obtain matrix rows. The result is
 noisy but cheap, and for edits whose spans exist contiguously in the context
 it reproduces the rewrite exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +63,7 @@ def lcs_table(a: list, b: list) -> list[list[int]]:
 
 def lcs_align(a: list, b: list) -> list[tuple[int, int]]:
     """Maximum-length increasing matching of equal items (``==``) between a
-    and b; ``build_gold_matrix`` passes token texts.
+    and b; ``edit_spans`` passes token texts.
 
     Deterministic: among all maximum matchings, returns the one whose pair
     sequence is lexicographically smallest (earliest a-index, then earliest
@@ -93,83 +92,33 @@ def lcs_align(a: list, b: list) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Span:
-    """A maximal unmatched run, bracketed by its alignment anchors.
+def edit_spans(
+    x: Sequence[Token], x_star: Sequence[Token]
+) -> tuple[list[tuple[EditType, tuple[Token, ...], int, int]], bool]:
+    """Read the edits that turn ``x`` into ``x*`` off their LCS alignment.
 
-    ``gap`` is the ordinal of the preceding matched pair (-1 at the front);
-    since runs are maximal, the following anchor is always ``gap + 1``. Two
-    spans in x and x* are "under the same context" exactly when their gaps
-    are equal.
+    Each gap between two alignment anchors (the end of both utterances closes
+    the last gap) that adds words of x* gives one ``(kind, tokens, col_start,
+    col_end)``: a Substitute of x columns ``[col_start, col_end)`` if the gap
+    also drops words of x, else an Insert before the next anchor's column
+    (``col_end = col_start + 1``; the [E] column is a legal target). A gap
+    that only drops words cannot be expressed by the three-type edit
+    vocabulary and sets ``deletes_only``, the second value returned.
     """
-
-    start: int
-    end: int
-    gap: int
-
-
-def mark_spans(
-    x: list[Token], x_star: list[Token], matches: list[tuple[int, int]]
-) -> tuple[list[Span], list[Span]]:
-    """Return (del_spans in x, add_spans in x*) from an LCS alignment."""
-
-    def runs(length: int, matched_positions: list[int]) -> list[Span]:
-        spans = []
-        prev_gap = -1
-        cursor = 0
-        for ordinal, pos in enumerate(matched_positions):
-            if cursor < pos:
-                spans.append(Span(cursor, pos, prev_gap))
-            cursor = pos + 1
-            prev_gap = ordinal
-        if cursor < length:
-            spans.append(Span(cursor, length, prev_gap))
-        return spans
-
-    del_spans = runs(len(x), [i for i, _ in matches])
-    add_spans = runs(len(x_star), [j for _, j in matches])
-    return del_spans, add_spans
-
-
-@dataclass(frozen=True)
-class SpanOp:
-    """A resolved edit, before its context rows are known.
-
-    Substitute: replace x columns [col_start, col_end) with ``tokens``.
-    Insert: place ``tokens`` before column ``col_start`` (col_end unused;
-    the [E] column is a legal target).
-    """
-
-    kind: EditType
-    tokens: tuple[Token, ...]
-    col_start: int
-    col_end: int
-
-
-def pair_spans(
-    del_spans: list[Span],
-    add_spans: list[Span],
-    x_star: list[Token],
-    matches: list[tuple[int, int]],
-    x_len: int,
-) -> list[SpanOp]:
-    """Pair Add spans with Del counterparts (Substitute) or columns (Insert).
-
-    Del spans without an Add in the same gap are pure deletions: the
-    three-type edit vocabulary cannot express them, so they are dropped.
-    """
-    del_by_gap = {s.gap: s for s in del_spans}
-    ops = []
-    for add in add_spans:
-        tokens = tuple(x_star[add.start : add.end])
-        counterpart = del_by_gap.get(add.gap)
-        if counterpart is not None:
-            ops.append(SpanOp(EditType.SUBSTITUTE, tokens, counterpart.start, counterpart.end))
-        else:
-            next_ordinal = add.gap + 1
-            col = matches[next_ordinal][0] if next_ordinal < len(matches) else x_len
-            ops.append(SpanOp(EditType.INSERT, tokens, col, col + 1))
-    return ops
+    edits = []
+    deletes_only = False
+    i0 = j0 = 0
+    for i, j in lcs_align(texts(x), texts(x_star)) + [(len(x), len(x_star))]:
+        if j0 < j:
+            tokens = tuple(x_star[j0:j])
+            if i0 < i:
+                edits.append((EditType.SUBSTITUTE, tokens, i0, i))
+            else:
+                edits.append((EditType.INSERT, tokens, i, i + 1))
+        elif i0 < i:
+            deletes_only = True
+        i0, j0 = i + 1, j + 1
+    return edits, deletes_only
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +145,25 @@ def locate_in_context(span_tokens, c: JoinedContext) -> Optional[tuple[int, int]
     return None
 
 
-def _locate_greedy(span_tokens, c: JoinedContext) -> tuple[list[tuple[int, int, int, int]], int]:
+def _locate_greedy(span_tokens, c: JoinedContext) -> tuple[list[tuple[int, int]], int]:
     """Split a span into maximal contiguous locatable sub-runs, left to right.
 
-    Returns ([(row_start, row_end, tok_start, tok_end)], dropped_token_count).
+    Returns ([(row_start, row_end)], dropped_token_count).
     """
     placed = []
     dropped = 0
     i = 0
     n = len(span_tokens)
     while i < n:
-        best = None
         for j in range(n, i, -1):
             loc = locate_in_context(span_tokens[i:j], c)
             if loc is not None:
-                best = (loc[0], loc[1], i, j)
+                placed.append(loc)
+                i = j
                 break
-        if best is None:
+        else:
             dropped += 1
             i += 1
-        else:
-            placed.append(best)
-            i = best[3]
     return placed, dropped
 
 
@@ -240,28 +186,17 @@ def build_gold_matrix(
         raise ValueError("gold matrix derivation needs a gold rewrite")
     if c is None:
         c = join_context(example, conn, k)
-    x = list(example.incomplete)
     # Columns are x plus the [E] sentinel (``prepare_incomplete``), which a
     # DialogueExample's words never are.
-    matrix = new_edit_matrix(len(c), len(x) + 1)
-
-    matches = lcs_align(texts(x), texts(example.gold_rewrite))
-    del_spans, add_spans = mark_spans(x, list(example.gold_rewrite), matches)
-    ops = pair_spans(del_spans, add_spans, list(example.gold_rewrite), matches, len(x))
-
-    coverage = Coverage.FULL
-    # Pure deletions never become ops (no Delete edit type exists), so the
-    # matrix cannot reproduce the rewrite: that is partial coverage too.
-    consumed_gaps = {s.gap for s in add_spans}
-    if any(s.gap not in consumed_gaps for s in del_spans):
-        coverage = Coverage.PARTIAL
-    for op in ops:
-        placed, dropped = _locate_greedy(op.tokens, c)
+    matrix = new_edit_matrix(len(c), len(example.incomplete) + 1)
+    edits, deletes_only = edit_spans(example.incomplete, example.gold_rewrite)
+    # No Delete edit type exists, so a pure deletion leaves the matrix unable
+    # to reproduce the rewrite: that is partial coverage too.
+    coverage = Coverage.PARTIAL if deletes_only else Coverage.FULL
+    for kind, tokens, col_start, col_end in edits:
+        placed, dropped = _locate_greedy(tokens, c)
         if dropped or len(placed) != 1:
             coverage = Coverage.PARTIAL
-        for row_start, row_end, _, _ in placed:
-            if op.kind is EditType.SUBSTITUTE:
-                matrix[row_start:row_end, op.col_start : op.col_end] = EditType.SUBSTITUTE
-            else:
-                matrix[row_start:row_end, op.col_start] = EditType.INSERT
+        for row_start, row_end in placed:
+            matrix[row_start:row_end, col_start:col_end] = kind
     return matrix, coverage

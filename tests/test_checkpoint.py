@@ -1,11 +1,11 @@
 """Checkpoint binary format: round trip, determinism, and version gating."""
 
-import errno
 import json
 import struct
 
 import numpy as np
 import pytest
+from _cutoff import CutOff
 
 from editseg import checkpoint
 from editseg.checkpoint import FORMAT_TAG, load_checkpoint, load_model, save_checkpoint, save_model
@@ -77,23 +77,6 @@ def test_model_checkpoint_holds_c_order_bytes_and_reloads_byte_identically(tmp_p
     assert raw[4 + n :] == payload
 
 
-class _CutOff:
-    """A file that takes half of the first write and then fails, as on a full disk."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 @pytest.mark.parametrize("cut", [0, 1], ids=["checkpoint", "sidecar"])
 def test_a_save_cut_off_partway_leaves_the_previous_file(tmp_path, monkeypatch, cut):
     # Writing in place truncated the file first: a run killed mid-save lost
@@ -110,7 +93,7 @@ def test_a_save_cut_off_partway_leaves_the_previous_file(tmp_path, monkeypatch, 
     def cut_open(file, *args, **kwargs):
         opened.append(file)
         fh = open(file, *args, **kwargs)
-        return _CutOff(fh) if len(opened) == cut + 1 else fh
+        return CutOff(fh) if len(opened) == cut + 1 else fh
 
     monkeypatch.setattr(checkpoint, "open", cut_open, raising=False)
     with pytest.raises(OSError, match="No space"):

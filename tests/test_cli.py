@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _cutoff import CutOff
 from _float64 import to_float64
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import editseg
+from editseg import checkpoint
 from editseg.checkpoint import CheckpointError, load_checkpoint, load_model, save_checkpoint
 from editseg.cli import main
 from editseg.data import load_dataset
@@ -541,29 +543,72 @@ def test_diverged_training_is_one_json_line_with_diagnostics(workspace, tmp_path
     assert len(obj["recent_losses"]) == 2 and all(np.isfinite(obj["recent_losses"]))
 
 
-def test_train_writes_the_connection_words_it_used(tmp_path):
+def _train_with_connection_words(tmp_path) -> int:
+    """One epoch on a corpus whose rewrites add "and of", words of no
+    dialogue, with a connection-word list of 2; returns the exit code."""
     for name, seed in (("train", "1"), ("dev", "2")):
         assert run_cli(["synth", "--out", str(tmp_path / f"{name}.jsonl"),
                         "--num-examples", "12", "--seed", seed]) == 0
-    # Drop a context word from every rewrite's dialogue so the derived
-    # connection-word list is not empty.
     rows = read_jsonl(tmp_path / "train.jsonl")
     for row in rows:
         row["rewrite"] += " and of"
     (tmp_path / "train.jsonl").write_text(
         "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8"
     )
-    ckpt = tmp_path / "model.run"
-    code = run_cli(
+    return run_cli(
         ["train", "--train-path", str(tmp_path / "train.jsonl"),
-         "--dev-path", str(tmp_path / "dev.jsonl"), "--checkpoint-path", str(ckpt),
+         "--dev-path", str(tmp_path / "dev.jsonl"), "--checkpoint-path", str(tmp_path / "model.run"),
          "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "3", "--base-channels", "2",
          "--connection-k", "2"]
     )
-    assert code == 0
+
+
+def test_train_writes_the_connection_words_it_used(tmp_path):
+    assert _train_with_connection_words(tmp_path) == 0
+    ckpt = tmp_path / "model.run"
     sidecar = json.loads(Path(str(ckpt) + ".json").read_text(encoding="utf-8"))
     written = Path(str(ckpt) + ".connwords.txt").read_text(encoding="utf-8").splitlines()
     assert written == sidecar["connection_words"] == ["and", "of"]
+
+
+def test_connection_words_cut_off_partway_leave_the_previous_file(tmp_path, monkeypatch, capsys):
+    # The list was written in place: a run killed mid-write left it truncated.
+    conn_path = tmp_path / "model.run.connwords.txt"
+    conn_path.write_bytes(b"the\n")
+
+    def cut_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return CutOff(fh) if str(file) == f"{conn_path}.tmp" else fh
+
+    monkeypatch.setattr(checkpoint, "open", cut_open, raising=False)
+    code = _train_with_connection_words(tmp_path)
+    monkeypatch.undo()
+    assert code == 2
+    assert "No space" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert conn_path.read_bytes() == b"the\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["rewrite", "train"])
+def test_separator_text_in_a_dataset_is_one_json_error_line(workspace, tmp_path, capsys, command):
+    # ``tokenize`` makes every token a word, so a literal "[S]" passed the
+    # check of token kinds and took the separator's vocabulary id.
+    data = tmp_path / "data.jsonl"
+    data.write_text(GOOD_LINE + '{"context": ["a [S] b"], "current": "b c", "rewrite": "a b c"}\n', encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    if command == "rewrite":
+        argv = ["rewrite", "--checkpoint", str(workspace / "model.run"), "--data", str(data), "--out", str(out)]
+    else:
+        argv = _train_argv(workspace, tmp_path / "model.run", "--epochs", "1")
+        argv[argv.index("--train-path") + 1] = str(data)
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and not captured.out
+    obj = json.loads(err[0])
+    assert obj["line"] == 2 and "[S]" in obj["error"]
+    assert not out.exists() and not (tmp_path / "model.run").exists()
 
 
 # argparse's own errors, which printed usage text instead of JSON.

@@ -136,7 +136,7 @@ def test_frequency_ranking_with_max_size():
 def test_connection_list_save_load_round_trip(tmp_path):
     conn = ConnectionWordList(("of", "the", "их"))
     path = tmp_path / "conn.txt"
-    conn.save(path)
+    path.write_text("".join(w + "\n" for w in conn.words), encoding="utf-8")
     loaded = ConnectionWordList.load(path)
     assert loaded.words == conn.words
 
@@ -150,6 +150,17 @@ def test_special_token_texts_enforced():
         Token("oops", TokenKind.SEP_S)
     with pytest.raises(ValueError):
         Token("", TokenKind.WORD)
+
+
+@pytest.mark.parametrize("where", ["context", "incomplete", "rewrite"])
+@pytest.mark.parametrize("special", ["[S]", "[E]"])
+def test_raw_utterances_refuse_special_texts(where, special):
+    # ``tokenize`` makes every token a word, so a check of the token kind
+    # let a literal "[S]" through, to take the separator's vocabulary id.
+    parts = {"context": "a b", "incomplete": "c", "rewrite": "c"}
+    parts[where] += " " + special
+    with pytest.raises(ValueError, match="must not contain"):
+        DialogueExample.create([tokenize(parts["context"])], tokenize(parts["incomplete"]), tokenize(parts["rewrite"]))
 
 
 def test_example_requires_nonempty_incomplete():

@@ -9,6 +9,7 @@ from editseg.dialogue import (
     Tokenization,
     join_context,
     prepare_incomplete,
+    texts,
     tokenize,
     word_tokens,
 )
@@ -17,10 +18,9 @@ from editseg.supervision import (
     Coverage,
     EditType,
     build_gold_matrix,
+    edit_spans,
     lcs_align,
     locate_in_context,
-    mark_spans,
-    pair_spans,
 )
 
 ctok = functools.partial(tokenize, mode=Tokenization.PER_CHARACTER)
@@ -90,61 +90,75 @@ def test_lcs_length_matches_recursive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# mark_spans / pair_spans
+# edit_spans
 
 
-def test_mark_spans_weather():
+def test_edit_spans_weather_gaps():
     x = ctok("为什么总是这样")
     x_star = ctok("北京为什么总是阴天")
-    matches = lcs_align(x, x_star)
-    dels, adds = mark_spans(x, x_star, matches)
-    assert [(s.start, s.end) for s in dels] == [(5, 7)]  # 这样
-    assert [(s.start, s.end) for s in adds] == [(0, 2), (7, 9)]  # 北京, 阴天
+    edits, deletes_only = edit_spans(x, x_star)
+    # 北京 fills the gap before the first anchor; 阴天 replaces 这样.
+    assert [(e[2], e[3], texts(e[1])) for e in edits] == [(0, 1, ["北", "京"]), (5, 7, ["阴", "天"])]
+    assert not deletes_only
 
 
-def test_mark_spans_identity_and_pure_insertion():
+def test_edit_spans_identity_and_pure_insertion():
     a = word_tokens(["a"])
-    dels, adds = mark_spans(a, a, lcs_align(a, a))
-    assert dels == [] and adds == []
+    assert edit_spans(a, a) == ([], False)
     b = word_tokens(["a", "b"])
-    dels, adds = mark_spans(a, b, lcs_align(a, b))
-    assert dels == []
-    assert [(s.start, s.end) for s in adds] == [(1, 2)]
+    edits, deletes_only = edit_spans(a, b)
+    assert [(e[0], texts(e[1]), e[2], e[3]) for e in edits] == [(EditType.INSERT, ["b"], 1, 2)]
+    assert not deletes_only
 
 
-def test_pair_spans_weather():
+def test_edit_spans_weather():
     x = ctok("为什么总是这样")
     x_star = ctok("北京为什么总是阴天")
-    matches = lcs_align(x, x_star)
-    dels, adds = mark_spans(x, x_star, matches)
-    ops = pair_spans(dels, adds, x_star, matches, len(x))
-    by_kind = {op.kind: op for op in ops}
-    sub = by_kind[EditType.SUBSTITUTE]
-    assert [t.text for t in sub.tokens] == ["阴", "天"]
-    assert (sub.col_start, sub.col_end) == (5, 7)
-    ins = by_kind[EditType.INSERT]
-    assert [t.text for t in ins.tokens] == ["北", "京"]
-    assert ins.col_start == 0
+    by_kind = {kind: (tokens, start, end) for kind, tokens, start, end in edit_spans(x, x_star)[0]}
+    tokens, start, end = by_kind[EditType.SUBSTITUTE]
+    assert texts(tokens) == ["阴", "天"]
+    assert (start, end) == (5, 7)
+    tokens, start, end = by_kind[EditType.INSERT]
+    assert texts(tokens) == ["北", "京"]
+    assert start == 0
 
 
-def test_pair_spans_insert_at_end_column():
+def test_edit_spans_insert_at_end_column():
     x = word_tokens(["a"])
     x_star = word_tokens(["a", "b"])
-    matches = lcs_align(x, x_star)
-    dels, adds = mark_spans(x, x_star, matches)
-    ops = pair_spans(dels, adds, x_star, matches, len(x))
-    assert len(ops) == 1
-    assert ops[0].kind is EditType.INSERT
-    assert ops[0].col_start == 1  # the [E] column
+    edits, _ = edit_spans(x, x_star)
+    assert len(edits) == 1
+    kind, _, start, end = edits[0]
+    assert kind is EditType.INSERT
+    assert (start, end) == (1, 2)  # the [E] column
 
 
-def test_pure_deletions_yield_no_ops():
+def test_pure_deletions_yield_no_edits():
     x = word_tokens(["a", "z", "b", "q", "c"])
     x_star = word_tokens(["a", "b", "c"])
-    matches = lcs_align(x, x_star)
-    dels, adds = mark_spans(x, x_star, matches)
-    assert len(dels) == 2 and len(adds) == 0
-    assert pair_spans(dels, adds, x_star, matches, len(x)) == []
+    assert edit_spans(x, x_star) == ([], True)
+
+
+def _apply_edit_spans(x, edits):
+    """Replace each Substitute's columns, and put each Insert before its column."""
+    out, col = [], 0
+    for kind, tokens, start, end in edits:
+        out += x[col:start] + list(tokens)
+        col = end if kind is EditType.SUBSTITUTE else start
+    return out + x[col:]
+
+
+def test_edit_spans_rebuild_the_rewrite_unless_a_gap_only_deletes():
+    rng = np.random.default_rng(23)
+    rebuilt = 0
+    for _ in range(2000):
+        x = word_tokens([str(v) for v in rng.integers(0, 4, size=rng.integers(0, 10))])
+        x_star = word_tokens([str(v) for v in rng.integers(0, 4, size=rng.integers(0, 10))])
+        edits, deletes_only = edit_spans(x, x_star)
+        if not deletes_only:
+            assert _apply_edit_spans(x, edits) == x_star
+            rebuilt += 1
+    assert rebuilt > 500
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +294,6 @@ def test_connection_tail_is_searchable_and_copyable():
     c = join_context(e, conn, 1)
     assert matrix[len(c) - 1, 2] == EditType.INSERT  # "of", the last row of c
     out, _ = rewrite_from_matrix(matrix, prepare_incomplete(list(e.incomplete)), c)
-    from editseg.dialogue import texts
-
     assert texts(out) == "the capital of city".split()
 
 
