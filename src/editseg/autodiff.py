@@ -11,7 +11,9 @@ build float64 tensors, which need the precision, and run through the same
 ops.
 
 This module is only the core: ``Tensor``, ``no_grad``, ``_node`` (which
-builds a node) and ``_accumulate`` (which adds a gradient into a parent).
+builds a node), ``_keeps_graph`` (whether it keeps a closure, for an op
+that can skip work no backward will read) and ``_accumulate`` (which adds a
+gradient into a parent).
 Every op is a single node with a hand-written backward in ``kernels`` or
 ``model``.
 
@@ -121,15 +123,20 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = t.grad + g
 
 
+def _keeps_graph(parents) -> bool:
+    """Whether ``_node`` keeps a closure for a node with these parents."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, backward):
     """Create a graph node.
 
     ``backward(grad)`` receives the node's gradient and accumulates into the
-    parents; it is only kept when gradients are needed. It never refers to
-    the node, so a graph holds no reference cycle.
+    parents; it is only kept when gradients are needed (``_keeps_graph``).
+    It never refers to the node, so a graph holds no reference cycle.
     """
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _keeps_graph(parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward

@@ -165,10 +165,11 @@ def join_context(
 
 def prepare_incomplete(x: Iterable[Token]) -> list[Token]:
     """Append the ``[E]`` sentinel so an insertion can target the position
-    after the last word."""
+    after the last word. A token with the text of ``[S]`` or ``[E]`` is
+    refused, whatever its kind, as ``DialogueExample`` refuses it."""
     out = list(x)
-    if any(t.is_special() for t in out):
-        raise ValueError("incomplete utterance must not contain special tokens")
+    if any(t.text in (SEP_TEXT, END_TEXT) for t in out):
+        raise ValueError(f"incomplete utterance must not contain {SEP_TEXT} or {END_TEXT}")
     out.append(end_token())
     return out
 

@@ -26,9 +26,12 @@ zeroes the others.
 The two hot kernels are shaped for BLAS. The LSTM is one time-major scan
 that advances both directions, which share each step's numpy calls; every
 step's embedding row is gathered from the table in scan order and projected
-in one GEMM per direction before the scan. The 3x3 convolution is one GEMM
-per product (output, kernel gradient, input gradient) over the image's
-pixels as rows, with no padding-ring rows.
+in one GEMM per direction before the scan. A step makes one recurrent
+product for both directions, against the (2, H, 4H) buffer a model keeps
+both ``w_hh`` in, and BPTT one against its transpose; a call that builds no
+graph keeps no BPTT history. The 3x3 convolution is one GEMM per product
+(output, kernel gradient, input gradient) over the image's pixels as rows,
+with no padding-ring rows.
 The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
 neighbourhood of the input (rows × 9C) when C <= C', and otherwise
 multiplies the input by all nine taps at once (rows × 9C') and adds the
@@ -67,6 +70,17 @@ def _sigmoid_(z):
     np.reciprocal(z, out=z)
 
 
+def stacked_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.stack([a, b])``, read without a copy when ``a`` and ``b`` are
+    ``[0]`` and ``[1]`` of one (2, ...) buffer, as a model keeps both
+    directions' ``w_hh`` (``RewriteModel._adopt``)."""
+    s = a.base
+    halves = s is not None and s is b.base and s.shape == (2, *a.shape)
+    if halves and [v.__array_interface__ for v in s] == [a.__array_interface__, b.__array_interface__]:
+        return s
+    return np.stack([a, b])
+
+
 def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
     """Bidirectional LSTM over right-padded (B, L) ids -> (B, L, 2H), forward states first.
 
@@ -78,17 +92,26 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
     gathered from the table in scan order, position t forward and
     ``length - 1 - t`` backward, so padding trails the real steps in both.
     Each direction projects every step's input in one (B·L × E) @ (E × 4H)
-    GEMM before the scan. A step runs one (B × H) @ (H × 4H) GEMM per
-    direction into one (2, B, 4H) buffer, then the gate arithmetic once for
-    both: tanh of the g slot into its own array, then the logistic function
-    over the whole gate row. A float32 preactivation below about -88
-    overflows ``exp`` to inf, whose logistic value 1 / (1 + inf) = 0 is the
-    exact limit.
+    GEMM before the scan. A step runs one recurrent product for both
+    directions, (2, B, H) @ (2, H, 4H) into one (2, B, 4H) buffer, which
+    numpy hands to BLAS as the two per-direction GEMMs; the (2, H, 4H)
+    operand is the buffer both ``w_hh`` are views of when a model holds
+    them so (``stacked_pair``). Then the gate arithmetic runs once for both:
+    tanh of the g slot, then the logistic function over the whole gate row.
+    A float32 preactivation below about -88 overflows ``exp`` to inf, whose
+    logistic value 1 / (1 + inf) = 0 is the exact limit.
+
+    When the call builds no graph (under ``no_grad``, or when no input needs
+    a gradient), the scan keeps no history for BPTT (``_scan_ahead``): only
+    the states ``hs`` and the gate projection are per-step arrays, and the
+    rest lives in fixed scratch buffers. Both loops do the same arithmetic,
+    so their outputs are bitwise equal.
 
     Padded steps never feed a real output; their outputs are zeroed after
     the scan and their BPTT gradients are exact zeros, so a padded batch
     gives exactly the per-example results. The scan is one graph node: BPTT
-    runs the shared loop backwards, storing each step's ``dz``, and forms
+    runs the shared loop backwards, storing each step's ``dz``, with one
+    product per step against the stacked ``w_hh`` transposed, and forms
     each direction's ``dx``, ``dW_ih``, ``dW_hh`` and ``db`` as single GEMMs
     after it. Both directions' ``dx`` go into the table's rows with
     ``np.add.at``, which sums every occurrence of a repeated id.
@@ -109,20 +132,25 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
     ahead = np.broadcast_to(np.arange(L)[:, None], (L, B))
     order = np.stack([ahead, np.where(valid, lengths - 1 - ahead, ahead)])
     rows, dirs, weights = np.arange(B), np.arange(2), (fwd, bwd)
+    parents = (table, *fwd, *bwd)
 
     xs = table.data[ids[rows, order]]  # (2, L, B, E), each direction in its scan order
     dt = xs.dtype
     gates = np.empty((L, 2, B, 4 * H), dtype=dt)  # step t's gates, both directions
     for d, (w_ih, _, b) in enumerate(weights):
         np.add((xs[d].reshape(L * B, E) @ w_ih.data).reshape(L, B, 4 * H), b.data, out=gates[:, d])
-    hs, cs = np.zeros((2, L + 1, 2, B, H), dtype=dt)  # hs[t], cs[t]: the states entering step t
+    w_hh = stacked_pair(fwd[1].data, bwd[1].data)  # (2, H, 4H)
+    hs = np.zeros((L + 1, 2, B, H), dtype=dt)  # hs[t]: the states entering step t
+    if not ad._keeps_graph(parents):
+        _scan_ahead(gates, w_hh, hs)
+        return Tensor(_outputs(hs, order, valid))
+    cs = np.zeros((L + 1, 2, B, H), dtype=dt)  # cs[t]: the cells entering step t
     tgs, tcs = np.empty((2, L, 2, B, H), dtype=dt)  # tanh of the g slot and of the cell
     rec, ig = np.empty((2, B, 4 * H), dtype=dt), np.empty((2, B, H), dtype=dt)
     with np.errstate(over="ignore"):
         for t in range(L):
             z = gates[t]  # becomes i, f, σ(g), o in place
-            for d, (_, w_hh, _) in enumerate(weights):
-                np.matmul(hs[t, d], w_hh.data, out=rec[d])
+            np.matmul(hs[t], w_hh, out=rec)
             z += rec
             np.tanh(z[..., 2 * H : 3 * H], out=tgs[t])
             _sigmoid_(z)
@@ -131,9 +159,6 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
             cs[t + 1] += ig
             np.tanh(cs[t + 1], out=tcs[t])
             np.multiply(z[..., 3 * H :], tcs[t], out=hs[t + 1])
-    # out[b, p, d] = hs[1 + order[d, p, b], d, b]
-    out = hs[1:][order.transpose(2, 1, 0), dirs, rows[:, None, None]].reshape(B, L, 2 * H)
-    out[~valid.T] = 0.0
 
     def backward(grad):
         i, f, _, o = np.moveaxis(gates.reshape(L, 2, B, 4, H), 3, 0)
@@ -149,27 +174,66 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
         dout.transpose(0, 2, 1, 3)[~valid] = 0.0
         dz = np.empty((2, L, B, 4, H), dtype=dt)  # each direction's dz contiguous
         dh, dc = np.zeros((2, 2, B, H), dtype=dt)
+        w_hh_t = w_hh.transpose(0, 2, 1)
         for t in range(L - 1, -1, -1):
             dh += dout[t]
             dc += dh * dc_from_h[t]
             np.multiply(fac[t, ..., :3, :], dc[:, :, None], out=dz[:, t, :, :3])
             np.multiply(fac[t, ..., 3, :], dh, out=dz[:, t, :, 3])
-            for d, (_, w_hh, _) in enumerate(weights):
-                np.matmul(dz[d, t].reshape(B, 4 * H), w_hh.data.T, out=dh[d])
+            np.matmul(dz[:, t].reshape(2, B, 4 * H), w_hh_t, out=dh)
             dc *= f[t]
         dx = np.empty((2, L, B, E), dtype=dt)
-        for d, (w_ih, w_hh, b) in enumerate(weights):
+        for d, (w_ih, w_hh_d, b) in enumerate(weights):
             dzd = dz[d].reshape(L * B, 4 * H)
             np.matmul(dzd, w_ih.data.T, out=dx[d].reshape(L * B, E))
             ad._accumulate(w_ih, xs[d].reshape(L * B, E).T @ dzd)
-            ad._accumulate(w_hh, hs[:-1, d].reshape(L * B, H).T @ dzd)
+            ad._accumulate(w_hh_d, hs[:-1, d].reshape(L * B, H).T @ dzd)
             ad._accumulate(b, dzd.sum(axis=0))
         both = dx[dirs[:, None, None], order.transpose(0, 2, 1), rows[:, None]]  # (2, B, L, E)
         dtable = np.zeros_like(table.data)
         np.add.at(dtable, ids, both[0] + both[1])
         ad._accumulate(table, dtable)
 
-    return ad._node(out, (table, *fwd, *bwd), backward)
+    return ad._node(_outputs(hs, order, valid), parents, backward)
+
+
+def _outputs(hs, order, valid):
+    """(L + 1, 2, B, H) scan states -> (B, L, 2H) outputs in input order, padding zeroed."""
+    _, L, B = order.shape
+    # out[b, p, d] = hs[1 + order[d, p, b], d, b]
+    out = hs[1:][order.transpose(2, 1, 0), np.arange(2), np.arange(B)[:, None, None]].reshape(B, L, -1)
+    out[~valid.T] = 0.0
+    return out
+
+
+def _scan_ahead(gates, w_hh, hs):
+    """``lstm``'s scan keeping nothing for BPTT: fills ``hs``, leaves ``gates``.
+
+    The pre-activations z, the recurrent product, tanh(c) and the pair
+    [tanh(g) | c] are fixed buffers whose views are all built before the
+    loop. The cell update f·c + i·tanh(g) is one product of z's [i | f] with
+    the pair and one sum of its halves into the pair's c: 11 numpy calls a
+    step, each value the graph loop's bit for bit.
+    """
+    L, _, B, H4 = gates.shape
+    H = H4 // 4
+    z, rec = np.empty((2, 2, B, H4), dtype=gates.dtype)
+    pair = np.zeros((2, B, 2 * H), dtype=gates.dtype)  # [tanh(g) | c], the cell starting at zero
+    prod, tc = np.empty_like(pair), np.empty((2, B, H), dtype=gates.dtype)
+    z_if, z_g, z_o = z[..., : 2 * H], z[..., 2 * H : 3 * H], z[..., 3 * H :]
+    tg, c = pair[..., :H], pair[..., H:]
+    ig, fc = prod[..., :H], prod[..., H:]
+    h, g = list(hs), list(gates)
+    with np.errstate(over="ignore"):
+        for t in range(L):
+            np.matmul(h[t], w_hh, out=rec)
+            np.add(g[t], rec, out=z)
+            np.tanh(z_g, out=tg)
+            _sigmoid_(z)
+            np.multiply(z_if, pair, out=prod)
+            np.add(ig, fc, out=c)
+            np.tanh(c, out=tc)
+            np.multiply(z_o, tc, out=h[t + 1])
 
 
 # ---------------------------------------------------------------------------

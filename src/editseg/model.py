@@ -324,18 +324,24 @@ class RewriteModel:
         return model
 
     def _adopt(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
-        """Hold float32 copies of ``arrays``, each conv and deconv kernel in
-        ``kernels.kernel_storage``, the layout its forward GEMM reads."""
+        """Hold float32 copies of ``arrays`` in the layouts their GEMMs read:
+        each conv and deconv kernel in ``kernels.kernel_storage``, and both
+        directions' ``w_hh`` as the two halves of one (2, H, 4H) buffer,
+        which ``kernels.lstm`` multiplies by in one call per step."""
         self.config = config
         # Examples run through segmentation_layer, the pass that makes the
         # logits (training batches too): one per predicted example.
         self.invocations = 0
         self.tensors = {}
+        w_hh = ("lstm.fwd.w_hh", "lstm.bwd.w_hh")
+        halves = dict(zip(w_hh, np.stack([arrays[name] for name in w_hh], dtype=np.float32)))
         for name in array_table(config):
             if name.endswith(".k"):
                 # kernel_storage makes the copy; a cast copy before it, made
                 # and freed per kernel, made load_model ~3x slower.
                 data = K.kernel_storage(arrays[name].astype(np.float32, copy=False))
+            elif name in halves:
+                data = halves[name]
             else:
                 data = arrays[name].astype(np.float32)
             self.tensors[name] = Tensor(data, requires_grad=is_parameter(name))

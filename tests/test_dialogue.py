@@ -106,6 +106,12 @@ def test_prepare_rejects_specials():
         prepare_incomplete([sep_token()])
 
 
+@pytest.mark.parametrize("text", ["a [E]", "[S] a"])
+def test_prepare_rejects_special_texts_in_word_tokens(text):
+    with pytest.raises(ValueError, match="must not contain"):
+        prepare_incomplete(tokenize(text))
+
+
 # ---------------------------------------------------------------------------
 # derive_connection_words
 

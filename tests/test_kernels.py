@@ -6,6 +6,7 @@ Every differentiable op is validated against central finite differences
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -14,9 +15,10 @@ import pytest
 from _grad_check import grad_check
 from _weights import batch_norm, bilstm_weights, probe_loss
 
+from editseg import autodiff as ad
 from editseg import kernels as K
 from editseg.autodiff import Tensor
-from editseg.model import encoding_layer
+from editseg.model import ModelConfig, RewriteModel, encoding_layer
 
 TOL = 1e-3
 H_STEP = 1e-4
@@ -259,6 +261,53 @@ def test_lstm_saturated_gates_stay_finite_without_warning():
         probe_loss(out, np.ones(out.data.shape, dtype=np.float32)).backward()
     assert np.all(np.isfinite(out.data)) and np.all(out.data == 0.0)
     assert np.all(np.isfinite(table.grad))
+
+
+def model_lstm_weights(E, H):
+    """A model's float32 embedding table (60 words) and each direction's LSTM
+    weights, both ``w_hh`` halves of its one stacked buffer."""
+    model = RewriteModel(ModelConfig(vocab_size=60, embed_dim=E, hidden_dim=H, base_channels=2), seed=0)
+    t = model.tensors
+    return t["embedding"], *([t[f"lstm.{d}.{w}"] for w in ("w_ih", "w_hh", "b")] for d in ("fwd", "bwd"))
+
+
+@pytest.mark.parametrize("E,H", [(32, 32), (100, 200)])
+@pytest.mark.parametrize("lengths", [[40], [40, 3, 17, 40, 1, 29, 8, 33, 40, 12, 25, 5, 38, 21, 2, 30]])
+def test_lstm_without_a_graph_is_bitwise_the_graph_path(E, H, lengths):
+    # Toy and paper dims, batch 1 and a mixed-length batch of 16, float32:
+    # the history-free loop, the graph loop and the graph loop on weights
+    # held apart (stacked per call) give the same bits.
+    table, fwd, bwd = model_lstm_weights(E, H)
+    ids = rng_for(E).integers(0, table.data.shape[0], size=(len(lengths), max(lengths)))
+    graph = K.lstm(table, ids, fwd, bwd, lengths)
+    assert graph.requires_grad
+    with ad.no_grad():
+        plain = K.lstm(table, ids, fwd, bwd, lengths)
+    apart = [[Tensor(w.data.copy(), requires_grad=True) for w in d] for d in (fwd, bwd)]
+    assert K.stacked_pair(apart[0][1].data, apart[1][1].data).base is None
+    assert plain.data.dtype == np.float32 and not plain.requires_grad
+    assert np.array_equal(plain.data, graph.data)
+    assert np.array_equal(K.lstm(table, ids, *apart, lengths).data, graph.data)
+
+
+def test_lstm_without_a_graph_holds_little_beyond_its_gates_states_and_output():
+    # B = 16, L = 40 at paper dims. The arrays the scan must hold are the
+    # (L, 2, B, 4H) gates, the (L + 1, 2, B, H) states and the (B, L, 2H)
+    # output; the peak adds the gathered inputs and one direction's
+    # projection while the gates fill (9% here). A scan that kept its BPTT
+    # history under no_grad peaked at 1.61 times this sum.
+    E, H, B, L = 100, 200, 16, 40
+    table, fwd, bwd = model_lstm_weights(E, H)
+    ids = rng_for(5).integers(0, table.data.shape[0], size=(B, L))
+    must = 4 * (L * 2 * B * 4 * H + (L + 1) * 2 * B * H + B * L * 2 * H)
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            K.lstm(table, ids, fwd, bwd, [L] * B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.15 * must, (peak, must)
 
 
 # ---------------------------------------------------------------------------

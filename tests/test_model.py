@@ -385,6 +385,20 @@ def test_every_kernel_of_a_model_is_stored_as_its_gemm_operand():
             assert np.shares_memory(operand, k), name
 
 
+def test_both_recurrent_weights_are_halves_of_the_buffer_the_lstm_reads():
+    # kernels.lstm stacks weights held apart on every call and gives the
+    # same result, so only this check sees the stacked buffer come apart.
+    seeded = RewriteModel(toy_config(), seed=0)
+    loaded = RewriteModel.from_arrays(seeded.config, seeded.state())
+    for model in (seeded, loaded):
+        fwd, bwd = (model.tensors[f"lstm.{d}.w_hh"].data for d in ("fwd", "bwd"))
+        stacked = K.stacked_pair(fwd, bwd)
+        assert stacked is fwd.base and stacked.flags.c_contiguous
+        assert stacked.shape == (2, *fwd.shape) and stacked.dtype == np.float32
+        for pair in ((bwd, fwd), (fwd, fwd)):  # not the buffer's order: a stacked copy
+            assert np.array_equal(K.stacked_pair(*pair), np.stack(pair))
+
+
 def test_segmentation_preserves_spatial_dims():
     cfg = toy_config()
     model = RewriteModel(cfg, seed=0)
@@ -460,6 +474,21 @@ def trained_toy_model(examples, vocab, steps=10):
         model.forward_loss(batch).backward()
         K.adam_step(params, [p.grad for p in params], adam, lr=1e-2)
     return model
+
+
+def test_adam_steps_reach_the_stacked_recurrent_weights():
+    # Adam updates every parameter in place; a w_hh whose tensor had come
+    # apart from the buffer the LSTM reads would leave a stale half there.
+    examples = toy_examples()
+    vocab = Vocabulary.from_examples(examples)
+    model = trained_toy_model(examples, vocab)
+    fwd, bwd = (model.tensors[f"lstm.{d}.w_hh"].data for d in ("fwd", "bwd"))
+    assert K.stacked_pair(fwd, bwd) is fwd.base
+    loaded = RewriteModel.from_arrays(model.config, model.state())
+    batch = [encode_example(ex, vocab) for ex in examples]
+    with ad.no_grad():
+        logits = [m.segmentation_layer(m.feature_batch(batch)[0], training=False).data for m in (model, loaded)]
+    assert np.array_equal(*logits)
 
 
 def padded_logits(model, batch, grid, training):
