@@ -104,11 +104,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str], config: dict
 
 
 def _emit(obj, out_path=None):
+    """Print ``obj`` as JSON, and write it to ``out_path`` in place of any file there."""
     text = json.dumps(obj, ensure_ascii=False, indent=2)
     print(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with replacing(out_path) as fh:
+            fh.write((text + "\n").encode("utf-8"))
 
 
 def _connection_list(args) -> tuple[ConnectionWordList, int]:

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .checkpoint import replacing
 from .dialogue import (
     DialogueExample,
     Token,
@@ -96,10 +97,14 @@ def load_dataset(
 
 
 def write_jsonl(path, rows: Iterable[dict]):
-    """Write each object as one line of UTF-8 JSON, keys in insertion order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write each object as one line of UTF-8 JSON, keys in insertion order.
+
+    The file is replaced whole (``checkpoint.replacing``): a row that fails
+    to serialize, or a write cut off, leaves a previous file as it was.
+    """
+    with replacing(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write((json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def save_dataset(examples: Iterable[DialogueExample], path, mode: Tokenization | str = Tokenization.WHITESPACE):

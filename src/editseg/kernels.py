@@ -20,18 +20,25 @@ layer writes, so the U-Net runs from the feature image to the per-cell head
 without a re-layout. Images have any size: pooling gives an odd side a
 partial last window, and a transposed convolution crops its output to the
 grid of the skip it joins. A padded batch passes its (B, H, W) real-cell
-mask to batch norm, which takes its statistics over the real cells and
-zeroes the others.
+mask to the 3x3 convolution, which computes the real cells alone, and to
+batch norm, which takes its statistics over the real cells and zeroes the
+others.
 
 The two hot kernels are shaped for BLAS. The LSTM is one time-major scan
 that advances both directions, which share each step's numpy calls; every
 step's embedding row is gathered from the table in scan order and projected
-in one GEMM per direction before the scan. A step makes one recurrent
+in one GEMM per direction before the scan, straight into the gate array. A
+step makes one recurrent
 product for both directions, against the (2, H, 4H) buffer a model keeps
 both ``w_hh`` in, and BPTT one against its transpose; a call that builds no
 graph keeps no BPTT history. The 3x3 convolution is one GEMM per product
-(output, kernel gradient, input gradient) over the image's pixels as rows,
-with no padding-ring rows.
+(output, kernel gradient, input gradient) over the real pixels as rows, with
+no padding or padding-ring rows (submanifold convolution, Graham & van der
+Maaten 2017). ``Sites`` indexes a level's real pixels and each one's nine
+neighbours once per batch, with one zero row standing for every neighbour
+off the mask or on the ring; gathering a neighbourhood or spreading a
+product back to it is a ``take`` through that index. Without a mask the
+index lists every pixel and the arithmetic is the dense convolution's.
 The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
 neighbourhood of the input (rows × 9C) when C <= C', and otherwise
 multiplies the input by all nine taps at once (rows × 9C') and adds the
@@ -92,19 +99,22 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
     gathered from the table in scan order, position t forward and
     ``length - 1 - t`` backward, so padding trails the real steps in both.
     Each direction projects every step's input in one (B·L × E) @ (E × 4H)
-    GEMM before the scan. A step runs one recurrent product for both
-    directions, (2, B, H) @ (2, H, 4H) into one (2, B, 4H) buffer, which
-    numpy hands to BLAS as the two per-direction GEMMs; the (2, H, 4H)
-    operand is the buffer both ``w_hh`` are views of when a model holds
-    them so (``stacked_pair``). Then the gate arithmetic runs once for both:
-    tanh of the g slot, then the logistic function over the whole gate row.
+    GEMM before the scan, written straight into its (L·B × 4H) strided view
+    of the (L, B, 2, 4H) gate array, to which the bias is then added. A step
+    runs one recurrent product for both directions, (2, B, H) @ (2, H, 4H)
+    into one (2, B, 4H) buffer, which numpy hands to BLAS as the two
+    per-direction GEMMs; the (2, H, 4H) operand is the buffer both ``w_hh``
+    are views of when a model holds them so (``stacked_pair``). Then the
+    gate arithmetic runs once for both: tanh of the g slot, then the
+    logistic function over the whole gate row.
     A float32 preactivation below about -88 overflows ``exp`` to inf, whose
     logistic value 1 / (1 + inf) = 0 is the exact limit.
 
     When the call builds no graph (under ``no_grad``, or when no input needs
-    a gradient), the scan keeps no history for BPTT (``_scan_ahead``): only
-    the states ``hs`` and the gate projection are per-step arrays, and the
-    rest lives in fixed scratch buffers. Both loops do the same arithmetic,
+    a gradient), the gathered inputs are freed and the scan keeps no history
+    for BPTT (``_scan_ahead``): only the states ``hs`` and the gate
+    projection are per-step arrays, and the rest lives in fixed scratch
+    buffers. Both loops do the same arithmetic,
     so their outputs are bitwise equal.
 
     Padded steps never feed a real output; their outputs are zeroed after
@@ -136,22 +146,29 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
 
     xs = table.data[ids[rows, order]]  # (2, L, B, E), each direction in its scan order
     dt = xs.dtype
-    gates = np.empty((L, 2, B, 4 * H), dtype=dt)  # step t's gates, both directions
+    # gates[t, b, d]: step t's gates of sequence b in direction d. Each
+    # direction's (L·B × 4H) projection is a strided view that BLAS writes in
+    # place, and at B = 1 each step's (2, B, 4H) view is contiguous.
+    gates = np.empty((L, B, 2, 4 * H), dtype=dt)
     for d, (w_ih, _, b) in enumerate(weights):
-        np.add((xs[d].reshape(L * B, E) @ w_ih.data).reshape(L, B, 4 * H), b.data, out=gates[:, d])
+        projected = gates.reshape(L * B, 2, 4 * H)[:, d]
+        np.matmul(xs[d].reshape(L * B, E), w_ih.data, out=projected)
+        projected += b.data
     w_hh = stacked_pair(fwd[1].data, bwd[1].data)  # (2, H, 4H)
     hs = np.zeros((L + 1, 2, B, H), dtype=dt)  # hs[t]: the states entering step t
     if not ad._keeps_graph(parents):
+        del xs  # only BPTT reads the inputs again
         _scan_ahead(gates, w_hh, hs)
         return Tensor(_outputs(hs, order, valid))
     cs = np.zeros((L + 1, 2, B, H), dtype=dt)  # cs[t]: the cells entering step t
     tgs, tcs = np.empty((2, L, 2, B, H), dtype=dt)  # tanh of the g slot and of the cell
-    rec, ig = np.empty((2, B, 4 * H), dtype=dt), np.empty((2, B, H), dtype=dt)
+    z, ig = np.empty((2, B, 4 * H), dtype=dt), np.empty((2, B, H), dtype=dt)
     with np.errstate(over="ignore"):
         for t in range(L):
-            z = gates[t]  # becomes i, f, σ(g), o in place
-            np.matmul(hs[t], w_hh, out=rec)
-            z += rec
+            # z becomes i, f, σ(g), o, and is kept as step t's gates; it is
+            # computed in a contiguous buffer as the step's views are strided.
+            np.matmul(hs[t], w_hh, out=z)
+            z += gates[t].swapaxes(0, 1)
             np.tanh(z[..., 2 * H : 3 * H], out=tgs[t])
             _sigmoid_(z)
             np.multiply(z[..., H : 2 * H], cs[t], out=cs[t + 1])
@@ -159,9 +176,10 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
             cs[t + 1] += ig
             np.tanh(cs[t + 1], out=tcs[t])
             np.multiply(z[..., 3 * H :], tcs[t], out=hs[t + 1])
+            gates[t].swapaxes(0, 1)[...] = z
 
     def backward(grad):
-        i, f, _, o = np.moveaxis(gates.reshape(L, 2, B, 4, H), 3, 0)
+        i, f, _, o = gates.reshape(L, B, 2, 4, H).transpose(3, 0, 2, 1, 4)  # each (L, 2, B, H)
         # Per-step factors turning (dc, dc, dc, dh) into the gate
         # pre-activation gradients dz = (di, df, dg, do).
         fac = np.empty((L, 2, B, 4, H), dtype=dt)
@@ -215,7 +233,7 @@ def _scan_ahead(gates, w_hh, hs):
     the pair and one sum of its halves into the pair's c: 11 numpy calls a
     step, each value the graph loop's bit for bit.
     """
-    L, _, B, H4 = gates.shape
+    L, B, _, H4 = gates.shape
     H = H4 // 4
     z, rec = np.empty((2, 2, B, H4), dtype=gates.dtype)
     pair = np.zeros((2, B, 2 * H), dtype=gates.dtype)  # [tanh(g) | c], the cell starting at zero
@@ -223,7 +241,7 @@ def _scan_ahead(gates, w_hh, hs):
     z_if, z_g, z_o = z[..., : 2 * H], z[..., 2 * H : 3 * H], z[..., 3 * H :]
     tg, c = pair[..., :H], pair[..., H:]
     ig, fc = prod[..., :H], prod[..., H:]
-    h, g = list(hs), list(gates)
+    h, g = list(hs), list(gates.swapaxes(1, 2))
     with np.errstate(over="ignore"):
         for t in range(L):
             np.matmul(h[t], w_hh, out=rec)
@@ -240,33 +258,107 @@ def _scan_ahead(gates, w_hh, hs):
 # spatial ops, channels-last (B, H, W, C)
 
 
-def _stack9(img: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) channels-last -> (B·H·W, 9C): each pixel's 3x3 neighbourhood.
+# Rows of a wide input gathered at once: a gather copies its real pixels'
+# rows for one GEMM, so a whole (n × C) copy would hold a second feature image.
+_GATHER_ELEMENTS = 1 << 16
 
-    Column block 3a + c holds the pixel at offset (a-1, c-1), zero outside
-    the image. The image is copied once into a zero-ringed buffer, which is
-    read through the nine offsets as one strided window.
+
+class Sites:
+    """The pixels a 3x3 conv computes on a (B, H, W) grid, and each one's
+    nine neighbours, as row indices.
+
+    ``mask`` is a (B, H, W) bool array of the real pixels, or None for every
+    pixel. ``real`` holds the flat indices of the n real pixels (None: all
+    of them, in order). ``nbr`` (n, 9) gives, in column 3a + c, the row of
+    the neighbour at offset (a-1, c-1) among those n rows followed by one
+    zero row: a neighbour off the mask or on the zero ring reads row n.
+
+    Built once per U-Net level and batch (``pooled`` gives the next level's)
+    and shared by the level's convs, forward and backward.
     """
-    B, H, W, C = img.shape
-    p = np.zeros((B, H + 2, W + 2, C), dtype=img.dtype)
-    p[:, 1:-1, 1:-1] = img
-    # Axes (b, i, j, a, c, channel); a and c step like i and j.
-    win = as_strided(p, (B, H, W, 3, 3, C), p.strides[:3] + p.strides[1:], writeable=False)
-    return win.reshape(B * H * W, 9 * C)
+
+    def __init__(self, shape, mask=None):
+        B, H, W = self.shape = tuple(shape)
+        self.mask = mask
+        self.real = None if mask is None else np.flatnonzero(mask)
+        self.n = B * H * W if mask is None else self.real.size
+        pos = np.full((B, H + 2, W + 2), self.n, dtype=np.intp)  # each pixel's row; the ring reads n
+        inner = pos[:, 1:-1, 1:-1]
+        if mask is None:
+            inner[...] = np.arange(self.n).reshape(B, H, W)
+        else:
+            inner[mask] = np.arange(self.n)
+        # Axes (b, i, j, a, c); a and c step like i and j.
+        win = as_strided(pos, (B, H, W, 3, 3), pos.strides + pos.strides[1:], writeable=False)
+        self.nbr = (win if mask is None else win[mask]).reshape(self.n, 9)
+
+    def pooled(self) -> "Sites":
+        """The sites of the 2x2 max-pooled grid: a window is real if any of its cells is."""
+        B, H, W = self.shape
+        return Sites((B, (H + 1) // 2, (W + 1) // 2), None if self.mask is None else window_max(self.mask))
+
+    def parts(self, width: int) -> list[slice]:
+        """Slices over the n rows: one for all of them without a mask, else
+        runs short enough that a run of ``width`` values per row holds at most
+        ``_GATHER_ELEMENTS`` values."""
+        step = max(1, self.n if self.real is None else _GATHER_ELEMENTS // width)
+        return [slice(start, min(start + step, self.n)) for start in range(0, self.n, step)]
+
+    def rows(self, img: np.ndarray, part: slice) -> np.ndarray:
+        """The (rows × C) rows of ``img`` (B, H, W, C) at ``part`` of the real
+        pixels: a view without a mask, else a gathered copy."""
+        flat = img.reshape(-1, img.shape[-1])
+        return flat[part] if self.real is None else flat.take(self.real[part], axis=0)
+
+    def stack(self, img: np.ndarray) -> np.ndarray:
+        """(B, H, W, C) -> (n × 9C): each real pixel's 3x3 neighbourhood.
+
+        Column block 3a + c holds the neighbour at offset (a-1, c-1), zero
+        off the mask and on the ring. The real rows are copied once, above a
+        zero row, and all nine blocks are read through ``nbr`` in one take.
+        """
+        C = img.shape[-1]
+        rows = np.empty((self.n + 1, C), dtype=img.dtype)
+        for part in self.parts(C):
+            rows[part] = self.rows(img, part)
+        rows[-1] = 0.0
+        return rows.take(self.nbr, axis=0, mode="clip").reshape(self.n, 9 * C)
+
+    def spread(self, blocks: np.ndarray) -> np.ndarray:
+        """Adjoint of ``stack``: (n + 1, 9C) -> (n × C), the last row zero.
+
+        Each real pixel adds up column block 3a + c of the row of its
+        neighbour at offset (1-a, 1-c), in block order: nine takes through
+        a per-block index into a block-sized buffer, eight in-place adds.
+        Each level's one kn2row conv spreads once, so the index is not kept.
+        """
+        # Row 9r + u of the (9(n + 1) × C) blocks is block u of row r.
+        index = np.ascontiguousarray((self.nbr[:, ::-1] * 9 + np.arange(9)).T)
+        flat = blocks.reshape(-1, blocks.shape[1] // 9)
+        out = flat.take(index[0], axis=0, mode="clip")
+        part = np.empty_like(out)
+        for taps in index[1:]:
+            out += flat.take(taps, axis=0, out=part, mode="clip")
+        return out
+
+    def grid(self, rows_of, width: int, dtype) -> np.ndarray:
+        """The (B, H, W, width) image whose real pixels at each of
+        ``parts(width)`` hold ``rows_of(part)``, zero off the mask; without a
+        mask, the one product reshaped."""
+        if self.real is None:
+            return rows_of(slice(0, self.n)).reshape(*self.shape, width)
+        out = np.zeros((self.mask.size, width), dtype=dtype)
+        for part in self.parts(width):
+            out[self.real[part]] = rows_of(part)
+        return out.reshape(*self.shape, width)
 
 
-def _col2im(blocks: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
-    """Adjoint of ``_stack9``: (B·H·W, 9C) -> (B, H, W, C).
-
-    Adds column block 3a + c of each pixel's row to the pixel at offset
-    (a-1, c-1); what falls on the ring is dropped.
-    """
-    z = blocks.reshape(B, H, W, 3, 3, blocks.shape[1] // 9)
-    p = np.zeros((B, H + 2, W + 2, z.shape[-1]), dtype=blocks.dtype)
-    for a in range(3):
-        for c in range(3):
-            p[:, a : a + H, c : c + W] += z[:, :, :, a, c]
-    return p[:, 1:-1, 1:-1]
+def _sites(shape, mask) -> Sites:
+    """A conv's ``mask`` argument as ``Sites`` of the (B, H, W) grid ``shape``."""
+    sites = mask if isinstance(mask, Sites) else Sites(shape, mask)
+    if sites.shape != tuple(shape):
+        raise ValueError(f"conv2d mask is for a {sites.shape} grid, the input is {tuple(shape)}")
+    return sites
 
 
 def _uses_im2col(k: np.ndarray) -> bool:
@@ -308,24 +400,37 @@ def _reversed_taps(k: np.ndarray) -> np.ndarray:
     return k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * k.shape[0], k.shape[1])
 
 
-def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
+def conv2d(x: Tensor, kernels: Tensor, mask=None) -> Tensor:
     """3x3 same-padded convolution (cross-correlation); (B, H, W, C) -> (B, H, W, C').
 
-    ``kernels`` has shape (C', C, 3, 3). Each product is one GEMM over the
-    image's B·H·W pixels as rows, with the nine taps stacked on the narrower
-    side:
+    ``kernels`` has shape (C', C, 3, 3). ``mask`` marks the real pixels of a
+    padded batch: a (B, H, W) bool array, or the ``Sites`` built from one,
+    which the model builds once per level; None means every pixel is real.
+    Each product is one GEMM over the n real pixels as rows, with the nine
+    taps stacked on the narrower side:
 
-    - C <= C' (im2col): out = ``_stack9(x) @ k9``, (rows × 9C) @ (9C × C').
-    - C > C' (kn2row): ``x_rows @ k_revᵀ``, (rows × C) @ (C × 9C') with the
+    - C <= C' (im2col): out = ``stack(x) @ k9``, (n × 9C) @ (9C × C').
+    - C > C' (kn2row): ``x_real @ k_revᵀ``, (n × C) @ (C × 9C') with the
       taps reversed, gives each pixel's contribution to its nine neighbours,
-      and ``_col2im`` adds them at their offsets.
+      and ``spread`` gathers and adds them at their offsets.
+
+    Off the mask the output is zero, and the input gradient too. That is
+    exact for the U-Net, where an input pixel off the mask is zero (padded
+    features, and BN-ReLU and ``deconv2`` outputs, are zeroed there), so it
+    adds nothing that a zero row would not; an output pixel off the mask is
+    zeroed by the BN-ReLU after it, which passes it no gradient; and an
+    input gradient off the mask is never read. Without a mask the index
+    lists every pixel, and the arithmetic is the dense convolution's. With
+    one, a wide input's real rows are gathered, and results scattered to
+    the grid, in runs of at most ``_GATHER_ELEMENTS`` values
+    (``Sites.parts``), so no second copy of a wide image is held.
 
     The rule follows the kernel's shape (``_uses_im2col``). Stacking the
     narrower side keeps the forward's stacked array and GEMM dimension at
     9·min(C, C'): the first U-Net conv (402 -> 32) reads the pair-feature
-    image in place instead of copying it nine times over, and the convs that
-    widen the channels copy their narrow input rather than add up a wide
-    output.
+    rows in place instead of copying them nine times over, and the convs
+    that widen the channels copy their narrow input rather than add up a
+    wide output.
 
     Both forward operands, k9 and k_revᵀ, are transposed views of
     (C' × 9C) and (9C' × C) arrays, which a kernel held in
@@ -336,9 +441,9 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     trained model's float32 outputs.
 
     The backward is the same on both sides. The output gradient is stacked,
-    ``g9 = _stack9(dOut)`` (rows × 9C'); block u of a pixel's row is the
+    ``g9 = stack(dOut)`` (n × 9C'); block u of a pixel's row is the
     neighbour whose tap 8 - u reads that pixel, so the kernel gradient
-    ``x_rowsᵀ @ g9`` comes out with its taps reversed and the input gradient
+    ``x_realᵀ @ g9`` comes out with its taps reversed and the input gradient
     is ``g9 @ _reversed_taps(k)``. The kernel gradient is handed back in
     ``kernel_storage``, the memory order of the model's own kernels.
     """
@@ -349,17 +454,27 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
         raise ValueError("conv2d kernels must be 3x3")
     if Ck != C:
         raise ValueError(f"conv2d channel mismatch: input has {C}, kernels expect {Ck}")
+    sites = _sites((B, H, W), mask)
 
     if _uses_im2col(kernels.data):
-        out = (_stack9(xd) @ _im2col_rows(kernels.data).T).reshape(B, H, W, Co)
+        x9, k9 = sites.stack(xd), _im2col_rows(kernels.data).T
+        out = sites.grid(lambda part: x9[part] @ k9, Co, xd.dtype)
     else:
-        out = _col2im(xd.reshape(B * H * W, C) @ _reversed_taps(kernels.data).T, B, H, W)
+        blocks = np.empty((sites.n + 1, 9 * Co), dtype=xd.dtype)
+        for part in sites.parts(C):
+            np.matmul(sites.rows(xd, part), _reversed_taps(kernels.data).T, out=blocks[part])
+        blocks[-1] = 0.0
+        spread = sites.spread(blocks)
+        out = sites.grid(lambda part: spread[part], Co, xd.dtype)
 
     def backward(grad):
-        g9 = _stack9(grad)
-        dk = (xd.reshape(B * H * W, C).T @ g9).reshape(C, 3, 3, Co)
-        ad._accumulate(kernels, kernel_storage(dk[:, ::-1, ::-1].transpose(3, 0, 1, 2)))
-        ad._accumulate(x, (g9 @ _reversed_taps(kernels.data)).reshape(B, H, W, C))
+        g9 = sites.stack(grad)
+        dk = np.zeros((C, 9 * Co), dtype=g9.dtype)
+        for part in sites.parts(C):
+            dk += sites.rows(xd, part).T @ g9[part]
+        ad._accumulate(kernels, kernel_storage(dk.reshape(C, 3, 3, Co)[:, ::-1, ::-1].transpose(3, 0, 1, 2)))
+        taps = _reversed_taps(kernels.data)
+        ad._accumulate(x, sites.grid(lambda part: g9[part] @ taps, C, g9.dtype))
 
     return ad._node(out, (x, kernels), backward)
 
@@ -547,9 +662,12 @@ def conv_bn_relu(
     """Conv module of the segmentation net: 3x3 ``conv2d``, then ``bn_relu``.
 
     Channels-last (B, H, W, C) -> (B, H, W, C'); ``kernels`` is (C', C, 3, 3)
-    and ``mask`` the optional (B, H, W) real-cell flags ``bn_relu`` takes.
+    and ``mask`` the optional (B, H, W) real-cell flags, or the ``Sites``
+    built from them: the conv computes the real cells alone, and ``bn_relu``
+    takes the flags.
     """
-    return bn_relu(conv2d(x, kernels), gamma, beta, running_mean, running_var, training, mask)
+    sites = _sites(x.data.shape[:3], mask)
+    return bn_relu(conv2d(x, kernels, sites), gamma, beta, running_mean, running_var, training, sites.mask)
 
 
 # ---------------------------------------------------------------------------

@@ -419,28 +419,30 @@ class RewriteModel:
         a zeroed neighbour reads like the conv's zero ring, a zero in a
         window of ReLU outputs leaves its maximum alone, and each deconv
         output cell reads one input cell. Only float summation order
-        differs. When no cell is padded (every batch of one), the mask is
-        ``None`` and nothing is masked.
+        differs. Each level's real cells and their neighbours are indexed
+        once, as ``kernels.Sites``, and its convs compute those cells alone.
+        When no cell is padded (every batch of one), the mask is ``None``,
+        nothing is masked and every cell is computed.
         """
 
         self.invocations += features.data.shape[0]
         t = self.tensors
         m1 = features.data.any(axis=3)
-        m1 = None if m1.all() else m1
-        m2 = None if m1 is None else K.window_max(m1)
-        m3 = None if m1 is None else K.window_max(m2)
+        s1 = K.Sites(m1.shape, None if m1.all() else m1)
+        s2 = s1.pooled()
+        s3 = s2.pooled()
 
-        def block(x, name, mask):
+        def block(x, name, sites):
             gamma, beta, mean, var = (t[f"{name}.bn.{a}"] for a in ("gamma", "beta", *BN_STATS))
             # Positional, as the benchmark's wrappers forward the arguments
             # (tests/test_package.py makes its calls).
-            return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training, mask)
+            return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training, sites)
 
-        d1 = block(block(features, "down1.conv1", m1), "down1.conv2", m1)
-        d2 = block(block(K.maxpool2(d1), "down2.conv1", m2), "down2.conv2", m2)
-        bottom = block(block(K.maxpool2(d2), "up1.conv1", m3), "up1.conv2", m3)
-        u2 = block(block(K.deconv2(bottom, t["up1.deconv.k"], d2, m2), "up2.conv1", m2), "up2.conv2", m2)
-        return K.linear(K.deconv2(u2, t["up2.deconv.k"], d1, m1), t["head.w"], t["head.b"])
+        d1 = block(block(features, "down1.conv1", s1), "down1.conv2", s1)
+        d2 = block(block(K.maxpool2(d1), "down2.conv1", s2), "down2.conv2", s2)
+        bottom = block(block(K.maxpool2(d2), "up1.conv1", s3), "up1.conv2", s3)
+        u2 = block(block(K.deconv2(bottom, t["up1.deconv.k"], d2, s2.mask), "up2.conv1", s2), "up2.conv2", s2)
+        return K.linear(K.deconv2(u2, t["up2.deconv.k"], d1, s1.mask), t["head.w"], t["head.b"])
 
     # -- objectives -------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import editseg
-from editseg import checkpoint
+from editseg import checkpoint, cli
 from editseg.checkpoint import CheckpointError, load_checkpoint, load_model, save_checkpoint
 from editseg.cli import main
 from editseg.data import load_dataset
@@ -587,6 +587,24 @@ def test_connection_words_cut_off_partway_leave_the_previous_file(tmp_path, monk
     assert "No space" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert conn_path.read_bytes() == b"the\n"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_report_cut_off_partway_leaves_the_previous_file(tmp_path, monkeypatch, capsys):
+    # _emit wrote an ``eval`` or ``bench`` report in place with a plain open.
+    out = tmp_path / "report.json"
+    out.write_bytes(b"{}\n")
+
+    def cut_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return CutOff(fh) if str(file) == f"{out}.tmp" else fh
+
+    monkeypatch.setattr(checkpoint, "open", cut_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        cli._emit({"exact_match": 0.5, "examples": 3}, str(out))
+    monkeypatch.undo()
+    assert out.read_bytes() == b"{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["rewrite", "train"])

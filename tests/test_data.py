@@ -14,6 +14,7 @@ from editseg.data import (
     generate_synthetic,
     load_dataset,
     save_dataset,
+    write_jsonl,
 )
 from editseg.dialogue import Tokenization, join_context, prepare_incomplete, texts
 from editseg.generation import rewrite_from_matrix
@@ -75,6 +76,18 @@ def test_save_load_round_trip_char_mode(tmp_path):
     q.write_text('{"context": ["北京今天"], "current": "为什么", "rewrite": "北京为什么"}\n', encoding="utf-8")
     zh = load_dataset(q, Tokenization.PER_CHARACTER)
     assert texts(zh[0].incomplete) == ["为", "什", "么"]
+
+
+def test_a_row_that_fails_to_serialize_leaves_the_previous_file(tmp_path):
+    # write_jsonl wrote in place: a row json.dumps refused, after the first
+    # rows were written, left a truncated file where the previous one stood.
+    p = tmp_path / "out.jsonl"
+    write_jsonl(p, [{"kept": "before"}])
+    before = p.read_bytes()
+    with pytest.raises(TypeError):
+        write_jsonl(p, [{"a": 1}, {"b": 2}, {"c": object()}])
+    assert p.read_bytes() == before
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["out.jsonl"]
 
 
 # ---------------------------------------------------------------------------

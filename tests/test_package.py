@@ -137,3 +137,30 @@ def test_benchmark_harness_calls_still_work(tmp_path, monkeypatch):
         logits = model.segmentation_layer(features, training=False)
     for pos, (enc, matrix) in enumerate(zip(encs, matrices)):
         assert editseg.model.decode_matrix(logits.data[pos], enc.m, enc.nx).shape == matrix.shape
+
+
+def test_padded_predict_calls_conv2d_with_its_input_and_kernel_first(monkeypatch):
+    # perfbench/run.py counts conv FLOPs from every kernels.conv2d call as
+    # 2·C'·C·9 per input pixel, reading args[0] as the input and args[1] as
+    # the kernel; a padded batch passes the real cells' index after them.
+    examples = generate_synthetic(SyntheticSpec(num_examples=6, seed=3))
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(ModelConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=3, base_channels=2), seed=2)
+    encs = [encode_example(ex, vocab) for ex in examples]
+    assert len({(enc.m, enc.nx) for enc in encs}) > 1  # one padded batch
+    calls = []
+    conv2d = kernels.conv2d
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "conv2d", recording)
+    model.predict(encs)
+    assert len(calls) == 8
+    for args, kwargs in calls:
+        x, k = args[0].data, args[1].data
+        ci = k.shape[1]
+        assert x.ndim == 4 and x.shape[3] == ci and k.shape[2:] == (3, 3)
+        assert not kwargs and args[2].mask is not None
+    assert [id(args[1]) for args, _ in calls] == [id(k) for k in model.convs.values()]
