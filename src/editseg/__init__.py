@@ -26,7 +26,6 @@ from .dialogue import (
     EMPTY_CONNECTION_WORDS,
     JoinedContext,
     Token,
-    TokenKind,
     Tokenization,
     derive_connection_words,
     detokenize,

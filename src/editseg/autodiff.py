@@ -56,16 +56,19 @@ class Tensor:
     """Dense n-dimensional float value with optional gradient.
 
     A float array keeps its dtype; anything else (lists, Python scalars,
-    integer or bool arrays) becomes float64.
+    integer or bool arrays) becomes float64. ``sites`` is None, except on a
+    U-Net activation kept as (n × C) rows, one per real pixel of a padded
+    grid: it holds the ``kernels.Sites`` that lists those pixels.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "sites", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, sites=None):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
+        self.sites = sites
         self._backward = None
         self._parents = ()
 

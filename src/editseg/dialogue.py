@@ -22,35 +22,26 @@ SEP_TEXT = "[S]"
 END_TEXT = "[E]"
 
 
-class TokenKind(Enum):
-    WORD = "word"
-    SEP_S = "sep"
-    END_E = "end"
-
-
 @dataclass(frozen=True, slots=True)
 class Token:
+    """One word, or the ``[S]`` separator or ``[E]`` end marker, told apart by text."""
+
     text: str
-    kind: TokenKind = TokenKind.WORD
 
     def __post_init__(self):
-        if self.kind is TokenKind.SEP_S and self.text != SEP_TEXT:
-            raise ValueError(f"separator token must be {SEP_TEXT!r}")
-        if self.kind is TokenKind.END_E and self.text != END_TEXT:
-            raise ValueError(f"end token must be {END_TEXT!r}")
-        if self.kind is TokenKind.WORD and not self.text:
+        if not self.text:
             raise ValueError("word tokens must be nonempty")
 
     def is_special(self) -> bool:
-        return self.kind in (TokenKind.SEP_S, TokenKind.END_E)
+        return self.text in (SEP_TEXT, END_TEXT)
 
 
 def sep_token() -> Token:
-    return Token(SEP_TEXT, TokenKind.SEP_S)
+    return Token(SEP_TEXT)
 
 
 def end_token() -> Token:
-    return Token(END_TEXT, TokenKind.END_E)
+    return Token(END_TEXT)
 
 
 def word_tokens(texts: Iterable[str]) -> list[Token]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dialogue import JoinedContext, Token, TokenKind
+from .dialogue import END_TEXT, SEP_TEXT, JoinedContext, Token
 from .supervision import EditType
 
 
@@ -191,7 +191,7 @@ def apply_edits(x_prepared: list[Token], c: JoinedContext, program: EditProgram)
         inserts_at.setdefault(entry[2], []).append(entry)
 
     def emit_span(row_start: int, row_end: int) -> list[Token]:
-        return [t for t in c.tokens[row_start:row_end] if t.kind is not TokenKind.SEP_S]
+        return [t for t in c.tokens[row_start:row_end] if t.text != SEP_TEXT]
 
     out: list[Token] = []
     n_cols = len(x_prepared)
@@ -205,7 +205,7 @@ def apply_edits(x_prepared: list[Token], c: JoinedContext, program: EditProgram)
             col = sub[3]
             continue
         tok = x_prepared[col]
-        if tok.kind is not TokenKind.END_E:
+        if tok.text != END_TEXT:
             out.append(tok)
         col += 1
     return out

@@ -15,30 +15,34 @@ their names, shapes and initial values, is listed in one place only:
 ``model.array_table``.
 
 Every op takes a batch. Sequences are (B, L) ids into a (V, E) embedding
-table; images are channels-last (B, H, W, C), the layout the pair-feature
-layer writes, so the U-Net runs from the feature image to the per-cell head
-without a re-layout. Images have any size: pooling gives an odd side a
-partial last window, and a transposed convolution crops its output to the
-grid of the skip it joins. A padded batch passes its (B, H, W) real-cell
-mask to the 3x3 convolution, which computes the real cells alone, and to
-batch norm, which takes its statistics over the real cells and zeroes the
-others.
+table. A U-Net activation is kept as rows, from the pair features to the
+logits: one row per real pixel of its level's (B, H, W) grid, (n × C),
+listed by the ``Sites`` the tensor carries (``Tensor.sites``). Padding is
+neither stored nor computed, so no mask travels with the data, and the
+final logits are scattered to the (B, H, W, C) image once (``to_grid``).
+A tensor without sites is a dense channels-last (B, H, W, C) image, whose
+rows are all its pixels in order; the spatial ops take either and give back
+the same kind. Images have any size: pooling gives an odd side a partial
+last window, and a transposed convolution crops its output to the grid of
+the skip it joins.
 
 The two hot kernels are shaped for BLAS. The LSTM is one time-major scan
 that advances both directions, which share each step's numpy calls; every
 step's embedding row is gathered from the table in scan order and projected
 in one GEMM per direction before the scan, straight into the gate array. A
-step makes one recurrent
-product for both directions, against the (2, H, 4H) buffer a model keeps
-both ``w_hh`` in, and BPTT one against its transpose; a call that builds no
-graph keeps no BPTT history. The 3x3 convolution is one GEMM per product
-(output, kernel gradient, input gradient) over the real pixels as rows, with
-no padding or padding-ring rows (submanifold convolution, Graham & van der
-Maaten 2017). ``Sites`` indexes a level's real pixels and each one's nine
-neighbours once per batch, with one zero row standing for every neighbour
-off the mask or on the ring; gathering a neighbourhood or spreading a
-product back to it is a ``take`` through that index. Without a mask the
-index lists every pixel and the arithmetic is the dense convolution's.
+step makes one recurrent product for both directions, against the
+(2, H, 4H) buffer a model keeps both ``w_hh`` in, and BPTT one against its
+transpose; a call that builds no graph keeps no BPTT history.
+
+The 3x3 convolution is one GEMM per product (output, kernel gradient,
+input gradient) over the rows, and a neighbour off the mask reads like the
+zero ring (submanifold convolution, Graham & van der Maaten 2017; the whole
+network runs on the active sites, as in Graham, Engelcke & van der Maaten
+2018). ``Sites`` indexes a level's nine neighbours once per batch, with one
+zero row for every neighbour off the mask or on the ring, and the 2x2
+windows that join the level to the one below. Gathering a neighbourhood or
+a window, moving a transposed convolution's taps to their pixels, and
+spreading a product back are each a ``take`` through one of those indices.
 The nine taps go on the narrower side: a C -> C' conv stacks each pixel's
 neighbourhood of the input (rows × 9C) when C <= C', and otherwise
 multiplies the input by all nine taps at once (rows × 9C') and adds the
@@ -255,26 +259,33 @@ def _scan_ahead(gates, w_hh, hs):
 
 
 # ---------------------------------------------------------------------------
-# spatial ops, channels-last (B, H, W, C)
-
-
-# Rows of a wide input gathered at once: a gather copies its real pixels'
-# rows for one GEMM, so a whole (n × C) copy would hold a second feature image.
-_GATHER_ELEMENTS = 1 << 16
+# spatial ops on the rows of a level's real pixels
 
 
 class Sites:
-    """The pixels a 3x3 conv computes on a (B, H, W) grid, and each one's
-    nine neighbours, as row indices.
+    """The real pixels of a U-Net level's (B, H, W) grid, the rows of its
+    (n × C) activations.
 
     ``mask`` is a (B, H, W) bool array of the real pixels, or None for every
     pixel. ``real`` holds the flat indices of the n real pixels (None: all
-    of them, in order). ``nbr`` (n, 9) gives, in column 3a + c, the row of
-    the neighbour at offset (a-1, c-1) among those n rows followed by one
-    zero row: a neighbour off the mask or on the zero ring reads row n.
+    of them), in row-major (b, i, j) order, the order of the rows. ``nbr``
+    (n, 9) gives, in column 3a + c, the row of the neighbour at offset
+    (a-1, c-1) among those n rows followed by one zero row: a neighbour off
+    the mask or on the zero ring reads row n.
 
-    Built once per U-Net level and batch (``pooled`` gives the next level's)
-    and shared by the level's convs, forward and backward.
+    ``pooled`` gives the next level down, built once and shared: a 2x2
+    window is real if any of its cells is. Its two tables map rows between
+    the levels:
+
+    - ``cells`` (4 × n'): row s holds the row of cell s of each window, in
+      row-major window order; the window's first real cell stands in for a
+      cell that is off the mask or past an odd side, so a maximum over the
+      four is a maximum over the cells there are.
+    - ``slots`` (n,): s·n' + w for the pixel in cell s of window w, its
+      place in the flattened ``cells``.
+
+    Built once per U-Net level and batch and carried by the level's tensors
+    (``Tensor.sites``), forward and backward.
     """
 
     def __init__(self, shape, mask=None):
@@ -282,47 +293,46 @@ class Sites:
         self.mask = mask
         self.real = None if mask is None else np.flatnonzero(mask)
         self.n = B * H * W if mask is None else self.real.size
+        self.cells = self.slots = self._pooled = None
         pos = np.full((B, H + 2, W + 2), self.n, dtype=np.intp)  # each pixel's row; the ring reads n
-        inner = pos[:, 1:-1, 1:-1]
+        self._rows = pos[:, 1:-1, 1:-1]
         if mask is None:
-            inner[...] = np.arange(self.n).reshape(B, H, W)
+            self._rows[...] = np.arange(self.n).reshape(B, H, W)
         else:
-            inner[mask] = np.arange(self.n)
+            self._rows[mask] = np.arange(self.n)
         # Axes (b, i, j, a, c); a and c step like i and j.
         win = as_strided(pos, (B, H, W, 3, 3), pos.strides + pos.strides[1:], writeable=False)
         self.nbr = (win if mask is None else win[mask]).reshape(self.n, 9)
 
     def pooled(self) -> "Sites":
-        """The sites of the 2x2 max-pooled grid: a window is real if any of its cells is."""
-        B, H, W = self.shape
-        return Sites((B, (H + 1) // 2, (W + 1) // 2), None if self.mask is None else window_max(self.mask))
+        """The sites of the 2x2 max-pooled grid, with their ``cells`` and ``slots``."""
+        if self._pooled is None:
+            B, H, W = self.shape
+            h, w = (H + 1) // 2, (W + 1) // 2
+            rows = np.full((B, 2 * h, 2 * w), self.n, dtype=np.intp)
+            rows[:, :H, :W] = self._rows
+            windows = rows.reshape(B, h, 2, w, 2).transpose(2, 4, 0, 1, 3).reshape(4, -1)
+            present = windows < self.n
+            coarse = Sites((B, h, w), None if self.mask is None else present.any(axis=0).reshape(B, h, w))
+            if coarse.real is not None:
+                windows, present = windows[:, coarse.real], present[:, coarse.real]
+            coarse.cells = np.where(present, windows, windows.min(axis=0))
+            coarse.slots = np.empty(self.n, dtype=np.intp)
+            coarse.slots[windows[present]] = np.flatnonzero(present)
+            self._pooled = coarse
+        return self._pooled
 
-    def parts(self, width: int) -> list[slice]:
-        """Slices over the n rows: one for all of them without a mask, else
-        runs short enough that a run of ``width`` values per row holds at most
-        ``_GATHER_ELEMENTS`` values."""
-        step = max(1, self.n if self.real is None else _GATHER_ELEMENTS // width)
-        return [slice(start, min(start + step, self.n)) for start in range(0, self.n, step)]
-
-    def rows(self, img: np.ndarray, part: slice) -> np.ndarray:
-        """The (rows × C) rows of ``img`` (B, H, W, C) at ``part`` of the real
-        pixels: a view without a mask, else a gathered copy."""
-        flat = img.reshape(-1, img.shape[-1])
-        return flat[part] if self.real is None else flat.take(self.real[part], axis=0)
-
-    def stack(self, img: np.ndarray) -> np.ndarray:
-        """(B, H, W, C) -> (n × 9C): each real pixel's 3x3 neighbourhood.
+    def stack(self, rows: np.ndarray) -> np.ndarray:
+        """(n × C) -> (n × 9C): each real pixel's 3x3 neighbourhood.
 
         Column block 3a + c holds the neighbour at offset (a-1, c-1), zero
-        off the mask and on the ring. The real rows are copied once, above a
+        off the mask and on the ring. The rows are copied once, above a
         zero row, and all nine blocks are read through ``nbr`` in one take.
         """
-        C = img.shape[-1]
-        rows = np.empty((self.n + 1, C), dtype=img.dtype)
-        for part in self.parts(C):
-            rows[part] = self.rows(img, part)
-        rows[-1] = 0.0
-        return rows.take(self.nbr, axis=0, mode="clip").reshape(self.n, 9 * C)
+        padded = np.empty((self.n + 1, rows.shape[1]), dtype=rows.dtype)
+        padded[:-1] = rows
+        padded[-1] = 0.0
+        return padded.take(self.nbr, axis=0, mode="clip").reshape(self.n, 9 * rows.shape[1])
 
     def spread(self, blocks: np.ndarray) -> np.ndarray:
         """Adjoint of ``stack``: (n + 1, 9C) -> (n × C), the last row zero.
@@ -341,24 +351,48 @@ class Sites:
             out += flat.take(taps, axis=0, out=part, mode="clip")
         return out
 
-    def grid(self, rows_of, width: int, dtype) -> np.ndarray:
-        """The (B, H, W, width) image whose real pixels at each of
-        ``parts(width)`` hold ``rows_of(part)``, zero off the mask; without a
-        mask, the one product reshaped."""
-        if self.real is None:
-            return rows_of(slice(0, self.n)).reshape(*self.shape, width)
-        out = np.zeros((self.mask.size, width), dtype=dtype)
-        for part in self.parts(width):
-            out[self.real[part]] = rows_of(part)
-        return out.reshape(*self.shape, width)
+
+def _rows(x: Tensor) -> tuple[np.ndarray, Sites]:
+    """``x``'s (n × C) rows and their sites. A tensor without sites is a
+    dense (B, H, W, C) image, whose rows are all its pixels in order."""
+    if x.sites is None:
+        B, H, W, C = x.data.shape
+        return x.data.reshape(B * H * W, C), Sites((B, H, W))
+    if x.data.shape[0] != x.sites.n:
+        raise ValueError(f"{x.data.shape[0]} rows for {x.sites.n} sites")
+    return x.data, x.sites
 
 
-def _sites(shape, mask) -> Sites:
-    """A conv's ``mask`` argument as ``Sites`` of the (B, H, W) grid ``shape``."""
-    sites = mask if isinstance(mask, Sites) else Sites(shape, mask)
-    if sites.shape != tuple(shape):
-        raise ValueError(f"conv2d mask is for a {sites.shape} grid, the input is {tuple(shape)}")
-    return sites
+def _on(sites: Sites, dense: bool, rows: np.ndarray, parents, backward) -> Tensor:
+    """The node of ``rows`` on ``sites``: as rows, or as the (B, H, W, C)
+    image when the op was called on dense images."""
+    if dense:
+        return ad._node(rows.reshape(*sites.shape, rows.shape[-1]), parents, backward)
+    out = ad._node(rows, parents, backward)
+    out.sites = sites
+    return out
+
+
+def to_grid(x: Tensor) -> Tensor:
+    """Rows on their sites -> the (B, H, W, C) image, zero off the mask; a
+    dense image is returned as it is. The model scatters its logits once,
+    at the end, so that ``data[b]`` is example b's grid."""
+    sites = x.sites
+    if sites is None:
+        return x
+    C = x.data.shape[1]
+    if sites.real is None:
+        out = x.data.reshape(*sites.shape, C)
+    else:
+        out = np.zeros((sites.mask.size, C), dtype=x.data.dtype)
+        out[sites.real] = x.data
+        out = out.reshape(*sites.shape, C)
+
+    def backward(grad):
+        g = grad.reshape(-1, C)
+        ad._accumulate(x, g if sites.real is None else g[sites.real])
+
+    return ad._node(out, (x,), backward)
 
 
 def _uses_im2col(k: np.ndarray) -> bool:
@@ -400,30 +434,24 @@ def _reversed_taps(k: np.ndarray) -> np.ndarray:
     return k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * k.shape[0], k.shape[1])
 
 
-def conv2d(x: Tensor, kernels: Tensor, mask=None) -> Tensor:
-    """3x3 same-padded convolution (cross-correlation); (B, H, W, C) -> (B, H, W, C').
+def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
+    """3x3 same-padded convolution (cross-correlation) over a level's rows;
+    (n × C) -> (n × C'), or (B, H, W, C) -> (B, H, W, C') on a dense image.
 
-    ``kernels`` has shape (C', C, 3, 3). ``mask`` marks the real pixels of a
-    padded batch: a (B, H, W) bool array, or the ``Sites`` built from one,
-    which the model builds once per level; None means every pixel is real.
-    Each product is one GEMM over the n real pixels as rows, with the nine
-    taps stacked on the narrower side:
+    ``kernels`` has shape (C', C, 3, 3). ``x`` holds one row per real pixel
+    of its ``Sites``, and a neighbour off the mask reads like the zero ring
+    (submanifold convolution). Each product is one GEMM over those rows,
+    with the nine taps stacked on the narrower side:
 
     - C <= C' (im2col): out = ``stack(x) @ k9``, (n × 9C) @ (9C × C').
-    - C > C' (kn2row): ``x_real @ k_revᵀ``, (n × C) @ (C × 9C') with the
-      taps reversed, gives each pixel's contribution to its nine neighbours,
-      and ``spread`` gathers and adds them at their offsets.
+    - C > C' (kn2row): ``x @ k_revᵀ``, (n × C) @ (C × 9C') with the taps
+      reversed, gives each pixel's contribution to its nine neighbours, and
+      ``spread`` gathers and adds them at their offsets.
 
-    Off the mask the output is zero, and the input gradient too. That is
-    exact for the U-Net, where an input pixel off the mask is zero (padded
-    features, and BN-ReLU and ``deconv2`` outputs, are zeroed there), so it
-    adds nothing that a zero row would not; an output pixel off the mask is
-    zeroed by the BN-ReLU after it, which passes it no gradient; and an
-    input gradient off the mask is never read. Without a mask the index
-    lists every pixel, and the arithmetic is the dense convolution's. With
-    one, a wide input's real rows are gathered, and results scattered to
-    the grid, in runs of at most ``_GATHER_ELEMENTS`` values
-    (``Sites.parts``), so no second copy of a wide image is held.
+    The rows are the function's whole input and output, so in the U-Net
+    every real cell gets what it gets on its example's own grid, up to float
+    summation order. A dense image's rows are all its pixels, and the
+    arithmetic is the dense convolution's.
 
     The rule follows the kernel's shape (``_uses_im2col``). Stacking the
     narrower side keeps the forward's stacked array and GEMM dimension at
@@ -443,145 +471,113 @@ def conv2d(x: Tensor, kernels: Tensor, mask=None) -> Tensor:
     The backward is the same on both sides. The output gradient is stacked,
     ``g9 = stack(dOut)`` (n × 9C'); block u of a pixel's row is the
     neighbour whose tap 8 - u reads that pixel, so the kernel gradient
-    ``x_realᵀ @ g9`` comes out with its taps reversed and the input gradient
-    is ``g9 @ _reversed_taps(k)``. The kernel gradient is handed back in
+    ``xᵀ @ g9`` comes out with its taps reversed and the input gradient is
+    ``g9 @ _reversed_taps(k)``. The kernel gradient is handed back in
     ``kernel_storage``, the memory order of the model's own kernels.
     """
-    xd = x.data
-    B, H, W, C = xd.shape
+    xd, sites = _rows(x)
+    C = xd.shape[1]
     Co, Ck, kh, kw = kernels.data.shape
     if (kh, kw) != (3, 3):
         raise ValueError("conv2d kernels must be 3x3")
     if Ck != C:
         raise ValueError(f"conv2d channel mismatch: input has {C}, kernels expect {Ck}")
-    sites = _sites((B, H, W), mask)
 
     if _uses_im2col(kernels.data):
-        x9, k9 = sites.stack(xd), _im2col_rows(kernels.data).T
-        out = sites.grid(lambda part: x9[part] @ k9, Co, xd.dtype)
+        out = sites.stack(xd) @ _im2col_rows(kernels.data).T
     else:
         blocks = np.empty((sites.n + 1, 9 * Co), dtype=xd.dtype)
-        for part in sites.parts(C):
-            np.matmul(sites.rows(xd, part), _reversed_taps(kernels.data).T, out=blocks[part])
+        np.matmul(xd, _reversed_taps(kernels.data).T, out=blocks[:-1])
         blocks[-1] = 0.0
-        spread = sites.spread(blocks)
-        out = sites.grid(lambda part: spread[part], Co, xd.dtype)
+        out = sites.spread(blocks)
 
     def backward(grad):
-        g9 = sites.stack(grad)
-        dk = np.zeros((C, 9 * Co), dtype=g9.dtype)
-        for part in sites.parts(C):
-            dk += sites.rows(xd, part).T @ g9[part]
+        g9 = sites.stack(grad.reshape(-1, Co))
+        dk = xd.T @ g9
         ad._accumulate(kernels, kernel_storage(dk.reshape(C, 3, 3, Co)[:, ::-1, ::-1].transpose(3, 0, 1, 2)))
-        taps = _reversed_taps(kernels.data)
-        ad._accumulate(x, sites.grid(lambda part: g9[part] @ taps, C, g9.dtype))
+        ad._accumulate(x, (g9 @ _reversed_taps(kernels.data)).reshape(x.data.shape))
 
-    return ad._node(out, (x, kernels), backward)
-
-
-# The four cells of a 2x2 window, in row-major order.
-_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def window_max(a: np.ndarray) -> np.ndarray:
-    """Max over 2x2 windows, stride 2, on axes 1 and 2: (B, H, W, ...) ->
-    (B, ceil(H/2), ceil(W/2), ...).
-
-    On an odd side the last window holds one row or column only, and its
-    maximum is over the cells that exist. Window cell (a, c) is the strided
-    view ``a[:, a::2, c::2]``, which covers the first ``(H - a + 1) // 2``
-    window rows and ``(W - c + 1) // 2`` window columns. Bool arrays pool to
-    "any cell set".
-    """
-    out = a[:, ::2, ::2].copy()
-    for r, c in _WINDOW[1:]:
-        cell = a[:, r::2, c::2]
-        part = out[:, : cell.shape[1], : cell.shape[2]]
-        np.maximum(part, cell, out=part)
-    return out
+    return _on(sites, x.sites is None, out, (x, kernels), backward)
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2, (B, H, W, C) -> (B, ceil(H/2), ceil(W/2), C).
+    """2x2 max pooling, stride 2: rows of a level -> rows of ``pooled()``,
+    or (B, H, W, C) -> (B, ceil(H/2), ceil(W/2), C) on a dense image.
 
-    The forward is ``window_max``: ``np.maximum`` over the strided views of
-    the window cells, with a partial window on an odd side. Gradient routes
-    to the first cell per window, in row-major window order, that equals the
-    window's maximum.
+    The four cells of every window are gathered through ``cells`` (4 × n')
+    in one take, as four contiguous (n' × C) blocks, and reduced across
+    them. On an odd side the last window holds one row or column only, and
+    a padded batch's edge windows hold some padding; either way the missing
+    cells repeat the window's first one, so the maximum is over the cells
+    there are. Gradient routes to the first cell per window, in row-major
+    window order, that equals the window's maximum.
     """
-    xd = x.data
-    out = window_max(xd)
+    xd, sites = _rows(x)
+    coarse = sites.pooled()
+    out = np.maximum.reduce(xd.take(coarse.cells, axis=0))
 
     def backward(grad):
+        first = xd.take(coarse.cells, axis=0).argmax(axis=0)  # (n', C): each window's routed cell
         dx = np.zeros_like(xd)
-        free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet routed
-        for a, c in _WINDOW:
-            cell = xd[:, a::2, c::2]
-            win = np.s_[:, : cell.shape[1], : cell.shape[2]]
-            hit = (cell == out[win]) & free[win]
-            dx[:, a::2, c::2] = np.where(hit, grad[win], 0.0)
-            free[win] &= ~hit
-        ad._accumulate(x, dx)
+        dx[coarse.cells[first, np.arange(coarse.n)[:, None]], np.arange(xd.shape[1])] = grad.reshape(out.shape)
+        ad._accumulate(x, dx.reshape(x.data.shape))
 
-    return ad._node(out, (x,), backward)
+    return _on(coarse, x.sites is None, out, (x,), backward)
 
 
-def deconv2(x: Tensor, kernels: Tensor, skip: Tensor, mask=None) -> Tensor:
-    """Transposed convolution, 2x2 kernel, stride 2, joined to its skip;
-    (B, H, W, C) and (B, H', W', S) -> (B, H', W', C' + S).
+def deconv2(x: Tensor, kernels: Tensor, skip: Tensor) -> Tensor:
+    """Transposed convolution, 2x2 kernel, stride 2, joined to its skip:
+    rows (n' × C) of a pooled level and (n × S) of the level above ->
+    (n × (C' + S)) rows there; on dense images (B, H, W, C) and
+    (B, H', W', S) -> (B, H', W', C' + S).
 
-    ``kernels`` has shape (C, C', 2, 2). Input pixel (i, j) writes output
-    pixel (2i + a, 2j + c) through tap (a, c) alone, so the forward is one
-    GEMM, (rows × C) @ (C × 4C') with the kernel's C-order reshape as the
-    operand, whose columns (d, a, c) are moved to their output pixels by one
-    reshape and transpose. The backward is two GEMMs, each over the output
-    gradient gathered into a contiguous (4C' × rows): ``k4 @ gt`` for the
-    input and ``gt @ x_rows`` for the kernel. Each product keeps the operand
-    order and orientation ``np.einsum(..., optimize=True)`` (numpy 2.4) uses
-    for the same sum, so the float32 results equal einsum's bit for bit;
-    OpenBLAS rounds the other orientations differently on some shapes.
+    ``kernels`` has shape (C, C', 2, 2), and ``x``'s level must be the
+    skip's ``pooled()``. Input pixel (i, j) writes output pixel
+    (2i + a, 2j + c) through tap (a, c) alone, so the forward is one GEMM,
+    (n' × C) @ (C × 4C') with the kernel's C-order reshape as the operand,
+    whose columns (d, a, c) go to the skip level's rows through ``slots``.
+    The backward is two GEMMs, each over the output gradient gathered into
+    a contiguous (4C' × n'): ``k4 @ gt`` for the input and ``gt @ x`` for
+    the kernel. Each product keeps the operand order and orientation
+    ``np.einsum(..., optimize=True)`` (numpy 2.4) uses for the same sum, so
+    the float32 results equal einsum's bit for bit; OpenBLAS rounds the
+    other orientations differently on some shapes.
 
-    The (2H, 2W) output is cropped to the skip's grid, at most that (an odd
-    side was pooled to a partial window), and the skip follows it on the
-    channel axis. The cropped cells get zero gradient, and the skip its own
-    channels. An optional (B, H', W') bool ``mask`` zeroes the first C'
-    channels on the cells it leaves unset, and their gradient with it. A
-    zero-channel skip (B, 2H, 2W, 0) gives the plain transposed convolution.
+    The skip level's grid crops the (2H, 2W) output: an odd side was pooled
+    to a partial window, whose missing cells are never written and send no
+    gradient back, and a padded batch's real cells take only their own
+    window's taps. The skip follows on the channel axis and gets its own
+    channels of the gradient. A zero-channel skip (B, 2H, 2W, 0) gives the
+    plain transposed convolution.
     """
-    xd = x.data
-    B, H, W, C = xd.shape
+    sd, fine = _rows(skip)
+    coarse = fine.pooled()
+    xd, sites = _rows(x)
+    if (sites.shape, sites.n) != (coarse.shape, coarse.n):
+        raise ValueError(f"deconv2 input grid {sites.shape} is not the pooled skip grid {coarse.shape}")
+    C = xd.shape[1]
     Ci, Co, kh, kw = kernels.data.shape
     if (kh, kw) != (2, 2):
         raise ValueError("deconv2 kernels must be 2x2")
     if Ci != C:
         raise ValueError(f"deconv2 channel mismatch: input has {C}, kernels expect {Ci}")
-    Ho, Wo = skip.data.shape[1:3]
-    keep = None if mask is None else mask[..., None]
 
-    x_rows = xd.reshape(B * H * W, C)
     k4 = kernels.data.reshape(C, 4 * Co)
-    out = (x_rows @ k4).reshape(B, H, W, Co, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(B, 2 * H, 2 * W, Co)
-    out = out[:, :Ho, :Wo]
-    if keep is not None:
-        out = out * keep
-    out = np.concatenate([out, skip.data], axis=3)
+    taps = (xd @ k4).reshape(coarse.n, Co, 4).transpose(2, 0, 1).reshape(4 * coarse.n, Co)  # rows s·n' + w
+    out = np.concatenate([taps.take(coarse.slots, axis=0), sd], axis=1)
 
     def backward(grad):
-        ad._accumulate(skip, grad[..., Co:])
-        grad = grad[..., :Co]
-        if keep is not None:
-            grad = grad * keep
-        if (Ho, Wo) != (2 * H, 2 * W):
-            full = np.zeros((B, 2 * H, 2 * W, Co), dtype=grad.dtype)
-            full[:, :Ho, :Wo] = grad
-            grad = full
-        g6 = grad.reshape(B, H, 2, W, 2, Co)
-        gt = g6.transpose(5, 2, 4, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (d, a, c)
-        ad._accumulate(x, (k4 @ gt).reshape(C, B, H, W).transpose(1, 2, 3, 0))
-        gt = g6.transpose(2, 4, 5, 0, 1, 3).reshape(4 * Co, B * H * W)  # rows (a, c, d)
-        ad._accumulate(kernels, (gt @ x_rows).reshape(2, 2, Co, C).transpose(3, 2, 0, 1))
+        g = grad.reshape(out.shape)
+        ad._accumulate(skip, g[:, Co:].reshape(skip.data.shape))
+        g4 = np.zeros((4 * coarse.n, Co), dtype=g.dtype)
+        g4[coarse.slots] = g[:, :Co]
+        g4 = g4.reshape(4, coarse.n, Co)
+        gt = g4.transpose(2, 0, 1).reshape(4 * Co, coarse.n)  # rows (d, a, c)
+        ad._accumulate(x, (k4 @ gt).T.reshape(x.data.shape))
+        gt = g4.transpose(0, 2, 1).reshape(4 * Co, coarse.n)  # rows (a, c, d)
+        ad._accumulate(kernels, (gt @ xd).reshape(2, 2, Co, C).transpose(3, 2, 0, 1))
 
-    return ad._node(out, (x, kernels, skip), backward)
+    return _on(fine, skip.sites is None, out, (x, kernels, skip), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -591,35 +587,27 @@ BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
 BN_EPS = 1e-5
 
 
-def bn_relu(
-    y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool, mask=None
-) -> Tensor:
-    """ReLU(batch norm(y)) over the channels (last axis) of (B, H, W, C), one node.
+def bn_relu(y: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool) -> Tensor:
+    """ReLU(batch norm(y)) over the channels (last axis) of rows, one node.
 
-    An optional (B, H, W) bool ``mask`` marks the real cells of a padded
-    batch; without one every cell is real. Training takes the mean and
-    biased variance over the n real cells, each as one GEMV of the mask's
-    0/1 row with the (B·H·W × C) cells, and moves the running statistics
-    toward them, in place. Eval folds the running statistics into one
-    per-channel scale and shift. Cells off the mask come out zero and get
-    zero gradient: to the next 3x3 conv they read like its zero ring, and to
-    a max-pool window of ReLU outputs like a cell that is not there. The
-    backward is the closed form of Ioffe & Szegedy (2015): with g the output
+    ``y`` is a level's (n × C) rows, one per real pixel, or a dense image,
+    whose pixels are all rows. Training takes the mean and biased variance
+    over the n rows, each as one GEMV of a row of ones with the rows, and
+    moves the running statistics toward them, in place. Eval folds the
+    running statistics into one per-channel scale and shift. The backward
+    is the closed form of Ioffe & Szegedy (2015): with g the output
     gradient passed through the ReLU and x̂ the normalized input,
     dy = γ/σ · (g - Σg/n - x̂ · Σ(g·x̂)/n) in training, and dy = γ/σ · g in
     eval, where the statistics are constants.
     """
     yd = y.data
-    axes = (0, 1, 2)
-    # No mask, no multiply: an all-True one cost +0.11 ms per batch-1 paper-dims segmentation pass.
-    keep = None if mask is None else mask[..., None]
+    rows = yd.reshape(-1, yd.shape[-1])
+    n = rows.shape[0]
     if training:
-        C = yd.shape[-1]
-        w = np.ones(yd.size // C, yd.dtype) if mask is None else mask.reshape(-1).astype(yd.dtype)
-        n = int(np.count_nonzero(w))
-        mu = (w @ yd.reshape(-1, C)) / n
-        xhat = yd - mu
-        var = (w @ (xhat * xhat).reshape(-1, C)) / n
+        ones = np.ones(n, yd.dtype)
+        mu = (ones @ rows) / n
+        xhat = rows - mu
+        var = (ones @ (xhat * xhat)) / n
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv
         out = xhat * gamma.data
@@ -631,43 +619,35 @@ def bn_relu(
         mu = running_mean
         inv = 1.0 / np.sqrt(running_var + BN_EPS)
         scale = gamma.data * inv
-        out = yd * scale
+        out = rows * scale
         out += beta.data - mu * scale
         xhat = None  # formed in the backward, which eval mode seldom runs
     np.maximum(out, 0.0, out=out)
-    if keep is not None:
-        out *= keep
 
     def backward(grad):
-        g = grad * (out > 0.0)  # zero on masked cells, whose output is zero
-        xh = (yd - mu) * inv if xhat is None else xhat
-        dbeta = g.sum(axis=axes)
-        dgamma = (g * xh).sum(axis=axes)
+        g = grad.reshape(out.shape) * (out > 0.0)
+        xh = (rows - mu) * inv if xhat is None else xhat
+        dbeta = g.sum(axis=0)
+        dgamma = (g * xh).sum(axis=0)
         ad._accumulate(gamma, dgamma)
         ad._accumulate(beta, dbeta)
         if training:
             g -= dbeta / n
             g -= xh * (dgamma / n)
-            if keep is not None:
-                g *= keep
         g *= gamma.data * inv
-        ad._accumulate(y, g)
+        ad._accumulate(y, g.reshape(yd.shape))
 
-    return ad._node(out, (y, gamma, beta), backward)
+    node = ad._node(out.reshape(yd.shape), (y, gamma, beta), backward)
+    node.sites = y.sites
+    return node
 
 
 def conv_bn_relu(
-    x: Tensor, kernels: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool, mask=None
+    x: Tensor, kernels: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, training: bool
 ) -> Tensor:
-    """Conv module of the segmentation net: 3x3 ``conv2d``, then ``bn_relu``.
-
-    Channels-last (B, H, W, C) -> (B, H, W, C'); ``kernels`` is (C', C, 3, 3)
-    and ``mask`` the optional (B, H, W) real-cell flags, or the ``Sites``
-    built from them: the conv computes the real cells alone, and ``bn_relu``
-    takes the flags.
-    """
-    sites = _sites(x.data.shape[:3], mask)
-    return bn_relu(conv2d(x, kernels, sites), gamma, beta, running_mean, running_var, training, sites.mask)
+    """Conv module of the segmentation net: 3x3 ``conv2d``, then ``bn_relu``,
+    on a level's (n × C) rows -> (n × C'); ``kernels`` is (C', C, 3, 3)."""
+    return bn_relu(conv2d(x, kernels), gamma, beta, running_mean, running_var, training)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +655,8 @@ def conv_bn_relu(
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map over the last axis, one node: (..., A) @ (A, C) + (C,) -> (..., C)."""
+    """Affine map over the last axis, one node: (..., A) @ (A, C) + (C,) -> (..., C).
+    Rows stay on their sites."""
     xd = x.data
     if xd.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear inner dims differ: input {xd.shape[-1]}, weight {w.data.shape}")
@@ -688,18 +669,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         ad._accumulate(w, flat.T @ g)
         ad._accumulate(b, g.sum(axis=0))
 
-    return ad._node(out.reshape(xd.shape[:-1] + out.shape[1:]), (x, w, b), backward)
+    node = ad._node(out.reshape(xd.shape[:-1] + out.shape[1:]), (x, w, b), backward)
+    node.sites = x.sites
+    return node
 
 
 def weighted_cross_entropy(logits: Tensor, targets, weights, mask=None) -> Tensor:
     """Mean over unmasked cells of ``weights[target] * -log softmax(logits)[target]``.
 
-    ``logits`` is (..., n_classes), one row of class scores per cell;
-    ``targets`` holds integer class ids and ``mask`` an optional boolean
-    keep-flag, each of the logits' leading shape; ``weights`` holds one
-    positive weight per class (``ModelConfig`` checks the model's). The loss
-    has the logits' dtype. The log-sum-exp subtracts each row's maximum
-    first, so ``exp`` only sees values <= 0 and cannot overflow in float32.
+    ``logits`` is (..., n_classes), one row of class scores per cell: the
+    model's (n × 3) logit rows, or an image; ``targets`` holds integer class
+    ids and ``mask`` an optional boolean keep-flag, each of the logits'
+    leading shape; ``weights`` holds one positive weight per class
+    (``ModelConfig`` checks the model's). The loss has the logits' dtype.
+    The log-sum-exp subtracts each row's maximum first, so ``exp`` only sees
+    values <= 0 and cannot overflow in float32.
     """
     lead = logits.data.shape[:-1]
     targets = np.asarray(targets, dtype=np.int64)

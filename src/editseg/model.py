@@ -7,11 +7,13 @@ carries both to generation. They are encoded by one shared BiLSTM pass;
 every (context word, utterance word) pair then gets a relevance vector
 [h ⊙ u; cos(h, u); h W u], giving an M x N x D "image" that a small
 UNet-style encoder/decoder segments into None / Substitute / Insert cells.
-A batch's images are built at once by a single ``encoding_layer`` node,
-which gathers each example's rows from the BiLSTM output onto one
-zero-padded grid, the batch's largest (M, N); the U-Net runs on that grid
-and masks the padding out. One forward pass yields the whole edit matrix,
-so inference cost does not grow with output length.
+A batch's features are built at once by a single ``encoding_layer`` node,
+for the real cells only: one row per (context word, utterance word) pair of
+each example, which are the real pixels of the batch's grid, its largest
+(M, N). The U-Net keeps every level as such rows, and the logits are
+scattered to the zero-padded (B, M, N, 3) grid once, at the end. One
+forward pass yields the whole edit matrix, so inference cost does not grow
+with output length.
 
 ``array_table`` is the one place the model's arrays are listed, by
 checkpoint name and shape. ``RewriteModel`` keeps them in one store under
@@ -164,23 +166,33 @@ def encode_example(
 # layers
 
 
-# Floor on a row's squared norm: far below any real BiLSTM state, so it only
-# acts on the zero rows that pad a batch. It is a normal float32 (the
-# smallest is 1.2e-38), and so are its square root and the product of two.
+# Floor on a state's squared norm: far below any real BiLSTM state, so it
+# only acts on a zero one. It is a normal float32 (the smallest is
+# 1.2e-38), and so are its square root and the product of two.
 _SQ_NORM_FLOOR = 1e-24
 
 
+def real_cells(sizes, grid: tuple[int, int]) -> np.ndarray:
+    """(B, M, N) flags of each example's m x nx real cells, top left on the grid."""
+    mask = np.zeros((len(sizes), *grid), dtype=bool)
+    for i, (m, nx) in enumerate(sizes):
+        mask[i, :m, :nx] = True
+    return mask
+
+
 def encoding_layer(states: Tensor, sizes, grid: tuple[int, int], w_bilinear: Tensor) -> Tensor:
-    """Pairwise relevance features for a padded batch, as one graph node.
+    """Pairwise relevance features of a batch's real cells, as one graph node.
 
     ``states`` is the (B, L, 2H) BiLSTM output over each example's
     c ++ x_prepared, and ``sizes`` holds each example's (m, nx): rows
     [0, m) are its context states u and rows [m, m + nx) its utterance
-    states hx. The node gathers them onto the (M, N) ``grid``, zero rows on
-    the padding, and gives every cell the concatenation of the elementwise
-    product, the cosine similarity and the learned bilinear form:
-    (B, M, N, 2H + 2), written into one array. Padding cells are zero. The
-    squared norms are clamped before the square root, so a zero row has
+    states hx. Every real (i, j) pair gets the concatenation of the
+    elementwise product, the cosine similarity and the learned bilinear
+    form, 2H + 2 values, as one row of a (Σ m·nx, 2H + 2) array: each
+    example's m x nx block in turn, row-major. Those are the real pixels of
+    the (B, M, N) ``grid``, in the order its ``kernels.Sites`` lists them,
+    and the node carries the sites; padding cells are never computed. The
+    squared norms are clamped before the square root, so a zero state has
     cosine 0 and a finite gradient.
 
     The backward writes the gradients of u and hx into one zero (B, L, 2H)
@@ -192,41 +204,51 @@ def encoding_layer(states: Tensor, sizes, grid: tuple[int, int], w_bilinear: Ten
     M, N = grid
     if len(sizes) != B or any(not (0 <= m <= M and 0 <= nx <= N and m + nx <= L) for m, nx in sizes):
         raise ValueError(f"sizes must be {B} pairs (m <= {M}, nx <= {N}, m + nx <= {L}), got {list(sizes)}")
-    ud = np.zeros((B, M, width), dtype=sd.dtype)
-    hd = np.zeros((B, N, width), dtype=sd.dtype)
+    padded = any((m, nx) != (M, N) for m, nx in sizes)
+    sites = K.Sites((B, M, N), real_cells(sizes, grid) if padded else None)
+    hx = np.concatenate([sd[i, m : m + nx] for i, (m, nx) in enumerate(sizes)])  # (Σ nx, 2H)
+    hw = hx @ w
+    out = np.empty((sites.n, width + 2), dtype=sd.dtype)
+    # Per example: its size, its m x nx block of rows, its columns of hx,
+    # and the norms of its u and hx.
+    parts, row, col = [], 0, 0
     for i, (m, nx) in enumerate(sizes):
-        ud[i, :m] = sd[i, :m]
-        hd[i, :nx] = sd[i, m : m + nx]
-    out = np.empty((B, M, N, width + 2), dtype=ud.dtype)
-    elem = out[..., :width]
-    np.multiply(ud[:, :, None, :], hd[:, None, :, :], out=elem)
-    norm_u = np.sqrt(np.maximum((ud * ud).sum(axis=2), _SQ_NORM_FLOOR))
-    norm_h = np.sqrt(np.maximum((hd * hd).sum(axis=2), _SQ_NORM_FLOOR))
-    denom = norm_u[:, :, None] * norm_h[:, None, :]
-    cos = out[..., width]
-    np.divide(elem.sum(axis=3), denom, out=cos)
-    hw = hd @ w  # (B, N, 2H)
-    np.matmul(ud, hw.transpose(0, 2, 1), out=out[..., width + 1])
+        rows, cols, u = np.s_[row : row + m * nx], np.s_[col : col + nx], sd[i, :m]
+        norm_u, norm_h = (np.sqrt(np.maximum((a * a).sum(axis=1), _SQ_NORM_FLOOR)) for a in (u, hx[cols]))
+        blk = out[rows].reshape(m, nx, width + 2)
+        elem = blk[..., :width]
+        np.multiply(u[:, None, :], hx[None, cols, :], out=elem)
+        np.divide(elem.sum(axis=2), norm_u[:, None] * norm_h[None, :], out=blk[..., width])
+        np.matmul(u, hw[cols].T, out=blk[..., width + 1])
+        parts.append((m, nx, rows, cols, norm_u, norm_h))
+        row, col = row + m * nx, col + nx
 
     def backward(g):
-        g_elem, g_cos, g_bil = g[..., :width], g[..., width], g[..., width + 1]
-        g_dot = g_cos / denom
-        g_cos_cos = g_cos * cos
-        ub = g_bil.transpose(0, 2, 1) @ ud  # (B, N, 2H): sum_m g_bil[m, n] u_m
-        du = np.einsum("bmnd,bnd->bmd", g_elem, hd)
-        du += g_dot @ hd + g_bil @ hw
-        du -= ud * (g_cos_cos.sum(axis=2) / norm_u**2)[..., None]
-        dh = np.einsum("bmnd,bmd->bnd", g_elem, ud)
-        dh += g_dot.transpose(0, 2, 1) @ ud + ub @ w.T
-        dh -= hd * (g_cos_cos.sum(axis=1) / norm_h**2)[..., None]
+        grads = [g[rows].reshape(m, nx, width + 2) for m, nx, rows, *_ in parts]
+        ub = np.empty_like(hx)  # ub[n] = sum_m g_bil[m, n] u_m, for all examples' columns
+        for i, (gb, (m, _, _, cols, _, _)) in enumerate(zip(grads, parts)):
+            np.matmul(gb[..., width + 1].T, sd[i, :m], out=ub[cols])
+        ubw = ub @ w.T
         ds = np.zeros_like(sd)
-        for i, (m, nx) in enumerate(sizes):
-            ds[i, :m] = du[i, :m]
-            ds[i, m : m + nx] = dh[i, :nx]
+        for i, (gb, (m, nx, rows, cols, norm_u, norm_h)) in enumerate(zip(grads, parts)):
+            g_elem, g_cos, g_bil = gb[..., :width], gb[..., width], gb[..., width + 1]
+            u, h = sd[i, :m], hx[cols]
+            g_dot = g_cos / (norm_u[:, None] * norm_h[None, :])
+            g_cos_cos = g_cos * out[rows, width].reshape(m, nx)
+            du = np.einsum("mnd,nd->md", g_elem, h)
+            du += g_dot @ h + g_bil @ hw[cols]
+            du -= u * (g_cos_cos.sum(axis=1) / norm_u**2)[:, None]
+            dh = np.einsum("mnd,md->nd", g_elem, u)
+            dh += g_dot.T @ u + ubw[cols]
+            dh -= h * (g_cos_cos.sum(axis=0) / norm_h**2)[:, None]
+            ds[i, :m] = du
+            ds[i, m : m + nx] = dh
         ad._accumulate(states, ds)
-        ad._accumulate(w_bilinear, hd.reshape(-1, width).T @ ub.reshape(-1, width))
+        ad._accumulate(w_bilinear, hx.T @ ub)
 
-    return ad._node(out, (states, w_bilinear), backward)
+    node = ad._node(out, (states, w_bilinear), backward)
+    node.sites = sites
+    return node
 
 
 def decode_matrix(logits: np.ndarray, m: int, nx: int) -> np.ndarray:
@@ -329,8 +351,8 @@ class RewriteModel:
         directions' ``w_hh`` as the two halves of one (2, H, 4H) buffer,
         which ``kernels.lstm`` multiplies by in one call per step."""
         self.config = config
-        # Examples run through segmentation_layer, the pass that makes the
-        # logits (training batches too): one per predicted example.
+        # Examples run through logit_rows, the pass that makes the logits
+        # (training batches too): one per predicted example.
         self.invocations = 0
         self.tensors = {}
         w_hh = ("lstm.fwd.w_hh", "lstm.bwd.w_hh")
@@ -383,85 +405,75 @@ class RewriteModel:
         return K.lstm(t["embedding"], ids, fwd, bwd, lengths)
 
     def feature_batch(self, batch: list[EncodedExample]):
-        """Encode a batch into one padded (B, H, W, D) feature image + mask.
+        """Encode a batch into its pair-feature rows and real-cell mask.
 
         One ``encoding_layer`` call gathers each example's context and
-        utterance rows from the BiLSTM output onto the batch's own grid, its
-        largest (m, nx), and builds the whole image, channels-last as the
-        U-Net takes it; padding cells are zero. The (B, H, W) mask marks real
-        cells.
+        utterance rows from the BiLSTM output and builds the features of
+        its m x nx real cells, one row each, on the batch's own grid, its
+        largest (m, nx). The rows carry their ``kernels.Sites``; the
+        (B, H, W) mask marks the same cells.
         """
         states = self.context_layer(batch)
-        sizes = np.array([(ex.m, ex.nx) for ex in batch])
-        grid = (int(sizes[:, 0].max()), int(sizes[:, 1].max()))
-        real_rows = np.arange(grid[0]) < sizes[:, :1]  # (B, H)
-        real_cols = np.arange(grid[1]) < sizes[:, 1:]  # (B, W)
-        masks = real_rows[:, :, None] & real_cols[:, None, :]
-        return encoding_layer(states, sizes.tolist(), grid, self.tensors["bilinear.w"]), masks
+        sizes = [(ex.m, ex.nx) for ex in batch]
+        grid = (max(m for m, _ in sizes), max(nx for _, nx in sizes))
+        return encoding_layer(states, sizes, grid, self.tensors["bilinear.w"]), real_cells(sizes, grid)
 
     def segmentation_layer(self, features: Tensor, training: bool) -> Tensor:
-        """U-shaped encoder/decoder over the feature image -> per-cell logits.
+        """The U-Net over the feature rows -> per-cell logits on the grid,
+        (B, H, W, 3), zero on padding: ``logit_rows`` scattered once."""
+        return K.to_grid(self.logit_rows(features, training))
 
-        Channels-last throughout: (B, H, W, D) in, (B, H, W, 3) out, on any
-        grid size. Two down-sampling blocks (conv, conv, pool; channels
-        double; an odd side pools to a partial last window), two up-sampling
-        blocks (conv, conv, deconv; channels halve), each deconv output
-        cropped to the grid of the matching pre-pool features and joined to
-        them on the channel axis in the same ``deconv2`` node, then a
-        per-cell affine head to the three edit types.
+    def logit_rows(self, features: Tensor, training: bool) -> Tensor:
+        """U-shaped encoder/decoder over the feature rows -> (n × 3) logit rows.
 
-        Padding is masked out. A padded cell is exactly zero in all D
-        feature channels (``encoding_layer``), and no real cell is, so the
-        features give the (B, H, W) real-cell mask; it is max-pooled to the
-        lower levels. Every BN-ReLU takes its statistics over real cells and
-        zeroes the rest, and each deconv output is re-zeroed on them. Real
-        cells then get the function they get on their example's own grid:
-        a zeroed neighbour reads like the conv's zero ring, a zero in a
-        window of ReLU outputs leaves its maximum alone, and each deconv
-        output cell reads one input cell. Only float summation order
-        differs. Each level's real cells and their neighbours are indexed
-        once, as ``kernels.Sites``, and its convs compute those cells alone.
-        When no cell is padded (every batch of one), the mask is ``None``,
-        nothing is masked and every cell is computed.
+        Two down-sampling blocks (conv, conv, pool; channels double; an odd
+        side pools to a partial last window), two up-sampling blocks (conv,
+        conv, deconv; channels halve), each deconv output cropped to the
+        grid of the matching pre-pool features and joined to them on the
+        channel axis in the same ``deconv2`` node, then a per-cell affine
+        head to the three edit types.
+
+        Every level keeps one row per real cell, listed by its
+        ``kernels.Sites``: the features carry the first level's, and each
+        pool gives the next (``Sites.pooled``, built once per level). So
+        padding is never computed, and a real cell gets the function it
+        gets on its example's own grid: a neighbour off the mask reads like
+        the conv's zero ring, a pool window's maximum is over its real
+        cells, each deconv output cell reads its own window, and batch norm
+        takes its statistics over the real cells. Only float summation order
+        differs. A dense (B, H, W, D) image is every pixel's rows.
         """
-
-        self.invocations += features.data.shape[0]
+        self.invocations += features.sites.shape[0] if features.sites is not None else features.data.shape[0]
         t = self.tensors
-        m1 = features.data.any(axis=3)
-        s1 = K.Sites(m1.shape, None if m1.all() else m1)
-        s2 = s1.pooled()
-        s3 = s2.pooled()
 
-        def block(x, name, sites):
+        def block(x, name):
             gamma, beta, mean, var = (t[f"{name}.bn.{a}"] for a in ("gamma", "beta", *BN_STATS))
             # Positional, as the benchmark's wrappers forward the arguments
             # (tests/test_package.py makes its calls).
-            return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training, sites)
+            return K.conv_bn_relu(x, t[f"{name}.k"], gamma, beta, mean.data, var.data, training)
 
-        d1 = block(block(features, "down1.conv1", s1), "down1.conv2", s1)
-        d2 = block(block(K.maxpool2(d1), "down2.conv1", s2), "down2.conv2", s2)
-        bottom = block(block(K.maxpool2(d2), "up1.conv1", s3), "up1.conv2", s3)
-        u2 = block(block(K.deconv2(bottom, t["up1.deconv.k"], d2, s2.mask), "up2.conv1", s2), "up2.conv2", s2)
-        return K.linear(K.deconv2(u2, t["up2.deconv.k"], d1, s1.mask), t["head.w"], t["head.b"])
+        d1 = block(block(features, "down1.conv1"), "down1.conv2")
+        d2 = block(block(K.maxpool2(d1), "down2.conv1"), "down2.conv2")
+        bottom = block(block(K.maxpool2(d2), "up1.conv1"), "up1.conv2")
+        u2 = block(block(K.deconv2(bottom, t["up1.deconv.k"], d2), "up2.conv1"), "up2.conv2")
+        return K.linear(K.deconv2(u2, t["up2.deconv.k"], d1), t["head.w"], t["head.b"])
 
     # -- objectives -------------------------------------------------------------
 
     def forward_loss(self, batch: list[EncodedExample]) -> Tensor:
-        """Weighted cross-entropy over all unmasked cells of the batch."""
-        features, masks = self.feature_batch(batch)
-        logits = self.segmentation_layer(features, training=True)
-        b, th, tw, _ = logits.data.shape
-        targets = np.zeros((b, th, tw), dtype=np.int64)
-        for i, ex in enumerate(batch):
-            if ex.gold is None:
-                raise ValueError("forward_loss needs gold matrices")
-            targets[i, : ex.m, : ex.nx] = ex.gold
-        return K.weighted_cross_entropy(logits, targets, self.config.class_weights, mask=masks)
+        """Weighted cross-entropy over the batch's real cells, on the logit
+        rows: each example's gold matrix, row-major, is its rows' targets."""
+        if any(ex.gold is None for ex in batch):
+            raise ValueError("forward_loss needs gold matrices")
+        features, _ = self.feature_batch(batch)
+        logits = self.logit_rows(features, training=True)
+        targets = np.concatenate([np.asarray(ex.gold).reshape(-1) for ex in batch])
+        return K.weighted_cross_entropy(logits, targets, self.config.class_weights)
 
     def predict(self, batch: list[EncodedExample]) -> list[np.ndarray]:
         """Edit matrices in ``batch``'s order, one forward pass each: sorted by
         (m, nx), ``PREDICT_BATCH`` examples share a forward pass. Padding is
-        masked out, so no matrix depends on the examples it runs with."""
+        never computed, so no matrix depends on the examples it runs with."""
         order = sorted(range(len(batch)), key=lambda i: (batch[i].m, batch[i].nx))
         matrices = [None] * len(batch)
         for start in range(0, len(batch), PREDICT_BATCH):

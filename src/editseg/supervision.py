@@ -22,8 +22,8 @@ from .dialogue import (
     DialogueExample,
     EMPTY_CONNECTION_WORDS,
     JoinedContext,
+    SEP_TEXT,
     Token,
-    TokenKind,
     join_context,
     texts,
 )
@@ -138,7 +138,7 @@ def locate_in_context(span_tokens, c: JoinedContext) -> Optional[tuple[int, int]
     ctoks = c.tokens
     for start in range(len(ctoks) - n + 1):
         window = ctoks[start : start + n]
-        if any(t.kind is TokenKind.SEP_S for t in window):
+        if any(t.text == SEP_TEXT for t in window):
             continue
         if [t.text for t in window] == want:
             return start, start + n

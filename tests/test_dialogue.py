@@ -8,7 +8,6 @@ from editseg.dialogue import (
     ConnectionWordList,
     DialogueExample,
     Token,
-    TokenKind,
     Tokenization,
     derive_connection_words,
     join_context,
@@ -67,7 +66,7 @@ def test_join_with_connection_words():
     conn = ConnectionWordList(("of",))
     joined = join_context(e, conn, k=1)
     assert texts(joined.tokens) == ["a", "[S]", "of"]
-    assert joined.tokens[2].kind is TokenKind.WORD
+    assert not joined.tokens[2].is_special()
 
 
 def test_join_empty_context():
@@ -152,10 +151,10 @@ def test_connection_list_save_load_round_trip(tmp_path):
 
 
 def test_special_token_texts_enforced():
+    # A token's kind is its text: only [S] and [E] are special, and no word is empty.
+    assert sep_token().is_special() and Token("[E]").is_special() and not Token("S").is_special()
     with pytest.raises(ValueError):
-        Token("oops", TokenKind.SEP_S)
-    with pytest.raises(ValueError):
-        Token("", TokenKind.WORD)
+        Token("")
 
 
 @pytest.mark.parametrize("where", ["context", "incomplete", "rewrite"])

@@ -452,23 +452,45 @@ def conv_mask(kind, rng):
     return rng.random((2, 5, 7)) < 0.6
 
 
+def on_sites(image, sites, requires_grad=False):
+    """The rows of a (B, H, W, C) ``image`` at ``sites``' real pixels, as a
+    tensor on those sites; the image off the mask is never read."""
+    rows = image.reshape(-1, image.shape[-1])
+    return Tensor(rows if sites.real is None else rows[sites.real], requires_grad=requires_grad, sites=sites)
+
+
+def as_image(rows, sites):
+    """Rows on ``sites`` as their (B, H, W, C) image, zero off the mask."""
+    return K.to_grid(Tensor(rows, sites=sites)).data
+
+
 CONV_SIDES = pytest.mark.parametrize("c, co", [(3, 5), (6, 2)], ids=["im2col", "kn2row"])
 
 
 def conv_results(xd, k, probe, mask):
-    """conv2d's output, input gradient and kernel gradient through ``probe``."""
-    x, kt = Tensor(xd.copy(), requires_grad=True), Tensor(k.copy(), requires_grad=True)
-    out = K.conv2d(x, kt, mask)
+    """conv2d's output, input gradient and kernel gradient through ``probe``,
+    each as an image. With a ``mask`` (or the ``Sites`` built from one) the
+    conv runs on the real cells' rows, and its output and input gradient
+    are scattered to the grid, zero off the mask."""
+    kt = Tensor(k.copy(), requires_grad=True)
+    if mask is None:
+        x = Tensor(xd.copy(), requires_grad=True)
+        out = K.conv2d(x, kt)
+        probe_loss(out, probe).backward()
+        return out.data, x.grad, kt.grad
+    sites = mask if isinstance(mask, K.Sites) else K.Sites(mask.shape, mask)
+    x = on_sites(xd.copy(), sites, requires_grad=True)
+    out = K.to_grid(K.conv2d(x, kt))
     probe_loss(out, probe).backward()
-    return out.data, x.grad, kt.grad
+    return out.data, as_image(x.grad, sites), kt.grad
 
 
 @CONV_SIDES
 @pytest.mark.parametrize("kind", ["ragged", "irregular"])
 def test_masked_conv_equals_dense_conv_on_real_cells(c, co, kind):
-    # In the U-Net an input off the mask is zero and the output gradient
-    # there is zero (BN-ReLU zeroes both); then the convolution over the
-    # real cells alone gives the dense one's values on them.
+    # Where the image is zero off the mask, as the U-Net's zero ring and
+    # padding are, the convolution over the real cells' rows gives the
+    # dense one's values on them, and the dense one's gradients.
     rng = rng_for(800 + c)
     mask = conv_mask(kind, rng)
     xd = rng.normal(size=mask.shape + (c,)) * mask[..., None]
@@ -484,29 +506,33 @@ def test_masked_conv_equals_dense_conv_on_real_cells(c, co, kind):
 @CONV_SIDES
 @pytest.mark.parametrize("kind", ["ragged", "irregular"])
 def test_masked_conv_output_and_input_gradient_are_zero_off_the_mask(c, co, kind):
-    # Even where the input and the output gradient are not zero there.
+    # Even where the image and the output gradient are not zero there: the
+    # rows hold the real cells alone, so nothing off the mask is read.
     rng = rng_for(820 + c)
     mask = conv_mask(kind, rng)
-    out, dx, _ = conv_results(
-        rng.normal(size=mask.shape + (c,)), rng.normal(size=(co, c, 3, 3)), rng.normal(size=mask.shape + (co,)), mask
-    )
+    xd = rng.normal(size=mask.shape + (c,))
+    k = rng.normal(size=(co, c, 3, 3))
+    probe = rng.normal(size=mask.shape + (co,))
+    out, dx, dk = conv_results(xd, k, probe, mask)
     assert not out[~mask].any() and out[mask].all()
     assert not dx[~mask].any()
+    zeroed = conv_results(xd * mask[..., None], k, probe * mask[..., None], mask)
+    for got, want in zip((out, dx, dk), zeroed):
+        assert np.array_equal(got, want)
 
 
 @CONV_SIDES
 @pytest.mark.parametrize("kind", ["ragged", "irregular"])
 def test_masked_conv_grads_match_finite_differences(c, co, kind):
-    # The masked conv is a function of the real cells' inputs alone, so the
-    # inputs off the mask have zero derivative, as the backward says.
     rng = rng_for(840 + c)
     mask = conv_mask(kind, rng)
-    x = Tensor(rng.normal(size=mask.shape + (c,)), requires_grad=True)
+    sites = K.Sites(mask.shape, mask)
+    x = on_sites(rng.normal(size=mask.shape + (c,)), sites, requires_grad=True)
     k = Tensor(rng.normal(size=(co, c, 3, 3)), requires_grad=True)
-    probe = rng.normal(size=mask.shape + (co,))
+    probe = rng.normal(size=(sites.n, co))
 
     def f():
-        return probe_loss(K.conv2d(x, k, mask), probe)
+        return probe_loss(K.conv2d(x, k), probe)
 
     assert grad_check(f, [x, k], h=H_STEP) < TOL
 
@@ -514,6 +540,7 @@ def test_masked_conv_grads_match_finite_differences(c, co, kind):
 @CONV_SIDES
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_all_true_mask_is_bitwise_no_mask(c, co, dtype):
+    # The rows of an all-True mask's sites are a dense image's rows.
     rng = rng_for(860 + c)
     xd = rng.normal(size=(2, 5, 3, c)).astype(dtype)
     k = rng.normal(size=(co, c, 3, 3)).astype(dtype)
@@ -524,16 +551,17 @@ def test_all_true_mask_is_bitwise_no_mask(c, co, dtype):
 
 
 def test_conv_takes_a_levels_sites_as_its_mask():
-    # The model builds each level's Sites once; they give what the mask gives.
+    # The model builds each level's Sites once, and its rows carry them.
     rng = rng_for(880)
     mask = conv_mask("ragged", rng)
     xd, k, probe = rng.normal(size=mask.shape + (3,)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=mask.shape + (4,))
     sites = K.Sites(mask.shape, mask)
     for got, want in zip(conv_results(xd, k, probe, sites), conv_results(xd, k, probe, mask)):
         assert np.array_equal(got, want)
-    assert np.array_equal(sites.pooled().mask, K.window_max(mask))
-    with pytest.raises(ValueError, match="grid"):
-        K.conv2d(Tensor(xd[:, :4]), Tensor(k), sites)
+    out = K.conv2d(on_sites(xd, sites), Tensor(k))
+    assert out.sites is sites and out.data.shape == (mask.sum(), 4)
+    with pytest.raises(ValueError, match="rows"):
+        K.conv2d(Tensor(xd[mask][:-1], sites=sites), Tensor(k))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -582,66 +610,71 @@ def padded_mask():
 
 
 def test_masked_bn_relu_takes_statistics_over_real_cells_only():
+    # A padded batch's BN-ReLU runs on its real cells' rows; the padding,
+    # which would swamp every statistic it entered, is never read.
     rng = rng_for(211)
     mask = padded_mask()
+    sites = K.Sites(mask.shape, mask)
     y = rng.normal(size=(3, 4, 5, 6)) * rng.uniform(0.5, 3.0, size=6) + rng.normal(size=6)
-    y[~mask] = 1e3  # padding that would swamp every statistic it entered
+    y[~mask] = 1e3
     gamma, beta, running_mean, running_var = bn = batch_norm(6)
     gamma.data[:] = rng.uniform(0.5, 2.0, size=6)
     beta.data[:] = rng.normal(size=6)
-    out = K.bn_relu(Tensor(y), *bn, training=True, mask=mask)
+    out = K.bn_relu(on_sites(y, sites), *bn, training=True)
+    assert out.sites is sites
 
     cells = y[mask]
     mean = cells.mean(axis=0)
     var = ((cells - mean) ** 2).mean(axis=0)
-    want = np.maximum((y - mean) / np.sqrt(var + 1e-5) * gamma.data + beta.data, 0.0)
-    np.testing.assert_allclose(out.data[mask], want[mask], rtol=1e-12, atol=1e-12)
-    assert not out.data[~mask].any()
+    want = np.maximum((cells - mean) / np.sqrt(var + 1e-5) * gamma.data + beta.data, 0.0)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(running_mean, 0.1 * mean, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(running_var, 0.9 + 0.1 * var, rtol=1e-12, atol=1e-12)
-    evaluated = K.bn_relu(Tensor(y), *bn, training=False, mask=mask)
-    assert not evaluated.data[~mask].any() and evaluated.data[mask].any()
+    evaluated = K.bn_relu(on_sites(y, sites), *bn, training=False)
+    image = K.to_grid(evaluated).data
+    assert not image[~mask].any() and image[mask].any()
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_masked_bn_relu_training_grads_match_finite_differences(seed):
     rng = rng_for(230 + seed)
     mask = padded_mask()
-    y = Tensor(rng.normal(size=(3, 4, 5, 4)), requires_grad=True)
+    sites = K.Sites(mask.shape, mask)
+    y = on_sites(rng.normal(size=(3, 4, 5, 4)), sites, requires_grad=True)
     gamma, beta, _, _ = bn = batch_norm(4)
     gamma.data[:] = rng.uniform(0.5, 2.0, size=4)
     beta.data[:] = rng.normal(size=4) * 0.3
-    probe = rng.normal(size=(3, 4, 5, 4))
+    probe = rng.normal(size=(sites.n, 4))
 
     def f():
-        return probe_loss(K.bn_relu(y, *bn, training=True, mask=mask), probe)
+        return probe_loss(K.bn_relu(y, *bn, training=True), probe)
 
     assert y.data.dtype == np.float64
     assert grad_check(f, [y, gamma, beta], h=H_STEP) < TOL
     y.zero_grad()
     f().backward()
-    assert np.all(y.grad[~mask] == 0.0)
-    assert np.all(np.abs(y.grad[mask]).sum(axis=1) > 0)
+    assert np.all(np.abs(y.grad).sum(axis=1) > 0)
 
 
 def test_bn_relu_training_without_mask_is_an_all_true_mask():
-    """No mask and an all-True one take the same statistics, bit for bit, in
-    the model's float32: there is one formula, not one per case."""
+    """A dense image and the rows of an all-True mask's sites take the same
+    statistics, bit for bit, in the model's float32: there is one formula,
+    not one per case."""
     rng = rng_for(240)
     y = (rng.normal(size=(2, 5, 7, 4)) * 3.0 + 1.0).astype(np.float32)
     probe = rng.normal(size=y.shape).astype(np.float32)
+    everywhere = K.Sites(y.shape[:3], np.ones(y.shape[:3], dtype=bool))
     runs = []
-    for mask in (None, np.ones(y.shape[:3], dtype=bool)):
-        yt = Tensor(y.copy(), requires_grad=True)
+    for yt in (Tensor(y.copy(), requires_grad=True), on_sites(y.copy(), everywhere, requires_grad=True)):
         gamma = Tensor(np.linspace(0.5, 2.0, 4, dtype=np.float32), requires_grad=True)
         beta = Tensor(np.full(4, 0.1, dtype=np.float32), requires_grad=True)
         stats = np.zeros(4, np.float32), np.ones(4, np.float32)
-        out = K.bn_relu(yt, gamma, beta, *stats, training=True, mask=mask)
-        probe_loss(out, probe).backward()
-        runs.append((out.data, *stats, yt.grad, gamma.grad))
-    for without, all_true in zip(*runs):
-        assert without.dtype == np.float32
-        assert np.array_equal(without, all_true)
+        out = K.bn_relu(yt, gamma, beta, *stats, training=True)
+        probe_loss(out, probe.reshape(out.data.shape)).backward()
+        runs.append((out.data.reshape(-1, 4), *stats, yt.grad.reshape(-1, 4), gamma.grad))
+    for dense, rows in zip(*runs):
+        assert dense.dtype == np.float32
+        assert np.array_equal(dense, rows)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -783,14 +816,46 @@ def test_maxpool_partial_window_routes_gradient_to_first_maximum():
     assert np.array_equal(x.grad, want)
 
 
-def test_window_max_of_a_mask_flags_windows_with_a_set_cell():
+def test_pooled_sites_flag_windows_with_a_real_cell():
     mask = np.zeros((2, 5, 3), dtype=bool)
     mask[0, :3, :1] = True  # a 3 x 1 real region
     mask[1, :5, :3] = True
-    pooled = K.window_max(mask)
-    assert pooled.dtype == np.bool_
-    assert pooled[0].tolist() == [[True, False], [True, False], [False, False]]
-    assert pooled[1].all()
+    sites = K.Sites(mask.shape, mask)
+    pooled = sites.pooled()
+    assert pooled is sites.pooled() and pooled.mask.dtype == np.bool_
+    assert pooled.mask[0].tolist() == [[True, False], [True, False], [False, False]]
+    assert pooled.mask[1].all()
+    # Example 0's windows hold rows 0-1 and row 2; example 1's six windows
+    # start at row 3, and its bottom and right ones are partial. A missing
+    # cell repeats its window's first real one.
+    assert pooled.n == 8 and pooled.cells.shape == (4, 8)
+    assert pooled.cells.T[:3].tolist() == [[0, 0, 1, 0], [2, 2, 2, 2], [3, 4, 6, 7]]
+    assert pooled.cells.T[-1].tolist() == [17] * 4
+    # Slot s·n' + w of each real pixel: cells 0 and 2 of window 0, cell 0 of window 1.
+    assert pooled.slots[:3].tolist() == [0, 16, 1]
+
+
+def test_maxpool_on_rows_matches_argmax_reference_over_real_cells():
+    # The rows of a padded batch with odd sides: ties in full, partial and
+    # padded windows. The pooled rows are the real windows' maxima over
+    # their real cells, and the gradient goes to each one's first maximal
+    # real cell in row-major window order, as on the example's own grid.
+    rng = rng_for(732)
+    mask = conv_mask("ragged", rng)
+    sites = K.Sites(mask.shape, mask)
+    xd = np.round(rng.normal(size=mask.shape + (2,)) * 2)
+    x = on_sites(xd, sites, requires_grad=True)
+    out = K.maxpool2(x)
+    coarse = sites.pooled()
+    assert out.sites is coarse and out.data.shape == (coarse.n, 2)
+    probe = rng.normal(size=out.data.shape)
+    probe_loss(out, probe).backward()
+    want_out, want_dx = maxpool_reference(np.where(mask[..., None], xd, -np.inf), as_image(probe, coarse))
+    assert np.array_equal(as_image(out.data, coarse), np.where(coarse.mask[..., None], want_out, 0.0))
+    assert np.array_equal(as_image(x.grad, sites), want_dx)
+
+    xf = on_sites(rng.normal(size=mask.shape + (2,)), sites, requires_grad=True)
+    assert grad_check(lambda: probe_loss(K.maxpool2(xf), probe), [xf], h=1e-5) < TOL
 
 
 def no_skip(x):
@@ -834,33 +899,47 @@ def test_deconv_grads_match_finite_differences(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_cropped_masked_deconv_grads_match_finite_differences(seed):
-    # Cropped to a 5 x 3 skip grid from a 3 x 2 input (6 x 4 uncropped), with
-    # one example's real region 3 x 2 and the other's all of it.
+    # Rows of a 5 x 3 skip grid pooled to 3 x 2 (6 x 4 uncropped), with one
+    # example's real region 3 x 2 and the other's all of it.
     rng = rng_for(410 + seed)
-    x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-    k = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-    skip = Tensor(rng.normal(size=(2, 5, 3, 2)), requires_grad=True)
     mask = np.zeros((2, 5, 3), dtype=bool)
     mask[0, :3, :2] = True
     mask[1] = True
-    probe = rng.normal(size=(2, 5, 3, 5))
+    fine = K.Sites(mask.shape, mask)
+    coarse = fine.pooled()
+    x = on_sites(rng.normal(size=(2, 3, 2, 2)), coarse, requires_grad=True)
+    k = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    skip = on_sites(rng.normal(size=(2, 5, 3, 2)), fine, requires_grad=True)
+    probe = rng.normal(size=(fine.n, 5))
 
     def f():
-        return probe_loss(K.deconv2(x, k, skip, mask), probe)
+        return probe_loss(K.deconv2(x, k, skip), probe)
 
     assert grad_check(f, [x, k, skip], h=H_STEP) < TOL
-    full = K.deconv2(x, k, no_skip(x)).data
-    out = K.deconv2(x, k, skip, mask).data
-    assert np.array_equal(out[..., :3], np.where(mask[..., None], full[:, :5, :3], 0.0))
-    assert np.array_equal(out[..., 3:], skip.data)  # the mask leaves the skip alone
-    # Input cells whose outputs are all cropped or masked get no gradient;
-    # the skip gets its channels of the gradient, masked cells too.
-    x.zero_grad()
-    skip.zero_grad()
+    image = Tensor(as_image(x.data, coarse))  # the pooled rows on their 3 x 2 grid, zero elsewhere
+    full = K.deconv2(image, k, no_skip(image)).data
+    out = K.deconv2(x, k, skip)
+    assert out.sites is fine
+    assert np.array_equal(out.data[:, :3], full[:, :5, :3][mask])
+    assert np.array_equal(out.data[:, 3:], skip.data)
+    # Every input row has a real output cell, and the skip gets its
+    # channels of the gradient.
+    for t in (x, skip):
+        t.zero_grad()
     f().backward()
-    assert not x.grad[0, 2:].any() and not x.grad[0, :, 1:].any()
-    assert np.all(np.abs(x.grad[1]).sum(axis=2) > 0)
-    assert np.array_equal(skip.grad, probe[..., 3:])
+    assert np.all(np.abs(x.grad).sum(axis=1) > 0)
+    assert np.array_equal(skip.grad, probe[:, 3:])
+
+
+def test_pool_then_deconv_on_rows_keeps_the_real_cells():
+    # A U-Net level on a padded batch: pool the rows, up-sample, join the
+    # pre-pool rows; the rows stay one per real cell of the level above.
+    rng = rng_for(9)
+    mask = conv_mask("ragged", rng)
+    sites = K.Sites(mask.shape, mask)
+    x = on_sites(rng.normal(size=mask.shape + (2,)), sites)
+    out = K.deconv2(K.maxpool2(x), Tensor(rng.normal(size=(2, 3, 2, 2))), x)
+    assert out.sites is sites and out.data.shape == (sites.n, 5)
 
 
 def test_deconv_crop_beyond_output_fails():
@@ -1116,10 +1195,8 @@ def _lstm_case(rng):
 
 
 def _bn_relu_case(rng):
-    mask = np.ones((2, 3, 4), dtype=bool)
-    mask[1, 2:] = False
-    arrays = [rng.normal(size=(2, 3, 4, 3)), rng.uniform(0.5, 2.0, size=3), rng.normal(size=3)]
-    return arrays, lambda y, g, b: K.bn_relu(y, g, b, np.zeros(3), np.ones(3), training=True, mask=mask)
+    arrays = [rng.normal(size=(20, 3)), rng.uniform(0.5, 2.0, size=3), rng.normal(size=3)]
+    return arrays, lambda y, g, b: K.bn_relu(y, g, b, np.zeros(3), np.ones(3), training=True)
 
 
 # Each op's input arrays and a call taking one tensor per array.

@@ -134,9 +134,9 @@ def test_encode_with_gold_joins_context_once(monkeypatch):
 
 def pair_features(u, hx, w):
     """``encoding_layer`` on unpadded rows: each example's u (M rows) then hx
-    (N rows) as one BiLSTM output, on an M x N grid."""
+    (N rows) as one BiLSTM output, on an M x N grid, as that (B, M, N, D) image."""
     states = Tensor(np.concatenate([u, hx], axis=1))
-    return encoding_layer(states, [(u.shape[1], hx.shape[1])] * len(u), (u.shape[1], hx.shape[1]), w)
+    return K.to_grid(encoding_layer(states, [(u.shape[1], hx.shape[1])] * len(u), (u.shape[1], hx.shape[1]), w))
 
 
 def test_encoding_unit_vector_case():
@@ -180,15 +180,13 @@ def test_encoding_grads_match_finite_differences():
     # A BiLSTM output as the batch gives it: example 0 has (m, nx) = (3, 3),
     # example 1 (4, 2), real rows of mixed norm, and rows past m + nx that
     # the gather must neither read nor send gradient to. On the 4 x 3 grid
-    # the node pads u of example 0 and hx of example 1 with zero rows.
+    # the node computes the 9 + 8 real cells' rows alone.
     rng = np.random.default_rng(3)
     sizes = [(3, 3), (4, 2)]
     states = rng.normal(size=(2, 8, 6)) * rng.uniform(0.2, 2.0, size=(2, 8, 1))
     w = rng.normal(size=(6, 6))
     tensors = [Tensor(a, requires_grad=True) for a in (states, w)]
-    weights = rng.normal(size=(2, 4, 3, 8))
-    weights[0, 3:] = 0.0  # padded cells are masked out of the loss
-    weights[1, :, 2:] = 0.0
+    weights = rng.normal(size=(17, 8))
 
     def f():
         return probe_loss(encoding_layer(tensors[0], sizes, (4, 3), tensors[1]), weights)
@@ -210,7 +208,7 @@ def test_encoding_backward_over_zero_rows_is_finite():
     tensors = [Tensor(a, requires_grad=True) for a in (states, rng.normal(size=(6, 6)))]
     with np.errstate(all="raise"):
         out = encoding_layer(tensors[0], [(4, 3), (2, 1)], (4, 3), tensors[1])
-        assert np.all(out.data[1] == 0.0)
+        assert np.all(out.data[12:] == 0.0)  # example 1's two rows
         probe_loss(out, rng.normal(size=out.data.shape)).backward()
     for t in tensors:
         assert np.all(np.isfinite(t.grad))
@@ -220,7 +218,9 @@ def test_encoding_backward_over_zero_rows_is_finite():
 # feature_batch
 
 
-def test_feature_batch_pads_mixed_sizes_with_zero_cells():
+def test_feature_batch_holds_one_row_per_real_cell_of_mixed_sizes():
+    # Exactly sum(m * nx) rows on the batch's 8 x 5 grid, each example's
+    # block row-major in turn, each row its features computed alone.
     examples = toy_examples() + [
         DialogueExample.create([], word_tokens(["b"]), word_tokens(["b"])),
         DialogueExample.create(
@@ -228,24 +228,27 @@ def test_feature_batch_pads_mixed_sizes_with_zero_cells():
         ),
     ]
     vocab = Vocabulary.from_examples(examples)
-    model = RewriteModel(toy_config(vocab.size), seed=2)
+    model = to_float64(RewriteModel(toy_config(vocab.size), seed=2))
     batch = [encode_example(e, vocab) for e in examples]
     with np.errstate(all="raise"):
         features, masks = model.feature_batch(batch)
-        alone = []  # each example alone, its rows sliced from its own BiLSTM pass
+        alone = []  # each example alone, its rows from its own BiLSTM pass
         for enc in batch:
             states = model.context_layer([enc])
             sizes = [(enc.m, enc.nx)]
-            alone.append(encoding_layer(states, sizes, sizes[0], model.tensors["bilinear.w"]).data[0])
+            alone.append(encoding_layer(states, sizes, sizes[0], model.tensors["bilinear.w"]).data)
     d = model.config.feature_channels
-    assert features.data.shape == (4, 8, 5, d)  # M up to 8, N + 1 up to 5
+    assert features.data.dtype == np.float64
+    assert features.data.shape == (sum(enc.m * enc.nx for enc in batch), d)
+    assert features.sites.shape == masks.shape == (4, 8, 5)  # M up to 8, N + 1 up to 5
+    assert np.array_equal(features.sites.mask, masks)
+    row = 0
     for i, enc in enumerate(batch):
         assert masks[i].sum() == enc.m * enc.nx
         assert masks[i, : enc.m, : enc.nx].all()
-        feats = features.data[i]
-        assert not feats[enc.m :].any() and not feats[:, enc.nx :].any()
-        real = np.s_[: enc.m, : enc.nx]
-        assert np.max(np.abs(feats[real] - alone[i]), initial=0.0) < 1e-12
+        rows = features.data[row : row + enc.m * enc.nx]
+        assert np.max(np.abs(rows - alone[i]), initial=0.0) < 1e-12
+        row += enc.m * enc.nx
 
 
 def benchmark_workloads():
@@ -260,10 +263,9 @@ def benchmark_workloads():
 
 @pytest.mark.parametrize("corpus", ["default", "long"])
 def test_no_real_cell_has_an_all_zero_feature_vector(corpus):
-    # segmentation_layer takes the real-cell mask from the features: a cell
-    # is padding exactly when all D of its channels are zero. Checked at the
-    # benchmark's paper and toy dims, with seeded models, on the corpora it
-    # serves at seed 1.
+    # Each real cell of the mask has one feature row, and no row is all
+    # zero. Checked at the benchmark's paper and toy dims, with seeded
+    # models, on the corpora it serves at seed 1.
     w = benchmark_workloads()
     spec = {"default": {}, "long": w.LONG_SPEC}[corpus]
     examples = generate_synthetic(SyntheticSpec(num_examples=256, seed=1, **spec))
@@ -274,7 +276,34 @@ def test_no_real_cell_has_an_all_zero_feature_vector(corpus):
         with ad.no_grad():
             for i in range(0, len(batch), 16):
                 features, masks = model.feature_batch(batch[i : i + 16])
-                assert np.array_equal(features.data.any(axis=3), masks)
+                assert features.data.shape[0] == masks.sum() and features.data.any(axis=1).all()
+
+
+def test_padded_training_step_keeps_the_features_and_their_gradient_as_rows(monkeypatch):
+    # No dense (B, M, N, D) feature image or gradient: every node value and
+    # gradient with the D feature channels is the (sum m * nx, D) rows.
+    examples = toy_examples()  # grids 6 x 4 and 2 x 5, so the batch is padded
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(toy_config(vocab.size, hidden_dim=5), seed=5)
+    batch = [encode_example(e, vocab, with_gold=True) for e in examples]
+    d = model.config.feature_channels
+    assert d not in (6, 10, 2, 4, 8, 3)  # embedding, states and U-Net widths
+    shapes = []
+    node, accumulate = ad._node, ad._accumulate
+
+    def recording_node(data, parents, backward):
+        shapes.append(np.shape(data))
+        return node(data, parents, backward)
+
+    def recording_accumulate(t, g):
+        shapes.append(np.shape(g))
+        accumulate(t, g)
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    monkeypatch.setattr(ad, "_accumulate", recording_accumulate)
+    model.forward_loss(batch).backward()
+    wide = [s for s in shapes if s and s[-1] == d]
+    assert wide == [(sum(e.m * e.nx for e in batch), d)] * 2  # the features, then their gradient
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +722,62 @@ def test_batch1_rewrite_calls_traced_kernels_through_module_attributes(monkeypat
     matrix = model.predict_encoded(encode_example(ex, vocab))
     generation.rewrite_from_matrix(matrix, prepare_incomplete(list(ex.incomplete)), join_context(ex))
     assert calls == {"lstm": 1, "conv2d": 8, "two_pass_label": 1}
+
+
+def shapes(value):
+    """A kernel argument as the test compares it: arrays by shape, tuples
+    and lists item by item, anything else by its type."""
+    if isinstance(value, (Tensor, np.ndarray)):
+        return np.shape(value.data if isinstance(value, Tensor) else value)
+    if isinstance(value, (tuple, list)):
+        return tuple(shapes(v) for v in value)
+    return type(value).__name__
+
+
+def test_one_pass_makes_the_same_kernel_calls_whatever_the_output_length(monkeypatch):
+    # The paper's one-pass property, counted instead of timed: two examples
+    # on the same (m, nx) grid whose rewrites differ in length make the same
+    # kernel calls, with the same argument shapes, in one model invocation
+    # each. The head predicts Substitute everywhere, so each rewrite is its
+    # context without separators, and the two contexts hold different
+    # numbers of them. A kernel call per output token would show here.
+    examples = generate_synthetic(SyntheticSpec(num_examples=40, seed=3))
+    vocab = Vocabulary.from_examples(examples)
+    model = RewriteModel(toy_config(vocab.size, embed_dim=4, base_channels=2), seed=2)
+    model.tensors["head.w"].data[:] = 0.0
+    model.tensors["head.b"].data[:] = [0.0, 5.0, 0.0]
+    calls = []
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, shapes(args), {k: shapes(v) for k, v in kwargs.items()}))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, value in vars(K).items():
+        if callable(value) and not isinstance(value, type) and getattr(value, "__module__", None) == K.__name__:
+            monkeypatch.setattr(K, name, recording(name, value))
+
+    def one_pass(enc):
+        calls.clear()
+        before = model.invocations
+        matrix = model.predict_encoded(enc)
+        tokens, _ = generation.rewrite_from_matrix(matrix, enc.x, enc.c)
+        assert model.invocations == before + 1
+        return list(calls), len(tokens)
+
+    by_grid = {}
+    for enc in (encode_example(ex, vocab) for ex in examples):
+        by_grid.setdefault((enc.m, enc.nx), []).append(enc)
+    runs = next(
+        runs
+        for runs in ([one_pass(enc) for enc in group] for group in by_grid.values() if len(group) > 1)
+        if len({length for _, length in runs}) > 1
+    )
+    first, _ = runs[0]
+    assert {name for name, _, _ in first} >= {"lstm", "conv2d", "maxpool2", "deconv2", "linear"}
+    assert all(made == first for made, _ in runs[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def test_benchmark_harness_calls_still_work(tmp_path, monkeypatch):
 def test_padded_predict_calls_conv2d_with_its_input_and_kernel_first(monkeypatch):
     # perfbench/run.py counts conv FLOPs from every kernels.conv2d call as
     # 2·C'·C·9 per input pixel, reading args[0] as the input and args[1] as
-    # the kernel; a padded batch passes the real cells' index after them.
+    # the kernel, and args[0].data.size / C as its pixels: on a padded batch
+    # the input is the real cells' (n × C) rows.
     examples = generate_synthetic(SyntheticSpec(num_examples=6, seed=3))
     vocab = Vocabulary.from_examples(examples)
     model = RewriteModel(ModelConfig(vocab_size=vocab.size, embed_dim=4, hidden_dim=3, base_channels=2), seed=2)
@@ -161,6 +162,6 @@ def test_padded_predict_calls_conv2d_with_its_input_and_kernel_first(monkeypatch
     for args, kwargs in calls:
         x, k = args[0].data, args[1].data
         ci = k.shape[1]
-        assert x.ndim == 4 and x.shape[3] == ci and k.shape[2:] == (3, 3)
-        assert not kwargs and args[2].mask is not None
+        assert x.ndim == 2 and x.shape == (args[0].sites.n, ci) and k.shape[2:] == (3, 3)
+        assert not kwargs and args[0].sites.mask is not None
     assert [id(args[1]) for args, _ in calls] == [id(k) for k in model.convs.values()]
