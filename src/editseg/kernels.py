@@ -27,11 +27,12 @@ last window, and a transposed convolution crops its output to the grid of
 the skip it joins.
 
 The two hot kernels are shaped for BLAS. The LSTM is one time-major scan
-that advances both directions, which share each step's numpy calls; every
-step's embedding row is gathered from the table in scan order and projected
-in one GEMM per direction before the scan, straight into the gate array. A
-step makes one recurrent product for both directions, against the
-(2, H, 4H) buffer a model keeps both ``w_hh`` in, and BPTT one against its
+that advances both directions, which share each step's numpy calls. Before
+the scan, each direction projects the embedding row of each distinct id in
+the batch once, in one GEMM, and one ``take`` gathers those gate rows in
+scan order, so every step's gates are one contiguous block. A step makes one
+recurrent product for both directions, against the (2, H, 4H) buffer a model
+keeps both ``w_hh`` in, and BPTT one against a contiguous copy of its
 transpose; a call that builds no graph keeps no BPTT history.
 
 The 3x3 convolution is one GEMM per product (output, kernel gradient,
@@ -63,7 +64,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -99,44 +99,46 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
     ``IndexError``. ``fwd`` and ``bwd`` are each direction's
     ``(w_ih, w_hh, b)``: (E, 4H), (H, 4H) and (4H,), gate order i, f, g, o.
 
-    One time-major scan advances both directions. Each sequence's steps are
-    gathered from the table in scan order, position t forward and
-    ``length - 1 - t`` backward, so padding trails the real steps in both.
-    Each direction projects every step's input in one (B·L × E) @ (E × 4H)
-    GEMM before the scan, written straight into its (L·B × 4H) strided view
-    of the (L, B, 2, 4H) gate array, to which the bias is then added. A step
-    runs one recurrent product for both directions, (2, B, H) @ (2, H, 4H)
-    into one (2, B, 4H) buffer, which numpy hands to BLAS as the two
-    per-direction GEMMs; the (2, H, 4H) operand is the buffer both ``w_hh``
-    are views of when a model holds them so (``stacked_pair``). Then the
-    gate arithmetic runs once for both: tanh of the g slot, then the
-    logistic function over the whole gate row.
-    A float32 preactivation below about -88 overflows ``exp`` to inf, whose
-    logistic value 1 / (1 + inf) = 0 is the exact limit.
+    One time-major scan advances both directions. Each sequence is scanned
+    in its own order, position t forward and ``length - 1 - t`` backward, so
+    padding trails the real steps in both. Each direction projects the
+    embedding rows of the batch's U distinct ids in one (U × E) @ (E × 4H)
+    GEMM plus the bias, and one ``take`` gathers them in scan order into the
+    (L, 2, B, 4H) gates, so each step's (2, B, 4H) block is contiguous at
+    any B. A step adds one recurrent product for both directions,
+    (2, B, H) @ (2, H, 4H), which numpy hands to BLAS as the two
+    per-direction GEMMs, into its block; the (2, H, 4H) operand is the
+    buffer both ``w_hh`` are views of when a model holds them so
+    (``stacked_pair``). The gate arithmetic then runs there once for both
+    directions: tanh of the g slot, then the logistic function over the
+    whole gate row. A float32 preactivation below about -88 overflows
+    ``exp`` to inf, whose logistic value 1 / (1 + inf) = 0 is the exact
+    limit.
 
     When the call builds no graph (under ``no_grad``, or when no input needs
-    a gradient), the gathered inputs are freed and the scan keeps no history
-    for BPTT (``_scan_ahead``): only the states ``hs`` and the gate
-    projection are per-step arrays, and the rest lives in fixed scratch
-    buffers. Both loops do the same arithmetic,
-    so their outputs are bitwise equal.
+    a gradient), the distinct rows are freed and the scan keeps no history
+    for BPTT (``_scan_ahead``): only the states ``hs`` and the gates are
+    per-step arrays, and the rest lives in fixed scratch buffers. Both loops
+    do the same arithmetic, so their outputs are bitwise equal.
 
     Padded steps never feed a real output; their outputs are zeroed after
     the scan and their BPTT gradients are exact zeros, so a padded batch
     gives exactly the per-example results. The scan is one graph node: BPTT
     runs the shared loop backwards, storing each step's ``dz``, with one
-    product per step against the stacked ``w_hh`` transposed, and forms
-    each direction's ``dx``, ``dW_ih``, ``dW_hh`` and ``db`` as single GEMMs
-    after it. Both directions' ``dx`` go into the table's rows with
+    product per step against a contiguous copy of the stacked ``w_hh``
+    transposed. Each direction's ``dx``, ``dW_ih``, ``dW_hh`` and ``db`` are
+    then single GEMMs over every position, its inputs gathered again from
+    the distinct rows; both ``dx`` go into the table's rows with
     ``np.add.at``, which sums every occurrence of a repeated id.
     """
     ids = np.asarray(ids, dtype=np.int64)
     B, L = ids.shape
     vocab, E = table.data.shape
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        bad = ids[(ids < 0) | (ids >= vocab)][0]
+    distinct, inverse = np.unique(ids, return_inverse=True)  # sorted, so the range check reads its ends
+    if distinct.size and (distinct[0] < 0 or distinct[-1] >= vocab):
+        bad = distinct[0] if distinct[0] < 0 else distinct[-1]
         raise IndexError(f"embedding id {int(bad)} out of range for vocab of {vocab}")
-    H = fwd[1].data.shape[0]
+    H, U = fwd[1].data.shape[0], distinct.size
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > L):
         raise ValueError(f"lstm lengths must be {B} values in [0, {L}], got {lengths.tolist()}")
@@ -148,31 +150,30 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
     rows, dirs, weights = np.arange(B), np.arange(2), (fwd, bwd)
     parents = (table, *fwd, *bwd)
 
-    xs = table.data[ids[rows, order]]  # (2, L, B, E), each direction in its scan order
-    dt = xs.dtype
-    # gates[t, b, d]: step t's gates of sequence b in direction d. Each
-    # direction's (L·B × 4H) projection is a strided view that BLAS writes in
-    # place, and at B = 1 each step's (2, B, 4H) view is contiguous.
-    gates = np.empty((L, B, 2, 4 * H), dtype=dt)
+    xu = table.data[distinct]  # (U, E), one row per distinct id
+    scan = inverse[rows, order]  # (2, L, B): the row of xu each scan step reads
+    dt = xu.dtype
+    projected = np.empty((2, U, 4 * H), dtype=dt)  # each direction's projection of each distinct id
     for d, (w_ih, _, b) in enumerate(weights):
-        projected = gates.reshape(L * B, 2, 4 * H)[:, d]
-        np.matmul(xs[d].reshape(L * B, E), w_ih.data, out=projected)
-        projected += b.data
+        np.matmul(xu, w_ih.data, out=projected[d])
+        projected[d] += b.data
+    # gates[t, d, b]: step t's gates of sequence b in direction d.
+    gates = projected.reshape(2 * U, 4 * H).take(scan.transpose(1, 0, 2) + U * dirs[:, None], axis=0)
+    del projected
     w_hh = stacked_pair(fwd[1].data, bwd[1].data)  # (2, H, 4H)
     hs = np.zeros((L + 1, 2, B, H), dtype=dt)  # hs[t]: the states entering step t
     if not ad._keeps_graph(parents):
-        del xs  # only BPTT reads the inputs again
+        del xu  # only BPTT reads the inputs again
         _scan_ahead(gates, w_hh, hs)
         return Tensor(_outputs(hs, order, valid))
     cs = np.zeros((L + 1, 2, B, H), dtype=dt)  # cs[t]: the cells entering step t
     tgs, tcs = np.empty((2, L, 2, B, H), dtype=dt)  # tanh of the g slot and of the cell
-    z, ig = np.empty((2, B, 4 * H), dtype=dt), np.empty((2, B, H), dtype=dt)
+    rec, ig = np.empty((2, B, 4 * H), dtype=dt), np.empty((2, B, H), dtype=dt)
     with np.errstate(over="ignore"):
         for t in range(L):
-            # z becomes i, f, σ(g), o, and is kept as step t's gates; it is
-            # computed in a contiguous buffer as the step's views are strided.
-            np.matmul(hs[t], w_hh, out=z)
-            z += gates[t].swapaxes(0, 1)
+            z = gates[t]  # becomes i, f, σ(g), o in place: step t's gates
+            np.matmul(hs[t], w_hh, out=rec)
+            z += rec
             np.tanh(z[..., 2 * H : 3 * H], out=tgs[t])
             _sigmoid_(z)
             np.multiply(z[..., H : 2 * H], cs[t], out=cs[t + 1])
@@ -180,10 +181,9 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
             cs[t + 1] += ig
             np.tanh(cs[t + 1], out=tcs[t])
             np.multiply(z[..., 3 * H :], tcs[t], out=hs[t + 1])
-            gates[t].swapaxes(0, 1)[...] = z
 
     def backward(grad):
-        i, f, _, o = gates.reshape(L, B, 2, 4, H).transpose(3, 0, 2, 1, 4)  # each (L, 2, B, H)
+        i, f, _, o = gates.reshape(L, 2, B, 4, H).transpose(3, 0, 1, 2, 4)  # each (L, 2, B, H)
         # Per-step factors turning (dc, dc, dc, dh) into the gate
         # pre-activation gradients dz = (di, df, dg, do).
         fac = np.empty((L, 2, B, 4, H), dtype=dt)
@@ -196,7 +196,7 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
         dout.transpose(0, 2, 1, 3)[~valid] = 0.0
         dz = np.empty((2, L, B, 4, H), dtype=dt)  # each direction's dz contiguous
         dh, dc = np.zeros((2, 2, B, H), dtype=dt)
-        w_hh_t = w_hh.transpose(0, 2, 1)
+        w_hh_t = np.ascontiguousarray(w_hh.transpose(0, 2, 1))  # (2, 4H, H)
         for t in range(L - 1, -1, -1):
             dh += dout[t]
             dc += dh * dc_from_h[t]
@@ -204,6 +204,7 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
             np.multiply(fac[t, ..., 3, :], dh, out=dz[:, t, :, 3])
             np.matmul(dz[:, t].reshape(2, B, 4 * H), w_hh_t, out=dh)
             dc *= f[t]
+        xs = xu[scan]  # (2, L, B, E), each direction's inputs in its scan order
         dx = np.empty((2, L, B, E), dtype=dt)
         for d, (w_ih, w_hh_d, b) in enumerate(weights):
             dzd = dz[d].reshape(L * B, 4 * H)
@@ -229,27 +230,29 @@ def _outputs(hs, order, valid):
 
 
 def _scan_ahead(gates, w_hh, hs):
-    """``lstm``'s scan keeping nothing for BPTT: fills ``hs``, leaves ``gates``.
+    """``lstm``'s scan keeping nothing for BPTT: fills ``hs`` from ``gates``.
 
-    The pre-activations z, the recurrent product, tanh(c) and the pair
-    [tanh(g) | c] are fixed buffers whose views are all built before the
-    loop. The cell update f·c + i·tanh(g) is one product of z's [i | f] with
-    the pair and one sum of its halves into the pair's c: 11 numpy calls a
-    step, each value the graph loop's bit for bit.
+    ``gates`` is read, one contiguous (2, B, 4H) block a step, and left as
+    it is. The pre-activations z (the recurrent product, to which the step's
+    block is added), tanh(c) and the pair [tanh(g) | c] are fixed buffers
+    whose views are all built before the loop. The cell update
+    f·c + i·tanh(g) is one product of z's [i | f] with the pair and one sum
+    of its halves into the pair's c: 11 numpy calls a step, each value the
+    graph loop's bit for bit.
     """
-    L, B, _, H4 = gates.shape
+    L, _, B, H4 = gates.shape
     H = H4 // 4
-    z, rec = np.empty((2, 2, B, H4), dtype=gates.dtype)
+    z = np.empty((2, B, H4), dtype=gates.dtype)
     pair = np.zeros((2, B, 2 * H), dtype=gates.dtype)  # [tanh(g) | c], the cell starting at zero
     prod, tc = np.empty_like(pair), np.empty((2, B, H), dtype=gates.dtype)
     z_if, z_g, z_o = z[..., : 2 * H], z[..., 2 * H : 3 * H], z[..., 3 * H :]
     tg, c = pair[..., :H], pair[..., H:]
     ig, fc = prod[..., :H], prod[..., H:]
-    h, g = list(hs), list(gates.swapaxes(1, 2))
+    h, g = list(hs), list(gates)
     with np.errstate(over="ignore"):
         for t in range(L):
-            np.matmul(h[t], w_hh, out=rec)
-            np.add(g[t], rec, out=z)
+            np.matmul(h[t], w_hh, out=z)
+            z += g[t]
             np.tanh(z_g, out=tg)
             _sigmoid_(z)
             np.multiply(z_if, pair, out=prod)
@@ -294,14 +297,13 @@ class Sites:
         self.real = None if mask is None else np.flatnonzero(mask)
         self.n = B * H * W if mask is None else self.real.size
         self.cells = self.slots = self._pooled = None
-        pos = np.full((B, H + 2, W + 2), self.n, dtype=np.intp)  # each pixel's row; the ring reads n
-        self._rows = pos[:, 1:-1, 1:-1]
+        self._pos = pos = np.full((B, H + 2, W + 2), self.n, dtype=np.intp)  # each pixel's row; the ring reads n
         if mask is None:
-            self._rows[...] = np.arange(self.n).reshape(B, H, W)
+            pos[:, 1:-1, 1:-1] = np.arange(self.n).reshape(B, H, W)
         else:
-            self._rows[mask] = np.arange(self.n)
+            pos[:, 1:-1, 1:-1][mask] = np.arange(self.n)
         # Axes (b, i, j, a, c); a and c step like i and j.
-        win = as_strided(pos, (B, H, W, 3, 3), pos.strides + pos.strides[1:], writeable=False)
+        win = np.ndarray((B, H, W, 3, 3), np.intp, pos, 0, pos.strides + pos.strides[1:])
         self.nbr = (win if mask is None else win[mask]).reshape(self.n, 9)
 
     def pooled(self) -> "Sites":
@@ -309,8 +311,8 @@ class Sites:
         if self._pooled is None:
             B, H, W = self.shape
             h, w = (H + 1) // 2, (W + 1) // 2
-            rows = np.full((B, 2 * h, 2 * w), self.n, dtype=np.intp)
-            rows[:, :H, :W] = self._rows
+            # The ring past an odd side reads n, as a cell off the mask does.
+            rows = self._pos[:, 1 : 2 * h + 1, 1 : 2 * w + 1]
             windows = rows.reshape(B, h, 2, w, 2).transpose(2, 4, 0, 1, 3).reshape(4, -1)
             present = windows < self.n
             coarse = Sites((B, h, w), None if self.mask is None else present.any(axis=0).reshape(B, h, w))

@@ -473,7 +473,10 @@ class RewriteModel:
     def predict(self, batch: list[EncodedExample]) -> list[np.ndarray]:
         """Edit matrices in ``batch``'s order, one forward pass each: sorted by
         (m, nx), ``PREDICT_BATCH`` examples share a forward pass. Padding is
-        never computed, so no matrix depends on the examples it runs with."""
+        never computed, so a matrix depends on the examples it runs with
+        only up to float32 rounding: the logits re-round with the batch's
+        composition, as BLAS picks its summation order by a product's row
+        count."""
         order = sorted(range(len(batch)), key=lambda i: (batch[i].m, batch[i].nx))
         matrices = [None] * len(batch)
         for start in range(0, len(batch), PREDICT_BATCH):

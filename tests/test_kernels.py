@@ -101,6 +101,62 @@ def test_padding_adds_nothing_to_the_padding_ids_row():
     assert np.all(table.grad[1:] != 0.0)
 
 
+def shared_ids(rng, vocab, lengths):
+    """Right-padded (B, max(lengths)) ids drawn from a few words, so ids
+    repeat within and across sequences, and the padding id 0 is also read
+    by a real step of the first sequence."""
+    ids = np.zeros((len(lengths), max(lengths)), dtype=np.int64)
+    for i, n in enumerate(lengths):
+        ids[i, :n] = rng.integers(0, vocab, size=n)
+    ids[0, 1] = 0
+    return ids
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_repeated_ids_across_a_padded_batch_match_finite_differences(seed):
+    # Each distinct id is projected once and its gate rows gathered to every
+    # step that reads it, in both directions and across sequences.
+    rng = rng_for(170 + seed)
+    fwd, bwd = bilstm_weights(rng, 3, 4)
+    for t in (*fwd, *bwd):
+        t.data += rng.normal(size=t.data.shape) * 0.3
+    lengths = [5, 2, 4]
+    ids = shared_ids(rng, 4, lengths)
+    assert np.unique(ids).size < ids.size
+    table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    probe = rng.normal(size=(3, 5, 8))
+
+    def f():
+        return probe_loss(K.lstm(table, ids, fwd, bwd, lengths), probe)
+
+    assert grad_check(f, [table, *fwd, *bwd], h=H_STEP) < TOL
+
+
+@pytest.mark.parametrize("E,H", [(32, 32), (100, 200)])
+def test_repeated_ids_give_the_per_position_lstm_in_float32(E, H):
+    # B = 16 with a 60-word table: most steps share their id with another.
+    # The output and every gradient match the table with one row per
+    # position, whose table gradient, added up by id, is the table's.
+    table, fwd, bwd = model_lstm_weights(E, H)
+    rng = rng_for(E + H)
+    lengths = [40, 3, 17, 40, 1, 29, 8, 33, 40, 12, 25, 5, 38, 21, 2, 30]
+    ids = shared_ids(rng, table.data.shape[0], lengths)
+    assert np.unique(ids).size < 0.1 * ids.size
+    per_position, own_ids = as_table(table.data[ids], requires_grad=True)
+    apart = [[Tensor(w.data.copy(), requires_grad=True) for w in d] for d in (fwd, bwd)]
+    probe = rng.normal(size=(16, 40, 2 * H)).astype(np.float32)
+    out = K.lstm(table, ids, fwd, bwd, lengths)
+    want = K.lstm(per_position, own_ids, *apart, lengths)
+    np.testing.assert_allclose(out.data, want.data, rtol=1e-5, atol=1e-6)
+    probe_loss(out, probe).backward()
+    probe_loss(want, probe).backward()
+    summed = np.zeros_like(table.data)
+    np.add.at(summed, ids, per_position.grad.reshape(*ids.shape, E))
+    wanted = [summed, *(w.grad for d in apart for w in d)]
+    for got, ref in zip((table, *fwd, *bwd), wanted):
+        np.testing.assert_allclose(got.grad, ref, rtol=1e-4, atol=1e-5 * np.abs(ref).max())
+
+
 def test_bilstm_zero_params_zero_output():
     def zeros():
         return [Tensor(np.zeros(shape), requires_grad=True) for shape in ((4, 20), (5, 20), (20,))]
@@ -292,10 +348,10 @@ def test_lstm_without_a_graph_is_bitwise_the_graph_path(E, H, lengths):
 
 def test_lstm_without_a_graph_holds_little_beyond_its_gates_states_and_output():
     # B = 16, L = 40 at paper dims. The arrays the scan must hold are the
-    # (L, B, 2, 4H) gates, the (L + 1, 2, B, H) states and the (B, L, 2H)
-    # output. The projections are written into the gates and the gathered
-    # inputs freed before the scan, so the peak is this sum plus index
-    # arrays (0.8% here). Keeping the inputs through the scan read 1.09
+    # (L, 2, B, 4H) gates, the (L + 1, 2, B, H) states and the (B, L, 2H)
+    # output. The distinct ids' rows and projections are freed once the
+    # gates are gathered, before the scan, so the peak is this sum plus
+    # index arrays (1.1% here). Keeping the inputs through the scan read 1.09
     # times it, with or without a per-direction projection temporary, and a
     # scan that kept its BPTT history under no_grad 1.61.
     E, H, B, L = 100, 200, 16, 40

@@ -10,10 +10,16 @@ padded batch of 16 and a batch of one. For each batch it records the
 eval-mode logits of a ``no_grad`` pass, then the training loss and the
 gradient of every parameter (36 arrays).
 
-Every array is hashed. The script prints, per dims and batch, how many
-arrays are bitwise equal, and for each one that is not, its largest
-difference relative to the array's scale, max |a - b| / max |a|. It exits
-0 when every array is bitwise equal and 1 otherwise.
+The probe then trains 2 epochs at toy dims on the same seeded corpus, 64
+training and 16 dev examples, in a temporary directory, and records every
+array of the best checkpoint and of its ``.last`` file (weights, batch-norm
+statistics and Adam moments).
+
+Every array is hashed. The script prints, per group (dims and batch, or
+checkpoint), how many arrays are bitwise equal and, when some are not, the
+largest difference relative to an array's scale, max |a - b| / max |a|,
+then the differing arrays, largest first, at most ``SHOWN`` of them. It
+exits 0 when every array is bitwise equal and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,15 +39,19 @@ DIMS = {
     "paper": {"embed_dim": 100, "hidden_dim": 200, "base_channels": 32},
 }
 BATCHES = {"padded16": 16, "batch1": 1}
-SEED = 5  # corpus and weights
+CHECKPOINTS = {"train/best": "", "train/last": ".last"}
+SEED = 5  # corpus, weights and training
+SHOWN = 8  # differing arrays listed per group
 
 
 def probe(out_path: str) -> None:
     """Run in a tree's subprocess: write every probed array to ``out_path``."""
     import editseg
+    from editseg.checkpoint import load_checkpoint
     from editseg.model import ModelConfig, RewriteModel, Vocabulary, encode_example
 
-    examples = editseg.generate_synthetic(editseg.SyntheticSpec(num_examples=16, seed=SEED))
+    corpus = editseg.generate_synthetic(editseg.SyntheticSpec(num_examples=80, seed=SEED))
+    examples = corpus[:16]
     vocab = Vocabulary.from_examples(examples)
     encoded = [encode_example(ex, vocab, with_gold=True) for ex in examples]
     arrays = {"_editseg_file": np.array(editseg.__file__)}
@@ -58,6 +68,21 @@ def probe(out_path: str) -> None:
             arrays[f"{key}/loss"] = np.asarray(loss.data)
             for name, t in model.parameters().items():
                 arrays[f"{key}/grad/{name}"] = t.grad
+    with tempfile.TemporaryDirectory() as tmp:
+        editseg.save_dataset(corpus[:64], f"{tmp}/train.jsonl")
+        editseg.save_dataset(corpus[64:], f"{tmp}/dev.jsonl")
+        config = editseg.RunConfig(
+            train_path=f"{tmp}/train.jsonl",
+            dev_path=f"{tmp}/dev.jsonl",
+            checkpoint_path=f"{tmp}/model.run",
+            epochs=2,
+            seed=SEED,
+            **DIMS["toy"],
+        )
+        editseg.train(config)
+        for group, suffix in CHECKPOINTS.items():
+            saved, _ = load_checkpoint(config.checkpoint_path + suffix)
+            arrays |= {f"{group}/{name}": a for name, a in saved.items()}
     np.savez(out_path, **arrays)
 
 
@@ -103,17 +128,26 @@ def main(argv=None) -> int:
         print(f"array names differ: {sorted(parent.keys() ^ change.keys())}")
         return 1
     differing = 0
-    for group in (f"{d}/{b}" for d in DIMS for b in BATCHES):
+    for group in [*(f"{d}/{b}" for d in DIMS for b in BATCHES), *CHECKPOINTS]:
         names = [k for k in parent if k.startswith(group + "/")]
-        diffs = {k: parent[k].shape != change[k].shape or digest(parent[k]) != digest(change[k]) for k in names}
-        print(f"{group}: {len(names) - sum(diffs.values())} of {len(names)} arrays bitwise equal")
-        for k in names:
-            if diffs[k]:
-                differing += 1
-                if parent[k].shape != change[k].shape:
-                    print(f"  {k[len(group) + 1:]}: shape {parent[k].shape} -> {change[k].shape}")
-                else:
-                    print(f"  {k[len(group) + 1:]}: max rel diff {rel_diff(parent[k], change[k]):.3g}")
+        # A changed shape sorts first, as an infinite difference.
+        rel = {
+            k[len(group) + 1 :]: np.inf if parent[k].shape != change[k].shape else rel_diff(parent[k], change[k])
+            for k in names
+            if parent[k].shape != change[k].shape or digest(parent[k]) != digest(change[k])
+        }
+        differing += len(rel)
+        line = f"{group}: {len(names) - len(rel)} of {len(names)} arrays bitwise equal"
+        print(line + (f", max rel diff {max(rel.values()):.3g}" if rel else ""))
+        ranked = sorted(rel, key=rel.get, reverse=True)
+        for name in ranked[:SHOWN]:
+            k = f"{group}/{name}"
+            if parent[k].shape != change[k].shape:
+                print(f"  {name}: shape {parent[k].shape} -> {change[k].shape}")
+            else:
+                print(f"  {name}: max rel diff {rel[name]:.3g}")
+        if len(ranked) > SHOWN:
+            print(f"  ... and {len(ranked) - SHOWN} more")
     return 1 if differing else 0
 
 
