@@ -151,7 +151,8 @@ def lstm(table: Tensor, ids, fwd, bwd, lengths) -> Tensor:
     parents = (table, *fwd, *bwd)
 
     xu = table.data[distinct]  # (U, E), one row per distinct id
-    scan = inverse[rows, order]  # (2, L, B): the row of xu each scan step reads
+    # NumPy < 2 returns the inverse flat, so give it the ids' shape.
+    scan = inverse.reshape(B, L)[rows, order]  # (2, L, B): the row of xu each scan step reads
     dt = xu.dtype
     projected = np.empty((2, U, 4 * H), dtype=dt)  # each direction's projection of each distinct id
     for d, (w_ih, _, b) in enumerate(weights):
@@ -304,6 +305,7 @@ class Sites:
             pos[:, 1:-1, 1:-1][mask] = np.arange(self.n)
         # Axes (b, i, j, a, c); a and c step like i and j.
         win = np.ndarray((B, H, W, 3, 3), np.intp, pos, 0, pos.strides + pos.strides[1:])
+        win.flags.writeable = False  # its windows overlap, and nbr may be a view of it
         self.nbr = (win if mask is None else win[mask]).reshape(self.n, 9)
 
     def pooled(self) -> "Sites":

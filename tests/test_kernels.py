@@ -132,6 +132,25 @@ def test_repeated_ids_across_a_padded_batch_match_finite_differences(seed):
     assert grad_check(f, [table, *fwd, *bwd], h=H_STEP) < TOL
 
 
+def test_lstm_reads_a_flat_unique_inverse_as_numpy_1_returns_it(monkeypatch):
+    # NumPy 2 shapes np.unique's inverse like the ids; NumPy 1.x returns it
+    # flat. Both must give the same scan.
+    rng = rng_for(175)
+    fwd, bwd = bilstm_weights(rng, 3, 4)
+    lengths = [5, 2, 4]
+    ids = shared_ids(rng, 4, lengths)
+    table = Tensor(rng.normal(size=(5, 3)))
+    want = K.lstm(table, ids, fwd, bwd, lengths).data
+    unique = np.unique
+
+    def flat_inverse(a, **kwargs):
+        distinct, inverse = unique(a, **kwargs)
+        return distinct, inverse.ravel()
+
+    monkeypatch.setattr(np, "unique", flat_inverse)
+    assert np.array_equal(K.lstm(table, ids, fwd, bwd, lengths).data, want)
+
+
 @pytest.mark.parametrize("E,H", [(32, 32), (100, 200)])
 def test_repeated_ids_give_the_per_position_lstm_in_float32(E, H):
     # B = 16 with a 60-word table: most steps share their id with another.
